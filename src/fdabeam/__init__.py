@@ -22,6 +22,7 @@ from .beamforming import (
     principal_eigvec_span2,
     secrecy_rate,
     snr,
+    stacked_channel_stats,
 )
 from .coupling import (
     CosineTerm,
@@ -59,6 +60,7 @@ from .scenario import (
     RfParams,
     Scenario,
     channel_pair,
+    channel_pairs,
     channel_vector,
     element_positions,
     propagation_distances,

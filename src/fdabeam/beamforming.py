@@ -12,7 +12,9 @@ inner products.  Two problems are covered:
 Both eigenvalues have closed forms in the three scalars
 ``B = ||h_b||^2``, ``E = ||h_e||^2`` and the coupling ``x = |h_e^H h_b|^2``;
 eigenvectors come from a 2x2 problem in the span of the two channels, never
-from a dense decomposition.
+from a dense decomposition.  The closed forms, and the MRT baseline, take
+floats or arrays that broadcast together: a float in, a Python float out;
+arrays in, an array out.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ class SecrecyTarget:
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Total transmit power ||w||^2 in W."""
+    """Total transmit power ||w||^2 in W; an array of powers where the
+    closed forms take arrays (:func:`mrt_rate`)."""
 
     power: float
 
     def __post_init__(self):
-        if self.power < 0:
+        if np.any(np.asarray(self.power) < 0):
             raise ValueError("power budget must be non-negative")
 
 
@@ -85,12 +88,51 @@ def secrecy_rate(w: np.ndarray, pair: ChannelPair) -> float:
 
 def channel_stats(pair: ChannelPair) -> tuple[float, float, float]:
     """The three scalars (B, E, x) every closed form depends on."""
-    b = float(np.vdot(pair.h_bob, pair.h_bob).real)
-    e = float(np.vdot(pair.h_eve, pair.h_eve).real)
-    x = float(abs(np.vdot(pair.h_eve, pair.h_bob)) ** 2)
+    return _stats(pair.h_bob, pair.h_eve)
+
+
+def stacked_channel_stats(h_bob: np.ndarray,
+                          h_eve: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, E, x) of every channel pair in two equally shaped (..., N)
+    stacks, as three arrays of shape (...).
+
+    Entry k equals :func:`channel_stats` of row k bit for bit.  The rows go
+    through ``np.vdot`` one at a time on purpose: phased-array power rests on
+    ``B E - x``, which cancels, so a vectorized x (einsum, vecdot) that sums
+    in another order moves that power by up to ~1e-5 relative.
+    """
+    n = h_bob.shape[-1]
+    rows = [_stats(b, e) for b, e in zip(h_bob.reshape(-1, n), h_eve.reshape(-1, n))]
+    stats = np.array(rows, dtype=float).reshape(*h_bob.shape[:-1], 3)
+    return stats[..., 0], stats[..., 1], stats[..., 2]
+
+
+def _stats(h_bob: np.ndarray, h_eve: np.ndarray) -> tuple[float, float, float]:
+    b = float(np.vdot(h_bob, h_bob).real)
+    e = float(np.vdot(h_eve, h_eve).real)
+    x = float(abs(np.vdot(h_eve, h_bob)) ** 2)
     return b, e, x
 
 
+def _float_or_array(value):
+    """A Python float for a scalar result, the array otherwise."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+_float_semantics = np.errstate(all="ignore")
+"""Decorator: overflow and inf/inf give inf and nan without a warning, as in
+Python float arithmetic."""
+
+
+def _cauchy_schwarz_limit(bob_gain, eve_gain, coupling):
+    """``B E``, after checking that no coupling exceeds it."""
+    limit = bob_gain * eve_gain
+    if np.any(coupling > limit * (1.0 + 1e-9)):
+        raise ValueError("coupling exceeds the Cauchy-Schwarz bound B*E")
+    return limit
+
+
+@_float_semantics
 def lambda1_closed_form(bob_gain: float, eve_gain: float, coupling: float,
                         rate: float) -> float:
     """Principal eigenvalue of ``h_b h_b^H - 2^R h_e h_e^H``.
@@ -99,18 +141,16 @@ def lambda1_closed_form(bob_gain: float, eve_gain: float, coupling: float,
     ``x = |h_e^H h_b|^2`` and the target rate R.  Always non-negative; zero
     exactly when the channels are parallel and ``2^R E >= B``.
     """
-    limit = bob_gain * eve_gain
-    if coupling > limit * (1.0 + 1e-9):
-        raise ValueError("coupling exceeds the Cauchy-Schwarz bound B*E")
-    if coupling == 0.0:
-        # Orthogonal channels: the eigenvalue is exactly B.
-        return bob_gain
+    limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
     t = 2.0**rate
     w1 = t * eve_gain - bob_gain
-    w2 = max(limit - coupling, 0.0)
-    return 0.5 * (-w1 + math.sqrt(w1 * w1 + 4.0 * t * w2))
+    w2 = np.maximum(limit - coupling, 0.0)
+    lam = 0.5 * (-w1 + np.sqrt(w1 * w1 + 4.0 * t * w2))
+    # Orthogonal channels: the eigenvalue is exactly B.
+    return _float_or_array(np.where(coupling == 0.0, bob_gain, lam))
 
 
+@_float_semantics
 def lambda_delta_closed_form(bob_gain: float, eve_gain: float, coupling: float,
                              power: float) -> float:
     """Principal eigenvalue of the whitened pencil; the best ratio
@@ -119,16 +159,12 @@ def lambda_delta_closed_form(bob_gain: float, eve_gain: float, coupling: float,
     Always >= 1; equals ``1 + power * B`` exactly for orthogonal channels
     and 1 for identical channels or zero power.
     """
-    limit = bob_gain * eve_gain
-    if coupling > limit * (1.0 + 1e-9):
-        raise ValueError("coupling exceeds the Cauchy-Schwarz bound B*E")
-    if power == 0.0:
-        return 1.0
-    if coupling == 0.0:
-        return 1.0 + power * bob_gain
+    limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
     f1 = power * (limit - coupling) + bob_gain - eve_gain
-    f2 = 4.0 * (1.0 + power * eve_gain) * max(limit - coupling, 0.0)
-    return 1.0 + 0.5 * power * (f1 + math.sqrt(f1 * f1 + f2)) / (1.0 + power * eve_gain)
+    f2 = 4.0 * (1.0 + power * eve_gain) * np.maximum(limit - coupling, 0.0)
+    lam = 1.0 + 0.5 * power * (f1 + np.sqrt(f1 * f1 + f2)) / (1.0 + power * eve_gain)
+    lam = np.where(coupling == 0.0, 1.0 + power * bob_gain, lam)
+    return _float_or_array(np.where(power == 0.0, 1.0, lam))
 
 
 def principal_eigvec_span2(a: float, u: np.ndarray, b: float,
@@ -222,12 +258,24 @@ def mrt_beamformer(h_bob: np.ndarray, budget: PowerBudget) -> np.ndarray:
     return math.sqrt(budget.power) * np.asarray(h_bob, dtype=complex) / norm
 
 
+def _bob_gain(pair) -> float:
+    """``B = ||h_b||^2`` of a :class:`ChannelPair`; any other value already
+    is the gain (a float or an array)."""
+    if isinstance(pair, ChannelPair):
+        return channel_stats(pair)[0]
+    return pair
+
+
+@_float_semantics
 def mrt_rate(pair: ChannelPair, budget: PowerBudget, coupling: float) -> float:
-    """Secrecy rate of MRT given the coupling ``x = |h_e^H h_b|^2``."""
-    b, _, _ = channel_stats(pair)
+    """Secrecy rate of MRT given the coupling ``x = |h_e^H h_b|^2``.
+
+    ``pair`` is the channel pair or Bob's gain ``B = ||h_b||^2`` itself.
+    """
+    b = _bob_gain(pair)
     p = budget.power
-    val = math.log2((1.0 + p * b) / (1.0 + p * coupling / b))
-    return max(val, 0.0)
+    val = np.log2((1.0 + p * b) / (1.0 + p * coupling / b))
+    return _float_or_array(np.maximum(val, 0.0))
 
 
 def mrt_required_power(pair: ChannelPair, target: SecrecyTarget,
@@ -235,11 +283,12 @@ def mrt_required_power(pair: ChannelPair, target: SecrecyTarget,
     """Power at which MRT meets the secrecy target, or inf when it never does.
 
     Finite exactly when ``||h_b||^4 > 2^R x``; always an upper bound for the
-    optimal (eigenvector-based) minimum power.
+    optimal (eigenvector-based) minimum power.  ``pair`` is the channel pair
+    or Bob's gain ``B = ||h_b||^2`` itself.
     """
-    b, _, _ = channel_stats(pair)
+    b = _bob_gain(pair)
     t = 2.0**target.rate
-    denom = b - t * coupling / b
-    if denom <= 0.0:
-        return math.inf
-    return (t - 1.0) / denom
+    denom = np.asarray(b - t * coupling / b)
+    power = np.divide(t - 1.0, denom, out=np.full(denom.shape, math.inf),
+                      where=denom > 0.0)
+    return _float_or_array(power)

@@ -3,8 +3,8 @@
 Six subcommands: solve-power, solve-rate and optimize-offsets act on a
 single scenario config; sweep-power, sweep-rate and convergence run the
 Monte Carlo harness.  All outputs land in --output (or $FDABEAM_OUTPUT_DIR,
-or the working directory).  Exit codes: 0 success, 1 usage/config error,
-2 infeasible single solve.
+or the working directory).  Exit codes: 0 success, 1 usage, config or
+numeric error (printed as ``error: ...``), 2 infeasible single solve.
 """
 
 from __future__ import annotations
@@ -214,6 +214,8 @@ def _cmd_sweep(cfg: CliConfig, out: Path, which: str) -> int:
         result = run_rate_sweep(config, workers=_workers(cfg))
         name, xlabel, ylabel = "rate_sweep.csv", "transmit power (W)", "mean secrecy rate (bits)"
     write_sweep_csv(result, out / name)
+    for scheme, spread in result.time_spread.items():
+        print(f"time_spread {scheme}: {spread:.17g}")
     print(f"wrote: {out / name}")
     if cfg.emit_plot_script:
         script = out / f"plot_{name.removesuffix('.csv')}.py"
@@ -257,8 +259,11 @@ def main(argv=None) -> int:
                         overrides=tuple(ns.overrides), workers=ns.workers,
                         emit_plot_script=ns.plot_script)
         return run(cfg)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -23,15 +23,22 @@ import numpy as np
 from .beamforming import (
     PowerBudget,
     SecrecyTarget,
-    channel_stats,
+    _float_or_array,
+    lambda1_closed_form,
     lambda_delta_closed_form,
-    min_power_beamformer,
     mrt_rate,
     mrt_required_power,
-    power_lower_bound,
+    stacked_channel_stats,
 )
 from .coupling import g_value, optimize_offsets
-from .scenario import ArrayGeometry, FrequencyPlan, NodePlacement, RfParams, Scenario, channel_pair
+from .scenario import (
+    ArrayGeometry,
+    FrequencyPlan,
+    NodePlacement,
+    RfParams,
+    Scenario,
+    channel_pairs,
+)
 
 CARRIER_FREQUENCY = 2.4e9
 MAX_OFFSET = 3e6
@@ -67,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("antenna_counts must be positive")
         if not self.power_grid or any(p <= 0 for p in self.power_grid):
             raise ValueError("power_grid entries must be positive")
+        if not (math.isfinite(self.target_rate) and self.target_rate > 0):
+            raise ValueError("target_rate must be finite and positive")
         unknown = set(self.baselines) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
@@ -135,12 +144,13 @@ def phased_array_plan(element_count: int) -> FrequencyPlan:
 
 def bound_metrics(pair_stats: tuple, constraint) -> float:
     """Eavesdropper-free reference: the power floor for a
-    :class:`SecrecyTarget` or the rate ceiling for a :class:`PowerBudget`."""
+    :class:`SecrecyTarget` or the rate ceiling for a :class:`PowerBudget`
+    (an array of ceilings for an array of powers)."""
     b = pair_stats[0]
     if isinstance(constraint, SecrecyTarget):
         return (2.0**constraint.rate - 1.0) / b
     if isinstance(constraint, PowerBudget):
-        return math.log2(1.0 + constraint.power * b)
+        return _float_or_array(np.log2(1.0 + constraint.power * b))
     raise TypeError("constraint must be SecrecyTarget or PowerBudget")
 
 
@@ -161,10 +171,29 @@ def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
                                       angle_rad=theta))
 
 
-def _relative_spread(values: list, reference: float) -> float:
-    if not values or not math.isfinite(reference) or reference == 0.0:
+def _relative_spread(values, reference: float) -> float:
+    if len(values) == 0 or not math.isfinite(reference) or reference == 0.0:
         return 0.0
-    return max(abs(v - reference) for v in values) / abs(reference)
+    return float(np.max(np.abs(np.asarray(values) - reference)) / abs(reference))
+
+
+_PLAN_SCHEMES = ("proposed", "linear", "phased")
+"""Schemes with a frequency plan, in the row order of :func:`_plan_stats`."""
+
+
+def _plan_stats(scenario: Scenario, plan_star: FrequencyPlan,
+                times: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, E, x) of one realization from a single channel synthesis.
+
+    Rows 0-2 are the proposed, linear-FDA and phased-array plans at the
+    first time sample; row 3 + k is the proposed plan at ``times[1 + k]``.
+    """
+    n = scenario.array.element_count
+    plans = (plan_star, linear_fda_plan(n, MAX_OFFSET), phased_array_plan(n))
+    rows = len(times) - 1
+    h_bob, h_eve = channel_pairs(scenario, plans + (plan_star,) * rows,
+                                 (times[0],) * len(plans) + tuple(times[1:]))
+    return stacked_channel_stats(h_bob, h_eve)
 
 
 def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
@@ -172,41 +201,35 @@ def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
     rng = np.random.default_rng((config.rng_seed, index))
     scenario = sample_scenario(rng, config, n)
     target = SecrecyTarget(config.target_rate)
-    t0 = config.time_samples[0] if config.time_samples else 0.0
+    times = config.time_samples or (0.0,)
     plan_star, _ = optimize_offsets(scenario)
-    plans = {
-        "proposed": plan_star,
-        "linear": linear_fda_plan(n, MAX_OFFSET),
-        "phased": phased_array_plan(n),
-    }
+    b, e, x = _plan_stats(scenario, plan_star, times)
+    lam1 = lambda1_closed_form(b, e, x, target.rate)
+    # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
+    power = np.divide(2.0**target.rate - 1.0, lam1, out=np.full(lam1.shape, math.inf),
+                      where=lam1 > 0.0)
     out = {}
     spread = {}
-    pair0 = channel_pair(scenario, plans["phased"], t0)
     if "bound" in config.baselines:
-        out["bound"] = power_lower_bound(pair0, target)
-    for scheme in ("proposed", "linear", "phased"):
-        if scheme not in config.baselines:
-            continue
-        pair = channel_pair(scenario, plans[scheme], t0)
-        sol = min_power_beamformer(pair, target)
-        out[scheme] = sol.power if sol.feasible else math.nan
+        out["bound"] = bound_metrics((b[2], e[2], x[2]), target)
+    for k, scheme in enumerate(_PLAN_SCHEMES):
+        if scheme in config.baselines:
+            out[scheme] = float(power[k]) if lam1[k] > 0.0 else math.nan
     if "mrt" in config.baselines:
-        pair_star = channel_pair(scenario, plan_star, t0)
-        p_mrt = mrt_required_power(pair_star, target, g_value(scenario, plan_star))
+        p_mrt = mrt_required_power(b[0], target, g_value(scenario, plan_star))
         out["mrt"] = p_mrt if math.isfinite(p_mrt) else math.nan
     # The optimized designs depend on geometry only; confirm across time.
-    if len(config.time_samples) > 1:
+    if len(times) > 1:
         for scheme in ("proposed", "mrt"):
             if scheme not in config.baselines or math.isnan(out.get(scheme, math.nan)):
                 continue
-            samples = []
-            for t in config.time_samples[1:]:
-                pair_t = channel_pair(scenario, plan_star, t)
-                if scheme == "proposed":
-                    samples.append(min_power_beamformer(pair_t, target).power)
-                else:
-                    _, _, x_t = channel_stats(pair_t)
-                    samples.append(mrt_required_power(pair_t, target, x_t))
+            if scheme == "proposed":
+                samples = power[3:]
+            else:
+                # Scalar calls, one solve each: wrappers of
+                # mrt_required_power (perfbench's tracer) count solves per call.
+                samples = [mrt_required_power(b_t, target, x_t)
+                           for b_t, x_t in zip(b[3:], x[3:])]
             spread[scheme] = _relative_spread(samples, out[scheme])
     return out, spread
 
@@ -215,43 +238,29 @@ def _rate_realization(config: ExperimentConfig, index: int) -> tuple:
     n = config.antenna_counts[0]
     rng = np.random.default_rng((config.rng_seed, index))
     scenario = sample_scenario(rng, config, n)
-    t0 = config.time_samples[0] if config.time_samples else 0.0
+    times = config.time_samples or (0.0,)
     plan_star, _ = optimize_offsets(scenario)
-    plans = {
-        "proposed": plan_star,
-        "linear": linear_fda_plan(n, MAX_OFFSET),
-        "phased": phased_array_plan(n),
-    }
-    stats = {s: channel_stats(channel_pair(scenario, p, t0)) for s, p in plans.items()}
-    b = stats["proposed"][0]
-    grid = config.power_grid
-    out = {s: np.empty(len(grid)) for s in config.baselines}
-    pair_star = channel_pair(scenario, plan_star, t0)
-    for j, p in enumerate(grid):
-        if "bound" in out:
-            out["bound"][j] = math.log2(1.0 + p * b)
-        for scheme in ("proposed", "linear", "phased"):
-            if scheme in out:
-                sb, se, sx = stats[scheme]
-                out[scheme][j] = max(math.log2(
-                    lambda_delta_closed_form(sb, se, sx, p)), 0.0)
-        if "mrt" in out:
-            out["mrt"][j] = mrt_rate(pair_star, PowerBudget(p), stats["proposed"][2])
+    b, e, x = _plan_stats(scenario, plan_star, times)
+    grid = np.array(config.power_grid, dtype=float)
+    out = {}
+    if "bound" in config.baselines:
+        out["bound"] = bound_metrics((b[0], e[0], x[0]), PowerBudget(grid))
+    lam = lambda_delta_closed_form(b[:3, None], e[:3, None], x[:3, None], grid)
+    rates = np.maximum(np.log2(lam), 0.0)
+    for k, scheme in enumerate(_PLAN_SCHEMES):
+        if scheme in config.baselines:
+            out[scheme] = rates[k]
+    if "mrt" in config.baselines:
+        out["mrt"] = mrt_rate(b[0], PowerBudget(grid), x[0])
     spread = {}
-    if len(config.time_samples) > 1:
+    if len(times) > 1:
         p_ref = grid[-1]
-        for scheme in ("proposed", "mrt"):
-            if scheme not in out:
-                continue
-            samples = []
-            for t in config.time_samples[1:]:
-                pair_t = channel_pair(scenario, plan_star, t)
-                tb, te, tx = channel_stats(pair_t)
-                if scheme == "proposed":
-                    samples.append(math.log2(lambda_delta_closed_form(tb, te, tx, p_ref)))
-                else:
-                    samples.append(mrt_rate(pair_t, PowerBudget(p_ref), tx))
-            spread[scheme] = _relative_spread(samples, out[scheme][-1])
+        if "proposed" in out:
+            samples = np.log2(lambda_delta_closed_form(b[3:], e[3:], x[3:], p_ref))
+            spread["proposed"] = _relative_spread(samples, out["proposed"][-1])
+        if "mrt" in out:
+            samples = mrt_rate(b[3:], PowerBudget(p_ref), x[3:])
+            spread["mrt"] = _relative_spread(samples, out["mrt"][-1])
     return out, spread
 
 
@@ -273,7 +282,14 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
 
 
 def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Required transmit power versus antenna count for every scheme."""
+    """Required transmit power versus antenna count for every scheme.
+
+    Builds no beamformer vectors: each realization synthesizes its channels
+    once, reduces them to (B, E, x) per plan and time sample, and evaluates
+    the closed forms on those arrays.  The time-invariance re-check of the
+    proposed and MRT powers runs on the same (B, E, x) at every configured
+    sample.
+    """
     counts = list(config.antenna_counts)
     schemes = tuple(config.baselines)
     values = {s: np.full((len(counts), config.realizations), np.nan) for s in schemes}
@@ -293,7 +309,13 @@ def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
 
 
 def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """Achievable secrecy rate versus transmit power for every scheme."""
+    """Achievable secrecy rate versus transmit power for every scheme.
+
+    Builds no beamformer vectors: the closed forms run on (B, E, x) arrays
+    over the whole power grid, and the time-invariance re-check of the
+    proposed and MRT rates at the largest power uses (B, E, x) at every
+    configured sample.
+    """
     grid = np.array(config.power_grid, dtype=float)
     schemes = tuple(config.baselines)
     values = {s: np.full((len(grid), config.realizations), np.nan) for s in schemes}

@@ -2,8 +2,7 @@
 
 The numba path is used whenever numba imports cleanly; set
 ``FDABEAM_DISABLE_NUMBA=1`` to force the numpy path.  ``BACKEND`` records
-which path is active.  ``benchmarks/bench_kernels.py`` times the two
-implementations against each other.
+which path is active.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ on range as well as direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class RfParams:
     wave_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        for name in ("carrier_frequency", "max_offset", "noise_power_bob",
+                     "noise_power_eve", "wave_speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.carrier_frequency > 0:
             raise ValueError("carrier_frequency must be positive")
         if self.max_offset < 0:
@@ -88,6 +93,8 @@ class NodePlacement:
     angle_rad: float
 
     def __post_init__(self):
+        if not math.isfinite(self.range_m):
+            raise ValueError("range_m must be finite")
         if not self.range_m > 0:
             raise ValueError("range_m must be positive")
         if not 0.0 <= self.angle_rad <= np.pi:
@@ -168,26 +175,49 @@ def channel_vector(scenario: Scenario, node: str, plan: FrequencyPlan,
     with ``f_n = f_c + offsets[n]``.  Not noise-normalized; see
     :func:`channel_pair` for that.
     """
-    rf = scenario.rf
-    _check_plan(scenario, plan)
-    dist = propagation_distances(scenario, node)
-    freqs = rf.carrier_frequency + plan.offsets
-    amp = rf.wavelength / (4.0 * np.pi * dist)
-    # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended
-    # precision so that the t terms cancel to ~1e-14 rad in later conjugate
-    # products instead of ~1e-10.
-    delay = np.longdouble(t) - dist.astype(np.longdouble) / np.longdouble(rf.wave_speed)
-    cycles = freqs.astype(np.longdouble) * delay
-    frac = (cycles - np.floor(cycles)).astype(float)
-    return amp * np.exp(1j * _TWO_PI * frac)
+    return _synthesize(scenario, node, _plan_offsets(scenario, (plan,)), (t,))[0]
 
 
 def channel_pair(scenario: Scenario, plan: FrequencyPlan,
                  t: float = 0.0) -> ChannelPair:
-    """Noise-normalized channels ``h_i / sigma_i`` for Bob and Eve at ``t``."""
-    hb = channel_vector(scenario, "bob", plan, t) / np.sqrt(scenario.rf.noise_power_bob)
-    he = channel_vector(scenario, "eve", plan, t) / np.sqrt(scenario.rf.noise_power_eve)
-    return ChannelPair(h_bob=hb, h_eve=he, time_instant=t)
+    """Noise-normalized channels ``h_i / sigma_i`` for Bob and Eve at ``t``;
+    one row of :func:`channel_pairs`."""
+    hb, he = channel_pairs(scenario, (plan,), (t,))
+    return ChannelPair(h_bob=hb[0], h_eve=he[0], time_instant=t)
+
+
+def channel_pairs(scenario: Scenario, plans, times) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-normalized channels ``(h_b / sigma_b, h_e / sigma_e)`` for K
+    (plan, time) pairs: ``plans`` holds K :class:`FrequencyPlan` and
+    ``times`` K instants in s.  Each result has shape (K, N), row k being the
+    channel under ``plans[k]`` at ``times[k]``; see :func:`channel_vector`
+    for the channel model.
+
+    Row k equals ``channel_pair(scenario, plans[k], times[k])`` bit for bit:
+    both come from this one synthesis.
+    """
+    rf = scenario.rf
+    offsets = _plan_offsets(scenario, plans)
+    hb = _synthesize(scenario, "bob", offsets, times) / np.sqrt(rf.noise_power_bob)
+    he = _synthesize(scenario, "eve", offsets, times) / np.sqrt(rf.noise_power_eve)
+    return hb, he
+
+
+def _synthesize(scenario: Scenario, node: str, offsets: np.ndarray, times) -> np.ndarray:
+    """(K, N) channels of ``node``: row k under ``offsets[k]`` at ``times[k]``."""
+    rf = scenario.rf
+    times = np.asarray(times, dtype=np.longdouble)
+    if times.shape != offsets.shape[:1]:
+        raise ValueError("plans and times must pair up one to one")
+    dist = propagation_distances(scenario, node)
+    amp = rf.wavelength / (4.0 * np.pi * dist)
+    # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended
+    # precision so that the t terms cancel to ~1e-14 rad in later conjugate
+    # products instead of ~1e-10.
+    delay = times[:, None] - dist.astype(np.longdouble) / np.longdouble(rf.wave_speed)
+    cycles = (rf.carrier_frequency + offsets).astype(np.longdouble) * delay
+    frac = (cycles - np.floor(cycles)).astype(float)
+    return amp * np.exp(1j * _TWO_PI * frac)
 
 
 def _placement(scenario: Scenario, node: str) -> NodePlacement:
@@ -198,8 +228,13 @@ def _placement(scenario: Scenario, node: str) -> NodePlacement:
     raise ValueError(f"unknown node {node!r}, expected 'bob' or 'eve'")
 
 
-def _check_plan(scenario: Scenario, plan: FrequencyPlan) -> None:
-    if plan.offsets.shape[0] != scenario.array.element_count:
+def _plan_offsets(scenario: Scenario, plans) -> np.ndarray:
+    """(K, N) offsets of ``plans``, checked against the array and the offset
+    budget."""
+    n = scenario.array.element_count
+    if any(plan.offsets.shape[0] != n for plan in plans):
         raise ValueError("plan length does not match element count")
-    if np.any(plan.offsets > scenario.rf.max_offset * (1.0 + 1e-12)):
+    offsets = np.array([plan.offsets for plan in plans]).reshape(len(plans), n)
+    if np.any(offsets > scenario.rf.max_offset * (1.0 + 1e-12)):
         raise ValueError("offsets exceed max_offset")
+    return offsets

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fdabeam.beamforming import (
     PowerBudget,
@@ -21,6 +21,7 @@ from fdabeam.beamforming import (
     principal_eigvec_span2,
     secrecy_rate,
     snr,
+    stacked_channel_stats,
 )
 from fdabeam.scenario import ChannelPair, FrequencyPlan, channel_pair
 
@@ -137,6 +138,82 @@ def test_closed_form_input_guards():
     with pytest.raises(ValueError):
         PowerBudget(-1.0)
     assert lambda_delta_closed_form(2.0, 3.0, 1.0, 0.0) == 1.0
+
+
+def _random_stats(rng, count=40):
+    """(B, E, x) arrays of random pairs, with one orthogonal pair (x = 0)."""
+    rows = [channel_stats(random_pair(rng)) for _ in range(count - 1)]
+    rows.append(channel_stats(_orthogonal_pair()))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def test_closed_forms_on_arrays_equal_scalar_calls():
+    """Array inputs give, entry by entry, the Python floats of scalar calls."""
+    rng = np.random.default_rng(131)
+    b, e, x = _random_stats(rng)
+    powers = 10.0 ** rng.uniform(-2.0, 2.0, size=b.size)
+    powers[3] = 0.0
+    cases = [
+        (lambda1_closed_form, lambda i: (b[i], e[i], x[i], 7.0), (b, e, x, 7.0)),
+        (lambda_delta_closed_form, lambda i: (b[i], e[i], x[i], powers[i]),
+         (b, e, x, powers)),
+        (mrt_required_power, lambda i: (b[i], SecrecyTarget(2.0), x[i]),
+         (b, SecrecyTarget(2.0), x)),
+        (mrt_rate, lambda i: (b[i], PowerBudget(powers[i]), x[i]),
+         (b, PowerBudget(powers), x)),
+    ]
+    for fn, scalar_args, array_args in cases:
+        scalars = [fn(*scalar_args(i)) for i in range(b.size)]
+        assert all(type(v) is float for v in scalars), fn.__name__
+        got = fn(*array_args)
+        assert isinstance(got, np.ndarray) and got.shape == b.shape, fn.__name__
+        assert_array_equal(got, scalars, err_msg=fn.__name__)
+    assert np.isinf(mrt_required_power(b, SecrecyTarget(40.0), x)[:-1]).all()
+
+
+def test_closed_forms_broadcast_over_power_grid():
+    rng = np.random.default_rng(137)
+    b, e, x = _random_stats(rng, count=5)
+    grid = np.array([0.0, 0.1, 1.0, 10.0])
+    lam = lambda_delta_closed_form(b[:, None], e[:, None], x[:, None], grid)
+    assert lam.shape == (5, 4)
+    for i in range(5):
+        for j, p in enumerate(grid):
+            assert lam[i, j] == lambda_delta_closed_form(b[i], e[i], x[i], p)
+
+
+def test_mrt_accepts_pair_or_gain():
+    rng = np.random.default_rng(139)
+    pair = random_pair(rng)
+    b, _, x = channel_stats(pair)
+    assert mrt_rate(pair, PowerBudget(2.0), x) == mrt_rate(b, PowerBudget(2.0), x)
+    target = SecrecyTarget(0.5)
+    assert mrt_required_power(pair, target, x) == mrt_required_power(b, target, x)
+
+
+def test_array_inputs_raise_the_cauchy_schwarz_error():
+    b = np.array([2.0, 2.0, 1.0])
+    e = np.array([3.0, 3.0, 1.0])
+    x = np.array([1.0, 6.5, 0.5])
+    for fn in (lambda1_closed_form, lambda_delta_closed_form):
+        with pytest.raises(ValueError, match="Cauchy-Schwarz") as scalar:
+            fn(2.0, 3.0, 6.5, 1.0)
+        with pytest.raises(ValueError, match="Cauchy-Schwarz") as array:
+            fn(b, e, x, 1.0)
+        assert str(array.value) == str(scalar.value)
+        with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+            fn(b[:, None], e[:, None], x[:, None], np.array([0.5, 1.0]))
+
+
+def test_stacked_channel_stats_equal_channel_stats_bitwise():
+    rng = np.random.default_rng(141)
+    pairs = [random_pair(rng, n=5) for _ in range(12)]
+    h_bob = np.array([p.h_bob for p in pairs]).reshape(3, 4, 5)
+    h_eve = np.array([p.h_eve for p in pairs]).reshape(3, 4, 5)
+    b, e, x = stacked_channel_stats(h_bob, h_eve)
+    assert b.shape == e.shape == x.shape == (3, 4)
+    expect = np.array([channel_stats(p) for p in pairs]).reshape(3, 4, 3)
+    assert_array_equal(np.stack([b, e, x], axis=-1), expect)
 
 
 def test_principal_eigvec_span2_residual():

@@ -24,6 +24,7 @@ from fdabeam.config import (
     parse_power_grid,
     parse_time,
 )
+from fdabeam.experiments import run_power_sweep, run_rate_sweep
 
 SCENARIO_INI = """\
 [rf]
@@ -337,6 +338,36 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["sweep-power", "-c", str(ini), "-o", str(tmp_path),
                  "--workers", "0"]) == 1
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override", [
+    ("solve-power", "solver.target_rate=2000"),     # 2^R overflows
+    ("solve-power", "solver.target_rate=-1"),
+    ("solve-power", "rf.max_offset=nan Hz"),
+    ("solve-power", "bob.range=inf m"),
+    ("solve-rate", "solver.power_budget=inf W"),    # division by zero
+])
+def test_bad_values_exit_1_without_traceback(scenario_ini, tmp_path, capsys, command,
+                                              override):
+    code = main([command, "-c", str(scenario_ini), "-o", str(tmp_path / "o"),
+                 "--set", override])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep-power", "sweep-rate"])
+def test_sweeps_print_time_spread(experiment_ini, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command, "-c", str(experiment_ini), "-o", str(out), "-j", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    config = load_experiment_config(experiment_ini)
+    run = run_power_sweep if command == "sweep-power" else run_rate_sweep
+    spread = run(config).time_spread
+    assert spread  # both sweeps re-check at least the proposed design
+    printed = [line for line in lines if line.startswith("time_spread ")]
+    assert printed == [f"time_spread {s}: {v:.17g}" for s, v in spread.items()]
+    assert lines[-1].startswith("wrote: ")
 
 
 def test_config_file_not_mutated(scenario_ini, tmp_path):

@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fdabeam.beamforming import PowerBudget, SecrecyTarget, channel_stats
+from fdabeam.coupling import optimize_offsets
 from fdabeam.experiments import (
     CARRIER_FREQUENCY,
     MAX_OFFSET,
     SCHEMES,
     ExperimentConfig,
+    _plan_stats,
     bound_metrics,
     linear_fda_plan,
     phased_array_plan,
@@ -73,6 +75,31 @@ def test_config_validation():
         ExperimentConfig(range_interval=(-5.0, 10.0))
     with pytest.raises(ValueError):
         ExperimentConfig(range_gap=-1.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_bad_target_rate(rate):
+    with pytest.raises(ValueError, match="target_rate must be finite and positive"):
+        ExperimentConfig(target_rate=rate)
+
+
+def test_sweep_stats_equal_channel_stats_bitwise():
+    """The sweeps' (B, E, x) rows are channel_stats of the matching pair,
+    bit for bit.  Phased-array power rests on B E - x, which cancels: a
+    last-bit change in x (say from summing it in another order) moves that
+    power by up to ~1e-5 relative, so equality here is exact on purpose."""
+    config = ExperimentConfig()
+    times = config.time_samples
+    rng = np.random.default_rng(81)
+    for n in (2, 5, 8):
+        scn = sample_scenario(rng, config, n)
+        plan_star, _ = optimize_offsets(scn)
+        b, e, x = _plan_stats(scn, plan_star, times)
+        rows = [(plan_star, times[0]), (linear_fda_plan(n, MAX_OFFSET), times[0]),
+                (phased_array_plan(n), times[0])]
+        rows += [(plan_star, t) for t in times[1:]]
+        expect = np.array([channel_stats(channel_pair(scn, p, t)) for p, t in rows])
+        assert_array_equal(np.stack([b, e, x], axis=-1), expect)
 
 
 def test_sample_scenario_distribution():

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fdabeam import (
     ArrayGeometry,
@@ -11,6 +13,7 @@ from fdabeam import (
     Scenario,
     SPEED_OF_LIGHT,
     channel_pair,
+    channel_pairs,
     channel_vector,
     element_positions,
     propagation_distances,
@@ -165,3 +168,47 @@ def test_plan_bounds_checked():
 def test_channel_pair_type_checks():
     with pytest.raises(ValueError):
         ChannelPair(h_bob=np.zeros(3, complex), h_eve=np.zeros(4, complex))
+
+
+@pytest.mark.parametrize("field", ["carrier_frequency", "max_offset", "noise_power_bob",
+                                   "noise_power_eve", "wave_speed"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rf_params_reject_non_finite(field, value):
+    kwargs = dict(carrier_frequency=2.4e9, max_offset=3e6, noise_power_bob=1e-13,
+                  noise_power_eve=1e-13)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RfParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_node_placement_rejects_non_finite_range(value):
+    with pytest.raises(ValueError, match="range_m must be finite"):
+        NodePlacement(range_m=value, angle_rad=1.0)
+
+
+def test_channel_pairs_rows_equal_channel_pair_bitwise():
+    """Every row of the batched synthesis is the single-pair synthesis, bit
+    for bit, for any mix of plans and times."""
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        scn = random_scenario(rng)
+        n = scn.array.element_count
+        plans = [FrequencyPlan(np.zeros(n)), random_plan(rng, n), random_plan(rng, n)]
+        rows = [(plan, t) for plan in plans
+                for t in (0.0, 1e-6, float(rng.uniform(0, 2e-5)), 20e-6)]
+        hb, he = channel_pairs(scn, [p for p, _ in rows], [t for _, t in rows])
+        assert hb.shape == he.shape == (len(rows), n)
+        for k, (plan, t) in enumerate(rows):
+            pair = channel_pair(scn, plan, t)
+            assert_array_equal(hb[k], pair.h_bob)
+            assert_array_equal(he[k], pair.h_eve)
+
+
+def test_channel_pairs_need_one_time_per_plan():
+    scn = half_wave_scenario(2, 100.0, 1.0, 120.0, 1.0)
+    plan = FrequencyPlan(np.zeros(2))
+    with pytest.raises(ValueError, match="one to one"):
+        channel_pairs(scn, [plan, plan], [0.0])
+    with pytest.raises(ValueError, match="max_offset"):
+        channel_pairs(scn, [plan, FrequencyPlan(np.array([0.0, 4e6]))], [0.0, 0.0])
