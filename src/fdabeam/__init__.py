@@ -25,18 +25,13 @@ from .beamforming import (
     stacked_channel_stats,
 )
 from .coupling import (
-    CosineTerm,
     CouplingCoefficients,
     OptimizerTrace,
     cosine_argmin,
-    cosine_term,
     coupling_coefficients,
     coupling_prefactor,
     g_value,
-    grid_oracle,
     optimize_offsets,
-    update_frequency,
-    update_frequency_case_table,
 )
 from .experiments import (
     ConvergenceResult,

@@ -34,8 +34,8 @@ class SecrecyTarget:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("target rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError("target rate must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class PowerBudget:
     power: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.power) < 0):
-            raise ValueError("power budget must be non-negative")
+        power = np.asarray(self.power, dtype=float)
+        if not (np.isfinite(power) & (power >= 0)).all():
+            raise ValueError("power budget must be finite and non-negative")
 
 
 @dataclass

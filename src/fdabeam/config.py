@@ -281,6 +281,8 @@ def load_experiment_config(path, overrides: tuple = ()) -> ExperimentConfig:
     horizon = exp.get("time_horizon", 20e-6)
     if count < 1:
         raise ConfigError("experiment.time_samples must be at least 1")
+    if not math.isfinite(horizon):
+        raise ConfigError("experiment.time_horizon must be finite")
     kwargs["time_samples"] = tuple(float(t) for t in np.linspace(0.0, horizon, count))
     try:
         return ExperimentConfig(**kwargs)

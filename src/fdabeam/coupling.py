@@ -53,16 +53,10 @@ class CouplingCoefficients:
 
 @dataclass(frozen=True)
 class CosineTerm:
-    """Single-coordinate objective ``amplitude * cos(|omega_n| f - phase)``.
-
-    ``cos_sum`` and ``sin_sum`` are the weighted sums of the other elements'
-    cosines/sines from which amplitude and phase derive.
-    """
+    """Single-coordinate objective ``amplitude * cos(|omega_n| f - phase)``."""
 
     amplitude: float
     phase: float
-    cos_sum: float
-    sin_sum: float
 
 
 @dataclass
@@ -128,25 +122,18 @@ def cosine_argmin(lower: float, upper: float) -> float:
     return lower if math.cos(lower) <= math.cos(upper) else upper
 
 
-def cosine_term(n: int, plan: FrequencyPlan, coeffs: CouplingCoefficients,
-                rf: RfParams) -> CosineTerm:
-    """Reduce the coupling seen by element n to a single cosine in f_n."""
-    freqs = rf.carrier_frequency + plan.offsets
-    return _cosine_term(n, freqs, coeffs)
-
-
 def _cosine_term(n: int, freqs: np.ndarray, coeffs: CouplingCoefficients) -> CosineTerm:
+    """Reduce the coupling seen by element n to a single cosine in f_n."""
     phases = coeffs.omega * freqs
     mask = np.arange(freqs.shape[0]) != n
     a = float(np.sum(coeffs.alpha[mask] * np.cos(phases[mask])))
     b = float(np.sum(coeffs.alpha[mask] * np.sin(phases[mask])))
     sign = math.copysign(1.0, coeffs.omega[n]) if coeffs.omega[n] != 0 else 0.0
-    return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a),
-                      cos_sum=a, sin_sum=b)
+    return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
 
 
-def update_frequency(n: int, plan: FrequencyPlan, coeffs: CouplingCoefficients,
-                     rf: RfParams) -> float:
+def _best_frequency(n: int, freqs: np.ndarray, coeffs: CouplingCoefficients,
+                    rf: RfParams) -> float:
     """Best frequency f_n in [f_c, f_c + f_m] with all other entries fixed.
 
     Minimizes ``sum_{n' != n} alpha_n' cos(omega_n f - omega_n' f_n')``,
@@ -154,12 +141,6 @@ def update_frequency(n: int, plan: FrequencyPlan, coeffs: CouplingCoefficients,
     coordinates (omega_n = 0, or a vanishing amplitude) leave the current
     frequency unchanged.
     """
-    freqs = rf.carrier_frequency + plan.offsets
-    return _best_frequency(n, freqs, coeffs, rf)
-
-
-def _best_frequency(n: int, freqs: np.ndarray, coeffs: CouplingCoefficients,
-                    rf: RfParams) -> float:
     f_lo = rf.carrier_frequency
     f_hi = rf.carrier_frequency + rf.max_offset
     term = _cosine_term(n, freqs, coeffs)
@@ -168,41 +149,6 @@ def _best_frequency(n: int, freqs: np.ndarray, coeffs: CouplingCoefficients,
         return float(freqs[n])
     x = cosine_argmin(w * f_lo - term.phase, w * f_hi - term.phase)
     return min(max((x + term.phase) / w, f_lo), f_hi)
-
-
-def update_frequency_case_table(n: int, plan: FrequencyPlan,
-                                coeffs: CouplingCoefficients,
-                                rf: RfParams) -> float:
-    """Case-table form of :func:`update_frequency`.
-
-    Splits the shifted interval endpoint ``a = (|omega_n| f_c - phase) mod
-    2 pi`` into five cases instead of calling the generic cosine argmin.
-    Both paths agree on objective value away from the case boundaries.
-    """
-    freqs = rf.carrier_frequency + plan.offsets
-    f_c = rf.carrier_frequency
-    f_m = rf.max_offset
-    term = _cosine_term(n, freqs, coeffs)
-    w = abs(float(coeffs.omega[n]))
-    if w == 0.0 or term.amplitude == 0.0 or f_m == 0.0:
-        return float(freqs[n])
-    b = w * f_c - term.phase
-    a = b - _TWO_PI * math.floor(b / _TWO_PI)
-    c = w * f_m
-    d = b - a + term.phase
-    if a <= math.pi:
-        if c + a < math.pi:
-            f = f_c + f_m
-        else:
-            f = (math.pi + d) / w
-    else:
-        if c + 2.0 * a < 4.0 * math.pi:
-            f = f_c
-        elif c + a >= 3.0 * math.pi:
-            f = (3.0 * math.pi + d) / w
-        else:
-            f = f_c + f_m
-    return min(max(f, f_c), f_c + f_m)
 
 
 def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
@@ -255,24 +201,3 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                            converged=converged)
     return FrequencyPlan(offsets), trace
 
-
-def grid_oracle(scenario: Scenario, points_per_axis: int) -> tuple[FrequencyPlan, float]:
-    """Exhaustive minimum of the coupling on a regular offset grid.
-
-    Only intended for small arrays (N <= 3); the grid has
-    ``points_per_axis ** N`` nodes including both box endpoints.
-    """
-    n = scenario.array.element_count
-    if n > 3:
-        raise ValueError("grid oracle is limited to 3 elements")
-    if points_per_axis < 2:
-        raise ValueError("need at least 2 points per axis")
-    coeffs = coupling_coefficients(scenario)
-    axis = np.linspace(0.0, scenario.rf.max_offset, points_per_axis)
-    mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
-    offsets = mesh.reshape(-1, n)
-    vals = kernels.coupling_power_batch(
-        coeffs.alpha, coeffs.omega, scenario.rf.carrier_frequency + offsets)
-    best = int(np.argmin(vals))
-    return (FrequencyPlan(offsets[best]),
-            coupling_prefactor(scenario) * float(vals[best]))

@@ -72,18 +72,27 @@ class ExperimentConfig:
             raise ValueError("realizations must be at least 1")
         if not self.antenna_counts or any(n < 1 for n in self.antenna_counts):
             raise ValueError("antenna_counts must be positive")
-        if not self.power_grid or any(p <= 0 for p in self.power_grid):
-            raise ValueError("power_grid entries must be positive")
+        if not (self.power_grid and _all_finite(self.power_grid)
+                and all(p > 0 for p in self.power_grid)):
+            raise ValueError("power_grid entries must be finite and positive")
         if not (math.isfinite(self.target_rate) and self.target_rate > 0):
             raise ValueError("target_rate must be finite and positive")
         unknown = set(self.baselines) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         lo, hi = self.range_interval
-        if not 0 < lo <= hi:
-            raise ValueError("range_interval must be positive and ordered")
-        if self.range_gap < 0:
-            raise ValueError("range_gap must be non-negative")
+        if not (_all_finite(self.range_interval) and 0 < lo <= hi):
+            raise ValueError("range_interval must be finite, positive and ordered")
+        if not (math.isfinite(self.range_gap) and self.range_gap >= 0):
+            raise ValueError("range_gap must be finite and non-negative")
+        if not _all_finite(self.angle_interval):
+            raise ValueError("angle_interval must be finite")
+        if not _all_finite(self.time_samples):
+            raise ValueError("time_samples must be finite")
+
+
+def _all_finite(values) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""Shared builders for randomized tests."""
+"""Shared builders and brute-force oracles for randomized tests."""
+
+import math
 
 import numpy as np
 
@@ -10,10 +12,14 @@ from fdabeam import (
     Scenario,
     channel_pair,
 )
+from fdabeam.coupling import _cosine_term, coupling_coefficients, coupling_prefactor
 
 CARRIER = 2.4e9
 MAX_OFFSET = 3e6
 NOISE = 1e-13
+
+_CHUNK = 1 << 18
+_TWO_PI = 2.0 * math.pi
 
 
 def reference_rf(max_offset=MAX_OFFSET):
@@ -69,3 +75,93 @@ def random_pair(rng, n=None, shared_bearing=False, min_separation=0.0):
         x = abs(np.vdot(he, hb)) ** 2
         if 1.0 - x / (b * e) >= min_separation:
             return pair
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+
+
+def coupling_power_batch(alpha, omega, freq_rows):
+    """|sum_n alpha_n exp(j omega_n f_n)|^2 for each row of ``freq_rows``."""
+    rows = freq_rows.shape[0]
+    out = np.empty(rows)
+    for start in range(0, rows, _CHUNK):
+        block = freq_rows[start:start + _CHUNK]
+        s = np.exp(1j * (block * omega)) @ alpha
+        out[start:start + _CHUNK] = s.real * s.real + s.imag * s.imag
+    return out
+
+
+def coordinate_scan(weights, phases, slope, f_lo, f_hi, count):
+    """Brute-force minimum of ``sum_k w_k cos(slope*f - phases[k])`` on a grid.
+
+    Scans ``count`` equispaced points on [f_lo, f_hi] (both endpoints
+    included) and returns ``(f_best, value_best)``.
+    """
+    step = (f_hi - f_lo) / (count - 1)
+    best_val = np.inf
+    best_f = f_lo
+    for start in range(0, count, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, count))
+        f = f_lo + step * idx
+        vals = np.cos(slope * f[:, None] - phases[None, :]) @ weights
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val = float(vals[k])
+            best_f = float(f[k])
+    return best_f, best_val
+
+
+def grid_oracle(scenario, points_per_axis):
+    """Exhaustive minimum of the coupling on a regular offset grid.
+
+    Only intended for small arrays (N <= 3); the grid has
+    ``points_per_axis ** N`` nodes including both box endpoints.
+    """
+    n = scenario.array.element_count
+    if n > 3:
+        raise ValueError("grid oracle is limited to 3 elements")
+    if points_per_axis < 2:
+        raise ValueError("need at least 2 points per axis")
+    coeffs = coupling_coefficients(scenario)
+    axis = np.linspace(0.0, scenario.rf.max_offset, points_per_axis)
+    mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
+    offsets = mesh.reshape(-1, n)
+    vals = coupling_power_batch(
+        coeffs.alpha, coeffs.omega, scenario.rf.carrier_frequency + offsets)
+    best = int(np.argmin(vals))
+    return (FrequencyPlan(offsets[best]),
+            coupling_prefactor(scenario) * float(vals[best]))
+
+
+def update_frequency_case_table(n, plan, coeffs, rf):
+    """Case-table form of the coordinate update ``coupling._best_frequency``.
+
+    Splits the shifted interval endpoint ``a = (|omega_n| f_c - phase) mod
+    2 pi`` into five cases instead of calling the generic cosine argmin.
+    Both paths agree on objective value away from the case boundaries.
+    """
+    freqs = rf.carrier_frequency + plan.offsets
+    f_c = rf.carrier_frequency
+    f_m = rf.max_offset
+    term = _cosine_term(n, freqs, coeffs)
+    w = abs(float(coeffs.omega[n]))
+    if w == 0.0 or term.amplitude == 0.0 or f_m == 0.0:
+        return float(freqs[n])
+    b = w * f_c - term.phase
+    a = b - _TWO_PI * math.floor(b / _TWO_PI)
+    c = w * f_m
+    d = b - a + term.phase
+    if a <= math.pi:
+        if c + a < math.pi:
+            f = f_c + f_m
+        else:
+            f = (math.pi + d) / w
+    else:
+        if c + 2.0 * a < 4.0 * math.pi:
+            f = f_c
+        elif c + a >= 3.0 * math.pi:
+            f = (3.0 * math.pi + d) / w
+        else:
+            f = f_c + f_m
+    return min(max(f, f_c), f_c + f_m)

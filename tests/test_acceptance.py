@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from fdabeam import kernels
 from fdabeam.beamforming import (
     PowerBudget,
     SecrecyTarget,
@@ -24,14 +23,12 @@ from fdabeam.beamforming import (
     secrecy_rate,
 )
 from fdabeam.coupling import (
-    cosine_term,
+    _best_frequency,
+    _cosine_term,
     coupling_coefficients,
     coupling_prefactor,
     g_value,
-    grid_oracle,
     optimize_offsets,
-    update_frequency,
-    update_frequency_case_table,
 )
 from fdabeam.experiments import (
     ExperimentConfig,
@@ -43,7 +40,14 @@ from fdabeam.experiments import (
 )
 from fdabeam.scenario import ChannelPair, channel_pair
 
-from helpers import random_pair, random_plan, random_scenario
+from helpers import (
+    coordinate_scan,
+    grid_oracle,
+    random_pair,
+    random_plan,
+    random_scenario,
+    update_frequency_case_table,
+)
 
 
 def _dense_lambda1(pair, rate):
@@ -123,7 +127,7 @@ def test_orthogonal_channel_identities():
 
 
 def _case_boundary_distance(n, plan, coeffs, rf):
-    term = cosine_term(n, plan, coeffs, rf)
+    term = _cosine_term(n, rf.carrier_frequency + plan.offsets, coeffs)
     w = abs(float(coeffs.omega[n]))
     b = w * rf.carrier_frequency - term.phase
     a = b - 2.0 * math.pi * math.floor(b / (2.0 * math.pi))
@@ -149,14 +153,14 @@ def test_coordinate_update_matches_million_point_scan():
         coeffs = coupling_coefficients(scenario)
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
-        f_new = update_frequency(n, plan, coeffs, rf)
+        f_new = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
 
         freqs = rf.carrier_frequency + np.array(plan.offsets)
         mask = np.arange(freqs.shape[0]) != n
         weights = 2.0 * coeffs.alpha[n] * coeffs.alpha[mask]
         phases = coeffs.omega[mask] * freqs[mask]
         slope = float(coeffs.omega[n])
-        _, v_grid = kernels.coordinate_scan(
+        _, v_grid = coordinate_scan(
             weights, phases, slope, rf.carrier_frequency,
             rf.carrier_frequency + rf.max_offset, count)
         v_closed = float(np.sum(weights * np.cos(slope * f_new - phases)))
@@ -173,7 +177,7 @@ def test_coordinate_update_matches_million_point_scan():
         if _case_boundary_distance(n, plan, coeffs, rf) < 1e-9:
             boundary_skips += 1
             continue
-        term = cosine_term(n, plan, coeffs, rf)
+        term = _cosine_term(n, rf.carrier_frequency + plan.offsets, coeffs)
         w = abs(float(coeffs.omega[n]))
         v_generic = math.cos(w * f_new - term.phase)
         v_branch = math.cos(w * f_table - term.phase)

@@ -138,6 +138,12 @@ def test_closed_form_input_guards():
     with pytest.raises(ValueError):
         PowerBudget(-1.0)
     assert lambda_delta_closed_form(2.0, 3.0, 1.0, 0.0) == 1.0
+    for power in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="power budget must be finite"):
+            PowerBudget(power)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="target rate must be finite"):
+            SecrecyTarget(rate)
 
 
 def _random_stats(rng, count=40):

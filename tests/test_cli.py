@@ -345,7 +345,8 @@ def test_cli_error_paths(tmp_path, capsys):
     ("solve-power", "solver.target_rate=-1"),
     ("solve-power", "rf.max_offset=nan Hz"),
     ("solve-power", "bob.range=inf m"),
-    ("solve-rate", "solver.power_budget=inf W"),    # division by zero
+    ("solve-rate", "solver.power_budget=inf W"),
+    ("solve-rate", "solver.power_budget=nan W"),
 ])
 def test_bad_values_exit_1_without_traceback(scenario_ini, tmp_path, capsys, command,
                                               override):
@@ -354,6 +355,23 @@ def test_bad_values_exit_1_without_traceback(scenario_ini, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [
+    "experiment.power_grid=1 W, nan W",
+    "experiment.range_max=inf m",
+    "experiment.angle_max=nan rad",
+    "experiment.range_gap=nan m",
+    "experiment.time_horizon=nan s",
+    "experiment.time_horizon=inf s",
+])
+def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, override):
+    code = main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", "1", "--set", override])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["sweep-power", "sweep-rate"])

@@ -10,19 +10,24 @@ from numpy.testing import assert_allclose
 from fdabeam import kernels
 from fdabeam.coupling import (
     CouplingCoefficients,
+    _best_frequency,
+    _cosine_term,
     cosine_argmin,
-    cosine_term,
     coupling_coefficients,
     coupling_prefactor,
     g_value,
-    grid_oracle,
     optimize_offsets,
-    update_frequency,
-    update_frequency_case_table,
 )
 from fdabeam.scenario import FrequencyPlan, channel_pair
 
-from helpers import half_wave_scenario, random_plan, random_scenario
+from helpers import (
+    coordinate_scan,
+    grid_oracle,
+    half_wave_scenario,
+    random_plan,
+    random_scenario,
+    update_frequency_case_table,
+)
 
 # Geometry coefficients for the four-element half-wavelength array with Bob
 # at (100 m, 60 deg) and Eve at (120 m, 60 deg), computed directly from the
@@ -153,7 +158,7 @@ def test_cosine_term_reduces_single_coordinate():
         coeffs = coupling_coefficients(scenario)
         pref = coupling_prefactor(scenario)
         n = int(rng.integers(0, 4))
-        term = cosine_term(n, plan, coeffs, scenario.rf)
+        term = _cosine_term(n, scenario.rf.carrier_frequency + plan.offsets, coeffs)
         w = abs(coeffs.omega[n])
         freqs = scenario.rf.carrier_frequency + np.array(plan.offsets)
         f_probe = scenario.rf.carrier_frequency + rng.uniform(
@@ -184,7 +189,7 @@ def test_update_frequency_beats_dense_scan():
         coeffs = coupling_coefficients(scenario)
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
-        f_new = update_frequency(n, plan, coeffs, rf)
+        f_new = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
         assert rf.carrier_frequency <= f_new <= rf.carrier_frequency + rf.max_offset
 
         freqs = rf.carrier_frequency + np.array(plan.offsets)
@@ -192,7 +197,7 @@ def test_update_frequency_beats_dense_scan():
         weights = 2.0 * coeffs.alpha[n] * coeffs.alpha[mask]
         phases = coeffs.omega[mask] * freqs[mask]
         slope = float(coeffs.omega[n])
-        _, v_grid = kernels.coordinate_scan(
+        _, v_grid = coordinate_scan(
             weights, phases, slope, rf.carrier_frequency,
             rf.carrier_frequency + rf.max_offset, count)
         v_closed = float(np.sum(weights * np.cos(slope * f_new - phases)))
@@ -214,7 +219,8 @@ def test_update_never_increases_g():
         coeffs = coupling_coefficients(scenario)
         g_before = g_value(scenario, plan)
         n = int(rng.integers(0, scenario.array.element_count))
-        f_new = update_frequency(n, plan, coeffs, scenario.rf)
+        rf = scenario.rf
+        f_new = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
         offsets = np.array(plan.offsets)
         offsets[n] = f_new - scenario.rf.carrier_frequency
         g_after = g_value(scenario, FrequencyPlan(offsets))
@@ -231,9 +237,9 @@ def test_case_table_matches_generic_update():
         coeffs = coupling_coefficients(scenario)
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
-        f_generic = update_frequency(n, plan, coeffs, rf)
+        f_generic = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
         f_table = update_frequency_case_table(n, plan, coeffs, rf)
-        term = cosine_term(n, plan, coeffs, rf)
+        term = _cosine_term(n, rf.carrier_frequency + plan.offsets, coeffs)
         w = abs(coeffs.omega[n])
         v_generic = term.amplitude * math.cos(w * f_generic - term.phase)
         v_table = term.amplitude * math.cos(w * f_table - term.phase)
@@ -247,8 +253,9 @@ def test_update_degenerate_coordinates():
     coeffs = coupling_coefficients(scenario)
     assert_allclose(coeffs.omega, 0.0, atol=1e-18)
     plan = FrequencyPlan(np.array([0.0, 1e6, 2e6]))
+    rf = scenario.rf
     for n in range(3):
-        f_new = update_frequency(n, plan, coeffs, scenario.rf)
+        f_new = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
         assert f_new == scenario.rf.carrier_frequency + plan.offsets[n]
 
     # zero offset budget pins every frequency at the carrier
@@ -258,7 +265,8 @@ def test_update_degenerate_coordinates():
     coeffs2 = coupling_coefficients(scenario2)
     plan2 = FrequencyPlan(np.zeros(3))
     for n in range(3):
-        assert update_frequency(n, plan2, coeffs2, rf2) == rf2.carrier_frequency
+        f_new = _best_frequency(n, rf2.carrier_frequency + plan2.offsets, coeffs2, rf2)
+        assert f_new == rf2.carrier_frequency
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,21 @@ def test_config_validation():
         ExperimentConfig(range_gap=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("power_grid", (1.0, math.nan)),
+    ("power_grid", (1.0, math.inf)),
+    ("range_interval", (50.0, math.inf)),
+    ("range_interval", (math.nan, 150.0)),
+    ("angle_interval", (0.0, math.nan)),
+    ("range_gap", math.nan),
+    ("range_gap", math.inf),
+    ("time_samples", (0.0, math.nan)),
+])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(**{field: value})
+
+
 @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
 def test_config_rejects_bad_target_rate(rate):
     with pytest.raises(ValueError, match="target_rate must be finite and positive"):

@@ -1,8 +1,9 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from fdabeam import kernels
+
+from helpers import _CHUNK, coordinate_scan, coupling_power_batch
 
 
 def _random_inputs(rng, n):
@@ -12,21 +13,11 @@ def _random_inputs(rng, n):
     return alpha, omega, freqs
 
 
-def test_backend_flag_consistent():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.BACKEND == "numba":
-        assert kernels.coupling_power is kernels.coupling_power_numba
-    else:
-        assert kernels.coupling_power is kernels.coupling_power_numpy
-
-
 def test_single_matches_direct_sum():
     rng = np.random.default_rng(0)
     for n in (1, 3, 8):
         alpha, omega, freqs = _random_inputs(rng, n)
         direct = abs(np.sum(alpha * np.exp(1j * omega * freqs))) ** 2
-        assert_allclose(kernels.coupling_power_numpy(alpha, omega, freqs),
-                        direct, rtol=1e-12)
         assert_allclose(kernels.coupling_power(alpha, omega, freqs),
                         direct, rtol=1e-12)
 
@@ -35,20 +26,18 @@ def test_batch_matches_single():
     rng = np.random.default_rng(1)
     alpha, omega, _ = _random_inputs(rng, 4)
     rows = rng.uniform(2.4e9, 2.403e9, (500, 4))
-    batch = kernels.coupling_power_batch(alpha, omega, rows)
-    batch_np = kernels.coupling_power_batch_numpy(alpha, omega, rows)
-    singles = [kernels.coupling_power_numpy(alpha, omega, r) for r in rows]
+    batch = coupling_power_batch(alpha, omega, rows)
+    singles = [kernels.coupling_power(alpha, omega, r) for r in rows]
     assert_allclose(batch, singles, rtol=1e-12)
-    assert_allclose(batch_np, singles, rtol=1e-12)
 
 
 def test_batch_chunking_boundary():
     rng = np.random.default_rng(2)
     alpha, omega, _ = _random_inputs(rng, 2)
-    rows = rng.uniform(2.4e9, 2.403e9, (kernels._CHUNK + 7, 2))
-    out = kernels.coupling_power_batch_numpy(alpha, omega, rows)
-    assert out.shape == (kernels._CHUNK + 7,)
-    assert_allclose(out[-1], kernels.coupling_power_numpy(alpha, omega, rows[-1]),
+    rows = rng.uniform(2.4e9, 2.403e9, (_CHUNK + 7, 2))
+    out = coupling_power_batch(alpha, omega, rows)
+    assert out.shape == (_CHUNK + 7,)
+    assert_allclose(out[-1], kernels.coupling_power(alpha, omega, rows[-1]),
                     rtol=1e-12)
 
 
@@ -63,24 +52,6 @@ def test_coordinate_scan_against_plain_numpy():
         f = np.linspace(2.4e9, 2.403e9, count)
         vals = np.cos(slope * f[:, None] - phases[None, :]) @ weights
         i = int(np.argmin(vals))
-        for fn in (kernels.coordinate_scan_numpy, kernels.coordinate_scan):
-            fb, vb = fn(weights, phases, slope, 2.4e9, 2.403e9, count)
-            assert_allclose(vb, vals[i], rtol=1e-9)
-            assert abs(fb - f[i]) < 1e-3
-
-
-@pytest.mark.skipif(kernels.coupling_power_numba is None, reason="numba unavailable")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(4)
-    alpha, omega, freqs = _random_inputs(rng, 6)
-    assert_allclose(kernels.coupling_power_numba(alpha, omega, freqs),
-                    kernels.coupling_power_numpy(alpha, omega, freqs), rtol=1e-12)
-    rows = rng.uniform(2.4e9, 2.403e9, (1000, 6))
-    assert_allclose(kernels.coupling_power_batch_numba(alpha, omega, rows),
-                    kernels.coupling_power_batch_numpy(alpha, omega, rows),
-                    rtol=1e-12)
-    weights, phases = alpha[:-1], (omega * freqs)[:-1]
-    fa, va = kernels.coordinate_scan_numba(weights, phases, 4e-7, 2.4e9, 2.403e9, 10001)
-    fb, vb = kernels.coordinate_scan_numpy(weights, phases, 4e-7, 2.4e9, 2.403e9, 10001)
-    assert fa == fb
-    assert_allclose(va, vb, rtol=1e-12)
+        fb, vb = coordinate_scan(weights, phases, slope, 2.4e9, 2.403e9, count)
+        assert_allclose(vb, vals[i], rtol=1e-9)
+        assert abs(fb - f[i]) < 1e-3
