@@ -14,7 +14,7 @@ import csv
 import dataclasses
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,49 +41,14 @@ from .scenario import channel_pair
 
 OUTPUT_DIR_ENV = "FDABEAM_OUTPUT_DIR"
 
-_COMMANDS = ("solve-power", "solve-rate", "optimize-offsets",
-             "sweep-power", "sweep-rate", "convergence")
-
-
-@dataclass
-class CliConfig:
-    command: str
-    config_path: str
-    output_dir: str | None = None
-    seed: int | None = None
-    overrides: tuple = ()
-    workers: int | None = None
-    emit_plot_script: bool = False
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fdabeam", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", "-c", required=True, help="config file path")
-        p.add_argument("--output", "-o", default=None,
-                       help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the experiment seed")
-        p.add_argument("--workers", "-j", type=int, default=None,
-                       help="worker processes for sweeps (default: all cores)")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE",
-                       help="override a config entry; repeatable")
-        p.add_argument("--plot-script", action="store_true",
-                       help="also emit a matplotlib script next to the CSV")
-    return parser
-
-
-def _resolve_output(cfg: CliConfig) -> Path:
-    out = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(out)
+def _resolve_output(args: argparse.Namespace) -> Path:
+    path = Path(args.output or os.environ.get(OUTPUT_DIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -126,18 +91,22 @@ def _plot_script(csv_name: str, xlabel: str, ylabel: str, logy: bool) -> str:
     )
 
 
-def _initial_plan(scenario, opts):
+def _load_and_descend(args: argparse.Namespace, required: str | None = None):
+    """Load the scenario config, check that ``solver.<required>`` is set, and
+    run the offset descent; returns (scenario, options, plan, trace)."""
+    scenario, opts = load_scenario_config(args.config, args.overrides)
+    if required is not None and getattr(opts, required) is None:
+        raise ConfigError(f"solver.{required} is required for {args.command}")
+    initial = None
     if opts.initialization == "linear":
-        return linear_fda_plan(scenario.array.element_count, scenario.rf.max_offset)
-    return None
+        initial = linear_fda_plan(scenario.array.element_count, scenario.rf.max_offset)
+    plan, trace = optimize_offsets(scenario, initial=initial, tol=opts.tolerance,
+                                   max_outer=opts.max_outer)
+    return scenario, opts, plan, trace
 
 
-def _cmd_solve_power(cfg: CliConfig, out: Path) -> int:
-    scenario, opts = load_scenario_config(cfg.config_path, cfg.overrides)
-    if opts.target_rate is None:
-        raise ConfigError("solver.target_rate is required for solve-power")
-    plan, trace = optimize_offsets(scenario, initial=_initial_plan(scenario, opts),
-                                   tol=opts.tolerance, max_outer=opts.max_outer)
+def _cmd_solve_power(args: argparse.Namespace, out: Path) -> int:
+    scenario, opts, plan, trace = _load_and_descend(args, "target_rate")
     pair = channel_pair(scenario, plan, opts.time)
     sol = min_power_beamformer(pair, SecrecyTarget(opts.target_rate))
     write_trace_csv(trace.objective_history, out / "trace.csv")
@@ -157,12 +126,8 @@ def _cmd_solve_power(cfg: CliConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_solve_rate(cfg: CliConfig, out: Path) -> int:
-    scenario, opts = load_scenario_config(cfg.config_path, cfg.overrides)
-    if opts.power_budget is None:
-        raise ConfigError("solver.power_budget is required for solve-rate")
-    plan, trace = optimize_offsets(scenario, initial=_initial_plan(scenario, opts),
-                                   tol=opts.tolerance, max_outer=opts.max_outer)
+def _cmd_solve_rate(args: argparse.Namespace, out: Path) -> int:
+    scenario, opts, plan, trace = _load_and_descend(args, "power_budget")
     pair = channel_pair(scenario, plan, opts.time)
     sol = max_rate_beamformer(pair, PowerBudget(opts.power_budget))
     write_trace_csv(trace.objective_history, out / "trace.csv")
@@ -176,10 +141,8 @@ def _cmd_solve_rate(cfg: CliConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_optimize_offsets(cfg: CliConfig, out: Path) -> int:
-    scenario, opts = load_scenario_config(cfg.config_path, cfg.overrides)
-    plan, trace = optimize_offsets(scenario, initial=_initial_plan(scenario, opts),
-                                   tol=opts.tolerance, max_outer=opts.max_outer)
+def _cmd_optimize_offsets(args: argparse.Namespace, out: Path) -> int:
+    scenario, _, plan, trace = _load_and_descend(args)
     write_trace_csv(trace.objective_history, out / "trace.csv")
     _write_solution_csv(out / "offsets.csv", plan.offsets, None)
     print(f"offsets: {' '.join(format_mhz(o) for o in plan.offsets)}")
@@ -190,43 +153,43 @@ def _cmd_optimize_offsets(cfg: CliConfig, out: Path) -> int:
     return 0
 
 
-def _experiment_config(cfg: CliConfig):
-    config = load_experiment_config(cfg.config_path, cfg.overrides)
-    if cfg.seed is not None:
-        config = dataclasses.replace(config, rng_seed=cfg.seed)
+def _experiment_config(args: argparse.Namespace):
+    config = load_experiment_config(args.config, args.overrides)
+    if args.seed is not None:
+        config = dataclasses.replace(config, rng_seed=args.seed)
     return config
 
 
-def _workers(cfg: CliConfig) -> int:
-    if cfg.workers is not None:
-        if cfg.workers < 1:
+def _workers(args: argparse.Namespace) -> int:
+    if args.workers is not None:
+        if args.workers < 1:
             raise ConfigError("--workers must be at least 1")
-        return cfg.workers
+        return args.workers
     return os.cpu_count() or 1
 
 
-def _cmd_sweep(cfg: CliConfig, out: Path, which: str) -> int:
-    config = _experiment_config(cfg)
+def _cmd_sweep(args: argparse.Namespace, out: Path, which: str) -> int:
+    config = _experiment_config(args)
     if which == "power":
-        result = run_power_sweep(config, workers=_workers(cfg))
+        result = run_power_sweep(config, workers=_workers(args))
         name, xlabel, ylabel = "power_sweep.csv", "array elements", "mean power (W)"
     else:
-        result = run_rate_sweep(config, workers=_workers(cfg))
+        result = run_rate_sweep(config, workers=_workers(args))
         name, xlabel, ylabel = "rate_sweep.csv", "transmit power (W)", "mean secrecy rate (bits)"
     write_sweep_csv(result, out / name)
     for scheme, spread in result.time_spread.items():
         print(f"time_spread {scheme}: {spread:.17g}")
     print(f"wrote: {out / name}")
-    if cfg.emit_plot_script:
+    if args.plot_script:
         script = out / f"plot_{name.removesuffix('.csv')}.py"
         script.write_text(_plot_script(name, xlabel, ylabel, logy=(which == "power")))
         print(f"wrote: {script}")
     return 0
 
 
-def _cmd_convergence(cfg: CliConfig, out: Path) -> int:
-    config = _experiment_config(cfg)
-    result = run_convergence_study(config, workers=_workers(cfg))
+def _cmd_convergence(args: argparse.Namespace, out: Path) -> int:
+    config = _experiment_config(args)
+    result = run_convergence_study(config, workers=_workers(args))
     write_convergence_csv(result, out / "convergence.csv")
     for n in result.antenna_counts:
         print(f"N={n}: median_outer_iterations={result.median_outer[n]:g}")
@@ -234,31 +197,37 @@ def _cmd_convergence(cfg: CliConfig, out: Path) -> int:
     return 0
 
 
-def run(cfg: CliConfig) -> int:
-    out = _resolve_output(cfg)
-    if cfg.command == "solve-power":
-        return _cmd_solve_power(cfg, out)
-    if cfg.command == "solve-rate":
-        return _cmd_solve_rate(cfg, out)
-    if cfg.command == "optimize-offsets":
-        return _cmd_optimize_offsets(cfg, out)
-    if cfg.command == "sweep-power":
-        return _cmd_sweep(cfg, out, "power")
-    if cfg.command == "sweep-rate":
-        return _cmd_sweep(cfg, out, "rate")
-    if cfg.command == "convergence":
-        return _cmd_convergence(cfg, out)
-    raise ConfigError(f"unknown command {cfg.command!r}")
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="fdabeam", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler in (
+            ("solve-power", _cmd_solve_power),
+            ("solve-rate", _cmd_solve_rate),
+            ("optimize-offsets", _cmd_optimize_offsets),
+            ("sweep-power", partial(_cmd_sweep, which="power")),
+            ("sweep-rate", partial(_cmd_sweep, which="rate")),
+            ("convergence", _cmd_convergence)):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", "-c", required=True, help="config file path")
+        p.add_argument("--output", "-o", default=None,
+                       help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the experiment seed")
+        p.add_argument("--workers", "-j", type=int, default=None,
+                       help="worker processes for sweeps (default: all cores)")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="SECTION.KEY=VALUE",
+                       help="override a config entry; repeatable")
+        p.add_argument("--plot-script", action="store_true",
+                       help="also emit a matplotlib script next to the CSV")
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        cfg = CliConfig(command=ns.command, config_path=ns.config,
-                        output_dir=ns.output, seed=ns.seed,
-                        overrides=tuple(ns.overrides), workers=ns.workers,
-                        emit_plot_script=ns.plot_script)
-        return run(cfg)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args, _resolve_output(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,21 +9,16 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .experiments import ExperimentConfig
+from .experiments import TIME_HORIZON, ExperimentConfig
 from .scenario import ArrayGeometry, NodePlacement, RfParams, Scenario
 
 
 class ConfigError(ValueError):
     pass
-
-
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3}
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9}
 
 
 def _split_unit(text: str) -> tuple[float, str]:
@@ -35,13 +30,26 @@ def _split_unit(text: str) -> tuple[float, str]:
     raise ValueError(f"cannot parse quantity {text!r}")
 
 
-def parse_frequency(text: str) -> float:
-    value, unit = _split_unit(text)
-    if unit == "":
-        return value
-    if unit in _FREQ_UNITS:
-        return value * _FREQ_UNITS[unit]
-    raise ValueError(f"unknown frequency unit {unit!r}")
+def _unit_parser(kind: str, units: dict):
+    """Parser of '<value> <unit>' into SI units; ``units`` maps each lower-case
+    unit, and "" for a bare number, to its SI factor."""
+
+    def parse(text: str) -> float:
+        value, unit = _split_unit(text)
+        if unit not in units:
+            raise ValueError(f"unknown {kind} unit {unit!r}")
+        return value * units[unit]
+
+    return parse
+
+
+parse_frequency = _unit_parser(
+    "frequency", {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9})
+parse_length = _unit_parser(
+    "length", {"": 1.0, "m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3})
+parse_time = _unit_parser(
+    "time", {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9})
+parse_angle = _unit_parser("angle", {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0})
 
 
 def parse_power(text: str) -> float:
@@ -56,41 +64,6 @@ def parse_power(text: str) -> float:
     if unit == "dbm":
         return 10.0 ** ((value - 30.0) / 10.0)
     raise ValueError(f"unknown power unit {unit!r}")
-
-
-def parse_angle(text: str) -> float:
-    value, unit = _split_unit(text)
-    if unit in ("", "rad"):
-        return value
-    if unit == "deg":
-        return math.radians(value)
-    raise ValueError(f"unknown angle unit {unit!r}")
-
-
-def parse_length(text: str) -> float:
-    value, unit = _split_unit(text)
-    if unit == "":
-        return value
-    if unit in _LENGTH_UNITS:
-        return value * _LENGTH_UNITS[unit]
-    raise ValueError(f"unknown length unit {unit!r}")
-
-
-def parse_time(text: str) -> float:
-    value, unit = _split_unit(text)
-    if unit == "":
-        return value
-    if unit in _TIME_UNITS:
-        return value * _TIME_UNITS[unit]
-    raise ValueError(f"unknown time unit {unit!r}")
-
-
-def parse_int(text: str) -> int:
-    return int(text.strip())
-
-
-def parse_float(text: str) -> float:
-    return float(text.strip())
 
 
 def parse_int_list(text: str) -> tuple:
@@ -133,6 +106,10 @@ class SolverOptions:
     max_outer: int = 50
     initialization: str = "zero"
 
+    def __post_init__(self):
+        if self.initialization not in ("zero", "linear"):
+            raise ValueError("solver.initialization must be 'zero' or 'linear'")
+
 
 _SCENARIO_SCHEMA = {
     "rf": {
@@ -140,41 +117,44 @@ _SCENARIO_SCHEMA = {
         "max_offset": parse_frequency,
         "noise_power_bob": parse_power,
         "noise_power_eve": parse_power,
-        "wave_speed": parse_float,
+        "wave_speed": float,
     },
     "array": {
-        "element_count": parse_int,
+        "element_count": int,
         "first_element_x": parse_length,
         "spacing": parse_length,
     },
     "bob": {"range": parse_length, "angle": parse_angle},
     "eve": {"range": parse_length, "angle": parse_angle},
     "solver": {
-        "target_rate": parse_float,
+        "target_rate": float,
         "power_budget": parse_power,
         "time": parse_time,
-        "tolerance": parse_float,
-        "max_outer": parse_int,
-        "initialization": str.strip,
+        "tolerance": float,
+        "max_outer": int,
+        "initialization": str,
     },
 }
 
-_SCENARIO_REQUIRED = {
-    "rf": ("carrier_frequency", "max_offset", "noise_power_bob", "noise_power_eve"),
-    "array": ("element_count",),
-    "bob": ("range", "angle"),
-    "eve": ("range", "angle"),
-}
+_SCENARIO_SECTIONS = {"rf": RfParams, "array": ArrayGeometry, "bob": NodePlacement,
+                      "eve": NodePlacement, "solver": SolverOptions}
+"""Dataclass built from each section; its fields without a default are the
+section's required keys."""
+
+_KEY_OF_FIELD = {"range_m": "range", "angle_rad": "angle"}
+"""INI keys that differ from the name of the field they set."""
+
+_FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()}
 
 _EXPERIMENT_SCHEMA = {
     "experiment": {
-        "realizations": parse_int,
-        "seed": parse_int,
+        "realizations": int,
+        "seed": int,
         "antenna_counts": parse_int_list,
-        "target_rate": parse_float,
+        "target_rate": float,
         "power_grid": parse_power_grid,
         "baselines": parse_names,
-        "time_samples": parse_int,
+        "time_samples": int,
         "time_horizon": parse_time,
         "range_min": parse_length,
         "range_max": parse_length,
@@ -183,6 +163,13 @@ _EXPERIMENT_SCHEMA = {
         "angle_max": parse_angle,
     },
 }
+
+_EXPERIMENT_FIELDS = {"realizations": "realizations", "seed": "rng_seed",
+                      "antenna_counts": "antenna_counts", "target_rate": "target_rate",
+                      "power_grid": "power_grid", "baselines": "baselines",
+                      "range_gap": "range_gap"}
+"""[experiment] keys that set one ExperimentConfig field as they are; the
+min/max pairs and time_samples/time_horizon each build one tuple field."""
 
 
 def _read_sections(path, overrides: tuple, schema: dict) -> dict:
@@ -211,74 +198,54 @@ def _read_sections(path, overrides: tuple, schema: dict) -> dict:
     return parsed
 
 
+def _section_kwargs(parsed: dict, sec: str, cls) -> dict:
+    """Field values of ``cls`` given in section ``sec``; every field of
+    ``cls`` without a default must be among them."""
+    kwargs = {_FIELD_OF_KEY.get(key, key): value
+              for key, value in parsed.get(sec, {}).items()}
+    for field in fields(cls):
+        if (field.default is MISSING and field.default_factory is MISSING
+                and field.name not in kwargs):
+            if sec not in parsed:
+                raise ConfigError(f"missing section [{sec}]")
+            key = _KEY_OF_FIELD.get(field.name, field.name)
+            raise ConfigError(f"missing key {key!r} in section [{sec}]")
+    return kwargs
+
+
 def load_scenario_config(path, overrides: tuple = ()) -> tuple[Scenario, SolverOptions]:
-    """Parse a single-scenario config file into a Scenario plus solver options."""
+    """Parse a single-scenario config file into a Scenario plus solver options.
+
+    Absent keys take the defaults of the dataclass their section builds,
+    except ``array.spacing``, which defaults to half the carrier wavelength.
+    """
     parsed = _read_sections(path, overrides, _SCENARIO_SCHEMA)
-    for sec, keys in _SCENARIO_REQUIRED.items():
-        if sec not in parsed:
-            raise ConfigError(f"missing section [{sec}]")
-        for key in keys:
-            if key not in parsed[sec]:
-                raise ConfigError(f"missing key {key!r} in section [{sec}]")
-    rf_keys = parsed["rf"]
+    kwargs = {sec: _section_kwargs(parsed, sec, cls)
+              for sec, cls in _SCENARIO_SECTIONS.items()}
     try:
-        rf = RfParams(carrier_frequency=rf_keys["carrier_frequency"],
-                      max_offset=rf_keys["max_offset"],
-                      noise_power_bob=rf_keys["noise_power_bob"],
-                      noise_power_eve=rf_keys["noise_power_eve"],
-                      wave_speed=rf_keys.get("wave_speed", 299_792_458.0))
-        arr = parsed["array"]
-        geom = ArrayGeometry(element_count=arr["element_count"],
-                             first_element_x=arr.get("first_element_x", 0.0),
-                             spacing=arr.get("spacing", rf.wavelength / 2.0))
-        scenario = Scenario(
-            rf=rf, array=geom,
-            bob=NodePlacement(range_m=parsed["bob"]["range"],
-                              angle_rad=parsed["bob"]["angle"]),
-            eve=NodePlacement(range_m=parsed["eve"]["range"],
-                              angle_rad=parsed["eve"]["angle"]))
+        rf = RfParams(**kwargs["rf"])
+        array = ArrayGeometry(**{"spacing": rf.wavelength / 2.0, **kwargs["array"]})
+        scenario = Scenario(rf=rf, array=array, bob=NodePlacement(**kwargs["bob"]),
+                            eve=NodePlacement(**kwargs["eve"]))
+        return scenario, SolverOptions(**kwargs["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    solver = parsed.get("solver", {})
-    opts = SolverOptions(target_rate=solver.get("target_rate"),
-                         power_budget=solver.get("power_budget"),
-                         time=solver.get("time", 0.0),
-                         tolerance=solver.get("tolerance", 1e-8),
-                         max_outer=solver.get("max_outer", 50),
-                         initialization=solver.get("initialization", "zero"))
-    if opts.initialization not in ("zero", "linear"):
-        raise ConfigError("solver.initialization must be 'zero' or 'linear'")
-    return scenario, opts
 
 
 def load_experiment_config(path, overrides: tuple = ()) -> ExperimentConfig:
-    """Parse a Monte Carlo config file into an ExperimentConfig."""
-    parsed = _read_sections(path, overrides, _EXPERIMENT_SCHEMA)
-    exp = parsed.get("experiment", {})
-    kwargs = {}
-    if "realizations" in exp:
-        kwargs["realizations"] = exp["realizations"]
-    if "seed" in exp:
-        kwargs["rng_seed"] = exp["seed"]
-    if "antenna_counts" in exp:
-        kwargs["antenna_counts"] = exp["antenna_counts"]
-    if "target_rate" in exp:
-        kwargs["target_rate"] = exp["target_rate"]
-    if "power_grid" in exp:
-        kwargs["power_grid"] = exp["power_grid"]
-    if "baselines" in exp:
-        kwargs["baselines"] = exp["baselines"]
-    if "range_min" in exp or "range_max" in exp:
-        lo = exp.get("range_min", 50.0)
-        hi = exp.get("range_max", 150.0)
-        kwargs["range_interval"] = (lo, hi)
-    if "range_gap" in exp:
-        kwargs["range_gap"] = exp["range_gap"]
-    if "angle_min" in exp or "angle_max" in exp:
-        kwargs["angle_interval"] = (exp.get("angle_min", 0.0),
-                                    exp.get("angle_max", math.pi))
-    count = exp.get("time_samples", 21)
-    horizon = exp.get("time_horizon", 20e-6)
+    """Parse a Monte Carlo config file into an ExperimentConfig.
+
+    Absent keys take ExperimentConfig's defaults; ``time_samples`` points
+    spread evenly over [0, ``time_horizon``].
+    """
+    exp = _read_sections(path, overrides, _EXPERIMENT_SCHEMA).get("experiment", {})
+    kwargs = {name: exp[key] for key, name in _EXPERIMENT_FIELDS.items() if key in exp}
+    lo, hi = ExperimentConfig.range_interval
+    kwargs["range_interval"] = (exp.get("range_min", lo), exp.get("range_max", hi))
+    lo, hi = ExperimentConfig.angle_interval
+    kwargs["angle_interval"] = (exp.get("angle_min", lo), exp.get("angle_max", hi))
+    count = exp.get("time_samples", len(ExperimentConfig.time_samples))
+    horizon = exp.get("time_horizon", TIME_HORIZON)
     if count < 1:
         raise ConfigError("experiment.time_samples must be at least 1")
     if not math.isfinite(horizon):

@@ -163,6 +163,10 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
 
     Returns the final plan together with an :class:`OptimizerTrace`.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and non-negative")
+    if max_outer < 0:
+        raise ValueError("max_outer must be non-negative")
     rf = scenario.rf
     n_elem = scenario.array.element_count
     if initial is None:

@@ -344,15 +344,17 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
 def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> ConvergenceResult:
     """Mean coupling after each optimizer sweep, per antenna count."""
     counts = tuple(config.antenna_counts)
+    reps = config.realizations
+    tasks = [(n, idx) for n in counts for idx in range(reps)]
+    results = _map_tasks(partial(_convergence_realization, config), tasks, workers)
     mean_history = {}
     median_outer = {}
     outer_counts = {}
     longest = 1
-    for n in counts:
-        tasks = [(n, idx) for idx in range(config.realizations)]
-        results = _map_tasks(partial(_convergence_realization, config), tasks, workers)
-        histories = [r[0] for r in results]
-        outers = np.array([r[1] for r in results], dtype=float)
+    for i, n in enumerate(counts):
+        block = results[i * reps:(i + 1) * reps]
+        histories = [r[0] for r in block]
+        outers = np.array([r[1] for r in block], dtype=float)
         depth = max(len(h) for h in histories)
         padded = np.array([h + [h[-1]] * (depth - len(h)) for h in histories])
         mean_history[n] = padded.mean(axis=0)

@@ -80,6 +80,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if int(self.element_count) != self.element_count or self.element_count < 1:
             raise ValueError("element_count must be a positive integer")
+        for name in ("first_element_x", "spacing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
 
@@ -209,6 +212,8 @@ def _synthesize(scenario: Scenario, node: str, offsets: np.ndarray, times) -> np
     times = np.asarray(times, dtype=np.longdouble)
     if times.shape != offsets.shape[:1]:
         raise ValueError("plans and times must pair up one to one")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     dist = propagation_distances(scenario, node)
     amp = rf.wavelength / (4.0 * np.pi * dist)
     # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended

@@ -347,6 +347,13 @@ def test_cli_error_paths(tmp_path, capsys):
     ("solve-power", "bob.range=inf m"),
     ("solve-rate", "solver.power_budget=inf W"),
     ("solve-rate", "solver.power_budget=nan W"),
+    ("solve-power", "solver.time=inf s"),
+    ("solve-rate", "solver.time=nan s"),
+    ("solve-power", "solver.tolerance=nan"),
+    ("solve-power", "solver.tolerance=-1"),
+    ("optimize-offsets", "solver.max_outer=-3"),
+    ("solve-power", "array.spacing=inf m"),
+    ("solve-power", "array.first_element_x=nan m"),
 ])
 def test_bad_values_exit_1_without_traceback(scenario_ini, tmp_path, capsys, command,
                                               override):

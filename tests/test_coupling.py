@@ -345,6 +345,17 @@ def test_optimize_rejects_bad_initial():
         optimize_offsets(scenario, initial=FrequencyPlan(np.zeros(3)))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol": math.nan}, "tol"),
+    ({"tol": math.inf}, "tol"),
+    ({"tol": -1.0}, "tol"),
+    ({"max_outer": -3}, "max_outer"),
+])
+def test_optimize_rejects_bad_stopping_rule(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        optimize_offsets(_reference_scenario(), **kwargs)
+
+
 def _grid_resolution(scenario, points):
     coeffs = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)

@@ -207,6 +207,19 @@ def test_sweep_worker_count_invariant():
                               equal_nan=True)
 
 
+def test_convergence_worker_count_invariant():
+    """All antenna counts share one task list; distributing it over
+    processes cannot change any per-count statistic."""
+    config = _small_power_config(realizations=3, antenna_counts=(2, 3, 4))
+    serial = run_convergence_study(config, workers=1)
+    parallel = run_convergence_study(config, workers=2)
+    assert_array_equal(serial.iterations, parallel.iterations)
+    for n in config.antenna_counts:
+        assert_array_equal(serial.mean_history[n], parallel.mean_history[n])
+        assert_array_equal(serial.outer_counts[n], parallel.outer_counts[n])
+        assert serial.median_outer[n] == parallel.median_outer[n]
+
+
 def test_single_element_always_infeasible():
     """One antenna cannot separate two co-bearing receivers: the secrecy
     target is unreachable and the accounting must say so, not crash."""

@@ -67,6 +67,10 @@ def test_placement_validation():
         ArrayGeometry(0, 0.0, 0.1)
     with pytest.raises(ValueError):
         ArrayGeometry(4, 0.0, -0.1)
+    with pytest.raises(ValueError, match="spacing must be finite"):
+        ArrayGeometry(4, 0.0, math.inf)
+    with pytest.raises(ValueError, match="first_element_x must be finite"):
+        ArrayGeometry(4, math.nan, 0.1)
     with pytest.raises(ValueError):
         RfParams(2.4e9, 3e6, -1e-13, 1e-13)
 
@@ -212,3 +216,13 @@ def test_channel_pairs_need_one_time_per_plan():
         channel_pairs(scn, [plan, plan], [0.0])
     with pytest.raises(ValueError, match="max_offset"):
         channel_pairs(scn, [plan, FrequencyPlan(np.array([0.0, 4e6]))], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_channel_pairs_reject_non_finite_times(t):
+    scn = half_wave_scenario(2, 100.0, 1.0, 120.0, 1.0)
+    plan = FrequencyPlan(np.zeros(2))
+    with pytest.raises(ValueError, match="times must be finite"):
+        channel_pairs(scn, [plan, plan], [0.0, t])
+    with pytest.raises(ValueError, match="times must be finite"):
+        channel_pair(scn, plan, t)
