@@ -11,6 +11,17 @@ via ``g = K |sum_n alpha_n exp(j omega_n f_n)|^2`` with a constant prefactor
 entirely, so minimizing g over the per-element frequencies is a purely
 geometric problem.  The minimization runs as cyclic coordinate descent where
 each 1-D subproblem has a closed-form solution.
+
+The descent caches the per-element terms ``alpha_n cos(phi_n)``,
+``alpha_n sin(phi_n)`` and ``alpha_n exp(j phi_n)`` with
+``phi_n = omega_n f_n``, and rewrites entry n only when an update of f_n is
+accepted.  Each coordinate still sums the other N - 1 real terms, and each
+re-evaluation all N complex terms, in index order with numpy's pairwise sum,
+exactly as recomputing every phase per update would; offsets and objective
+values are therefore bit for bit those of that full-recompute form
+(``tests/helpers.py`` keeps it as the oracle).  A running sum would make the
+update O(1), but its ulp drift decides the outcome at the cancellation floor,
+where the reachable couplings are roundoff noise.
 """
 
 from __future__ import annotations
@@ -51,25 +62,20 @@ class CouplingCoefficients:
         object.__setattr__(self, "alpha", al)
 
 
-@dataclass(frozen=True)
-class CosineTerm:
-    """Single-coordinate objective ``amplitude * cos(|omega_n| f - phase)``."""
-
-    amplitude: float
-    phase: float
-
-
 @dataclass
 class OptimizerTrace:
     """Convergence record of :func:`optimize_offsets`.
 
     ``objective_history`` holds the coupling value before any update followed
-    by one entry per inner (single-coordinate) update.
+    by one entry per inner (single-coordinate) update.  ``rejected_updates``
+    counts the updates whose re-evaluated coupling came out higher, which
+    only happens at the cancellation floor; they keep the old frequency.
     """
 
     objective_history: list = field(default_factory=list)
     outer_iterations: int = 0
     converged: bool = False
+    rejected_updates: int = 0
 
 
 def coupling_coefficients(scenario: Scenario) -> CouplingCoefficients:
@@ -122,33 +128,25 @@ def cosine_argmin(lower: float, upper: float) -> float:
     return lower if math.cos(lower) <= math.cos(upper) else upper
 
 
-def _cosine_term(n: int, freqs: np.ndarray, coeffs: CouplingCoefficients) -> CosineTerm:
-    """Reduce the coupling seen by element n to a single cosine in f_n."""
-    phases = coeffs.omega * freqs
-    mask = np.arange(freqs.shape[0]) != n
-    a = float(np.sum(coeffs.alpha[mask] * np.cos(phases[mask])))
-    b = float(np.sum(coeffs.alpha[mask] * np.sin(phases[mask])))
-    sign = math.copysign(1.0, coeffs.omega[n]) if coeffs.omega[n] != 0 else 0.0
-    return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
+def _coordinate_minimizer(a: float, b: float, omega_n: float,
+                          rf: RfParams) -> float | None:
+    """Best frequency f in the box [f_c, f_c + f_m] for one coordinate.
 
-
-def _best_frequency(n: int, freqs: np.ndarray, coeffs: CouplingCoefficients,
-                    rf: RfParams) -> float:
-    """Best frequency f_n in [f_c, f_c + f_m] with all other entries fixed.
-
-    Minimizes ``sum_{n' != n} alpha_n' cos(omega_n f - omega_n' f_n')``,
-    which is the only part of the coupling that depends on f_n.  Degenerate
-    coordinates (omega_n = 0, or a vanishing amplitude) leave the current
-    frequency unchanged.
+    ``a + jb`` is the coupling sum over every other element, so the part of
+    the coupling that depends on f is ``a cos(omega_n f) + b sin(omega_n f)``
+    (up to a positive factor), i.e. ``hypot(a, b) cos(|omega_n| f - phase)``.
+    Returns None when every f in the box is optimal (omega_n = 0, a vanishing
+    amplitude or an empty offset budget).
     """
+    amplitude = math.hypot(a, b)
+    w = abs(omega_n)
+    if w == 0.0 or amplitude == 0.0 or rf.max_offset == 0.0:
+        return None
+    phase = math.copysign(1.0, omega_n) * math.atan2(b, a)
     f_lo = rf.carrier_frequency
     f_hi = rf.carrier_frequency + rf.max_offset
-    term = _cosine_term(n, freqs, coeffs)
-    w = abs(float(coeffs.omega[n]))
-    if w == 0.0 or term.amplitude == 0.0 or rf.max_offset == 0.0:
-        return float(freqs[n])
-    x = cosine_argmin(w * f_lo - term.phase, w * f_hi - term.phase)
-    return min(max((x + term.phase) / w, f_lo), f_hi)
+    x = cosine_argmin(w * f_lo - phase, w * f_hi - phase)
+    return min(max((x + phase) / w, f_lo), f_hi)
 
 
 def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
@@ -178,30 +176,55 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
 
     coeffs = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
-    freqs = rf.carrier_frequency + initial.offsets.copy()
-    history = [pref * kernels.coupling_power(coeffs.alpha, coeffs.omega, freqs)]
+    freqs = rf.carrier_frequency + initial.offsets
+    # Per-element terms of the coupling sum at the current frequencies;
+    # entry n changes only when an update of f_n is accepted.
+    alpha, omega = coeffs.alpha, coeffs.omega
+    phases = omega * freqs
+    re = alpha * np.cos(phases)
+    im = alpha * np.sin(phases)
+    terms = alpha * np.exp(1j * phases)
+    om, fr = omega.tolist(), freqs.tolist()
+    history = [pref * kernels.power_of_sum(terms)]
+    rejected = 0
     converged = False
     outer = 0
     while outer < max_outer and not converged:
         outer += 1
         g_before = history[-1]
+        # re and im without entry i, in index order: moving on to i + 1
+        # writes entry i into the slot that held entry i + 1.
+        re_rest, im_rest = re[1:].copy(), im[1:].copy()
         for i in range(n_elem):
-            f_old = freqs[i]
-            freqs[i] = _best_frequency(i, freqs, coeffs, rf)
-            g_new = pref * kernels.coupling_power(coeffs.alpha, coeffs.omega,
-                                                  freqs)
-            if g_new > history[-1]:
-                # The exact 1-D update cannot increase the objective, so any
-                # recorded increase is evaluation noise at the cancellation
-                # floor; keep the previous frequency.
-                freqs[i] = f_old
-                g_new = history[-1]
+            if i:
+                re_rest[i - 1] = re[i - 1]
+                im_rest[i - 1] = im[i - 1]
+            g_new = history[-1]
+            f_new = _coordinate_minimizer(float(np.add.reduce(re_rest)),
+                                          float(np.add.reduce(im_rest)),
+                                          om[i], rf)
+            # An unchanged frequency re-evaluates to the current value.
+            if f_new is not None and f_new != fr[i]:
+                phase = om[i] * f_new
+                kept = terms[i]
+                terms[i] = alpha[i] * np.exp(1j * phase)
+                g_trial = pref * kernels.power_of_sum(terms)
+                if g_trial > g_new:
+                    # The exact 1-D update cannot increase the objective, so
+                    # any recorded increase is evaluation noise at the
+                    # cancellation floor; keep the previous frequency.
+                    terms[i] = kept
+                    rejected += 1
+                else:
+                    fr[i] = f_new
+                    re[i] = alpha[i] * np.cos(phase)
+                    im[i] = alpha[i] * np.sin(phase)
+                    g_new = g_trial
             history.append(g_new)
         if g_before - history[-1] <= tol * g_before:
             converged = True
 
-    offsets = np.clip(freqs - rf.carrier_frequency, 0.0, rf.max_offset)
+    offsets = np.clip(np.array(fr) - rf.carrier_frequency, 0.0, rf.max_offset)
     trace = OptimizerTrace(objective_history=history, outer_iterations=outer,
-                           converged=converged)
+                           converged=converged, rejected_updates=rejected)
     return FrequencyPlan(offsets), trace
-

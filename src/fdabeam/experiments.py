@@ -85,8 +85,9 @@ class ExperimentConfig:
             raise ValueError("range_interval must be finite, positive and ordered")
         if not (math.isfinite(self.range_gap) and self.range_gap >= 0):
             raise ValueError("range_gap must be finite and non-negative")
-        if not _all_finite(self.angle_interval):
-            raise ValueError("angle_interval must be finite")
+        lo, hi = self.angle_interval
+        if not 0.0 <= lo <= hi <= math.pi:
+            raise ValueError("angle_interval must be finite, ordered and within [0, pi]")
         if not _all_finite(self.time_samples):
             raise ValueError("time_samples must be finite")
 

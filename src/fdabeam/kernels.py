@@ -1,4 +1,4 @@
-"""Hot numeric kernel of the offset descent, in numpy.
+"""Hot numeric kernels of the coupling objective, in numpy.
 
 ``BACKEND`` names the numeric path for run metadata; there is only one.
 """
@@ -12,5 +12,10 @@ BACKEND = "numpy"
 
 def coupling_power(alpha: np.ndarray, omega: np.ndarray, freqs: np.ndarray) -> float:
     """|sum_n alpha_n exp(j omega_n f_n)|^2 for one frequency vector."""
-    s = np.sum(alpha * np.exp(1j * (omega * freqs)))
+    return power_of_sum(alpha * np.exp(1j * (omega * freqs)))
+
+
+def power_of_sum(terms: np.ndarray) -> float:
+    """|sum_n terms_n|^2, summed in numpy's pairwise order."""
+    s = np.add.reduce(terms)
     return float(s.real * s.real + s.imag * s.imag)

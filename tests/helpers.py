@@ -1,6 +1,7 @@
 """Shared builders and brute-force oracles for randomized tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +13,13 @@ from fdabeam import (
     Scenario,
     channel_pair,
 )
-from fdabeam.coupling import _cosine_term, coupling_coefficients, coupling_prefactor
+from fdabeam import kernels
+from fdabeam.coupling import (
+    OptimizerTrace,
+    cosine_argmin,
+    coupling_coefficients,
+    coupling_prefactor,
+)
 
 CARRIER = 2.4e9
 MAX_OFFSET = 3e6
@@ -134,8 +141,85 @@ def grid_oracle(scenario, points_per_axis):
             coupling_prefactor(scenario) * float(vals[best]))
 
 
+@dataclass(frozen=True)
+class CosineTerm:
+    """Single-coordinate objective ``amplitude * cos(|omega_n| f - phase)``."""
+
+    amplitude: float
+    phase: float
+
+
+def _cosine_term(n, freqs, coeffs):
+    """Reduce the coupling seen by element n to a single cosine in f_n."""
+    phases = coeffs.omega * freqs
+    mask = np.arange(freqs.shape[0]) != n
+    a = float(np.sum(coeffs.alpha[mask] * np.cos(phases[mask])))
+    b = float(np.sum(coeffs.alpha[mask] * np.sin(phases[mask])))
+    sign = math.copysign(1.0, coeffs.omega[n]) if coeffs.omega[n] != 0 else 0.0
+    return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
+
+
+def _best_frequency(n, freqs, coeffs, rf):
+    """Best frequency f_n in [f_c, f_c + f_m] with all other entries fixed.
+
+    Minimizes ``sum_{n' != n} alpha_n' cos(omega_n f - omega_n' f_n')``,
+    which is the only part of the coupling that depends on f_n.  Degenerate
+    coordinates (omega_n = 0, or a vanishing amplitude) leave the current
+    frequency unchanged.
+    """
+    f_lo = rf.carrier_frequency
+    f_hi = rf.carrier_frequency + rf.max_offset
+    term = _cosine_term(n, freqs, coeffs)
+    w = abs(float(coeffs.omega[n]))
+    if w == 0.0 or term.amplitude == 0.0 or rf.max_offset == 0.0:
+        return float(freqs[n])
+    x = cosine_argmin(w * f_lo - term.phase, w * f_hi - term.phase)
+    return min(max((x + term.phase) / w, f_lo), f_hi)
+
+
+def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
+    """Full-recompute form of ``coupling.optimize_offsets``.
+
+    Every coordinate rebuilds its cosine term from all N phases and every
+    update re-evaluates the whole coupling sum; the package's descent must
+    reproduce this arithmetic bit for bit.  Input checks are left to the
+    package.
+    """
+    rf = scenario.rf
+    n_elem = scenario.array.element_count
+    if initial is None:
+        initial = FrequencyPlan(np.zeros(n_elem))
+    coeffs = coupling_coefficients(scenario)
+    pref = coupling_prefactor(scenario)
+    freqs = rf.carrier_frequency + initial.offsets.copy()
+    history = [pref * kernels.coupling_power(coeffs.alpha, coeffs.omega, freqs)]
+    rejected = 0
+    converged = False
+    outer = 0
+    while outer < max_outer and not converged:
+        outer += 1
+        g_before = history[-1]
+        for i in range(n_elem):
+            f_old = freqs[i]
+            freqs[i] = _best_frequency(i, freqs, coeffs, rf)
+            g_new = pref * kernels.coupling_power(coeffs.alpha, coeffs.omega,
+                                                  freqs)
+            if g_new > history[-1]:
+                freqs[i] = f_old
+                g_new = history[-1]
+                rejected += 1
+            history.append(g_new)
+        if g_before - history[-1] <= tol * g_before:
+            converged = True
+
+    offsets = np.clip(freqs - rf.carrier_frequency, 0.0, rf.max_offset)
+    trace = OptimizerTrace(objective_history=history, outer_iterations=outer,
+                           converged=converged, rejected_updates=rejected)
+    return FrequencyPlan(offsets), trace
+
+
 def update_frequency_case_table(n, plan, coeffs, rf):
-    """Case-table form of the coordinate update ``coupling._best_frequency``.
+    """Case-table form of the coordinate update ``_best_frequency``.
 
     Splits the shifted interval endpoint ``a = (|omega_n| f_c - phase) mod
     2 pi`` into five cases instead of calling the generic cosine argmin.

@@ -23,8 +23,6 @@ from fdabeam.beamforming import (
     secrecy_rate,
 )
 from fdabeam.coupling import (
-    _best_frequency,
-    _cosine_term,
     coupling_coefficients,
     coupling_prefactor,
     g_value,
@@ -41,6 +39,8 @@ from fdabeam.experiments import (
 from fdabeam.scenario import ChannelPair, channel_pair
 
 from helpers import (
+    _best_frequency,
+    _cosine_term,
     coordinate_scan,
     grid_oracle,
     random_pair,

@@ -381,6 +381,21 @@ def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, o
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("overrides", [
+    ("experiment.angle_max=200 deg",),
+    ("experiment.angle_min=120 deg", "experiment.angle_max=60 deg"),
+])
+def test_bad_angle_interval_exits_1(experiment_ini, tmp_path, capsys, overrides):
+    """Rejected by name before any draw, whatever the realization count."""
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    code = main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", "1", *sets])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: angle_interval") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("command", ["sweep-power", "sweep-rate"])
 def test_sweeps_print_time_spread(experiment_ini, tmp_path, capsys, command):
     out = tmp_path / "run"

@@ -10,22 +10,24 @@ from numpy.testing import assert_allclose
 from fdabeam import kernels
 from fdabeam.coupling import (
     CouplingCoefficients,
-    _best_frequency,
-    _cosine_term,
+    _coordinate_minimizer,
     cosine_argmin,
     coupling_coefficients,
     coupling_prefactor,
     g_value,
     optimize_offsets,
 )
-from fdabeam.scenario import FrequencyPlan, channel_pair
+from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
 from helpers import (
+    _best_frequency,
+    _cosine_term,
     coordinate_scan,
     grid_oracle,
     half_wave_scenario,
     random_plan,
     random_scenario,
+    reference_descent,
     update_frequency_case_table,
 )
 
@@ -354,6 +356,114 @@ def test_optimize_rejects_bad_initial():
 def test_optimize_rejects_bad_stopping_rule(kwargs, match):
     with pytest.raises(ValueError, match=match):
         optimize_offsets(_reference_scenario(), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the full-recompute descent
+
+# (Bob's range, shared angle) of N = 128 layouts drawn in the 20 x 20 cell
+# grid of the descent_large benchmark workload; Eve sits 20 m behind Bob.
+DESCENT_LARGE_LAYOUTS = [
+    (51.9262739909179, 0.9295975673624087),    # 50-sweep cap, 5 rejections
+    (53.35922613725102, 1.9616637774189225),   # 50-sweep cap, none rejected
+    (51.974125771787335, 0.761879814031659),   # 30 sweeps, 71 rejections
+    (80.17071759534423, 1.4694276555949985),   # 13 sweeps
+    (103.67072263959163, 0.4923875017519383),  # 2 sweeps
+    (146.25056109683425, 3.0110498145418596),  # 2 sweeps
+]
+
+
+def _descent_large_scenario(r_bob, angle):
+    return half_wave_scenario(128, r_bob, angle, r_bob + 20.0, angle)
+
+
+def _assert_same_descent(got, want):
+    (plan, trace), (ref_plan, ref_trace) = got, want
+    assert plan.offsets.tobytes() == ref_plan.offsets.tobytes()
+    assert (np.array(trace.objective_history).tobytes()
+            == np.array(ref_trace.objective_history).tobytes())
+    assert trace.outer_iterations == ref_trace.outer_iterations
+    assert trace.converged == ref_trace.converged
+    assert trace.rejected_updates == ref_trace.rejected_updates
+
+
+@pytest.mark.parametrize("layout", DESCENT_LARGE_LAYOUTS)
+def test_descent_bitwise_on_descent_large_layouts(layout):
+    scenario = _descent_large_scenario(*layout)
+    _assert_same_descent(optimize_offsets(scenario), reference_descent(scenario))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_descent_bitwise_on_random_inputs(n):
+    """Random layouts, random starting plans and non-default stopping rules
+    give the same arithmetic as the full-recompute descent."""
+    rng = np.random.default_rng(1000 + n)
+    for k in range(12):
+        scenario = random_scenario(rng, n=n, shared_bearing=bool(k % 2))
+        kwargs = {}
+        if k % 3 != 0:
+            kwargs["initial"] = random_plan(rng, n)
+        if k % 4 == 1:
+            kwargs["tol"] = float(10.0 ** rng.uniform(-14.0, -3.0))
+            kwargs["max_outer"] = int(rng.integers(0, 8))
+        _assert_same_descent(optimize_offsets(scenario, **kwargs),
+                             reference_descent(scenario, **kwargs))
+
+
+def test_descent_bitwise_on_degenerate_coordinates():
+    # no offset budget: every coordinate is degenerate
+    scenario = half_wave_scenario(8, 80.0, 0.9, 120.0, 1.4)
+    scenario = dataclasses.replace(
+        scenario, rf=dataclasses.replace(scenario.rf, max_offset=0.0))
+    _assert_same_descent(optimize_offsets(scenario), reference_descent(scenario))
+
+    # Bob and Eve on a circle around element 3 (which sits at x = 0), so
+    # omega_3 = 0 while every other coordinate still moves
+    base = half_wave_scenario(8, 100.0, math.pi / 2, 100.0, 0.0)
+    d = base.array.spacing
+    scenario = dataclasses.replace(base, array=ArrayGeometry(8, -3.0 * d, d))
+    omega = coupling_coefficients(scenario).omega
+    assert omega[3] == 0.0 and np.count_nonzero(omega) == 7
+    start = random_plan(np.random.default_rng(5), 8)
+    for initial in (None, start):
+        _assert_same_descent(optimize_offsets(scenario, initial=initial),
+                             reference_descent(scenario, initial=initial))
+
+
+def test_rejected_updates_counts_the_guard():
+    _, trace = optimize_offsets(half_wave_scenario(1, 90.0, 1.0, 130.0, 0.4))
+    assert trace.rejected_updates == 0
+    scenario = _descent_large_scenario(*DESCENT_LARGE_LAYOUTS[0])
+    _, trace = optimize_offsets(scenario)
+    assert trace.outer_iterations == 50 and not trace.converged
+    assert trace.rejected_updates > 0
+    assert trace.rejected_updates == reference_descent(scenario)[1].rejected_updates
+
+
+def test_coordinate_minimizer_matches_full_recompute_update():
+    """The (a, b) form of the coordinate update returns the frequency of the
+    full-recompute update bit for bit, and None where that update keeps it."""
+    rng = np.random.default_rng(43)
+    scenarios = [random_scenario(rng) for _ in range(200)]
+    scenarios.append(half_wave_scenario(3, 80.0, 0.9, 80.0, 0.9))  # omega = 0
+    scenarios.append(half_wave_scenario(1, 90.0, 1.0, 130.0, 0.4))  # a = b = 0
+    kept = 0
+    for scenario in scenarios:
+        rf = scenario.rf
+        coeffs = coupling_coefficients(scenario)
+        n_elem = scenario.array.element_count
+        freqs = rf.carrier_frequency + random_plan(rng, n_elem).offsets
+        n = int(rng.integers(0, n_elem))
+        phases = coeffs.omega * freqs
+        others = np.arange(n_elem) != n
+        a = float(np.sum(coeffs.alpha[others] * np.cos(phases[others])))
+        b = float(np.sum(coeffs.alpha[others] * np.sin(phases[others])))
+        f_new = _coordinate_minimizer(a, b, float(coeffs.omega[n]), rf)
+        if f_new is None:
+            kept += 1
+            f_new = float(freqs[n])
+        assert f_new == _best_frequency(n, freqs, coeffs, rf)
+    assert kept == 2
 
 
 def _grid_resolution(scenario, points):

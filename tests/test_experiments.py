@@ -92,6 +92,16 @@ def test_config_rejects_non_finite(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("interval", [
+    (0.0, math.radians(200.0)),
+    (-0.1, 1.0),
+    (2.0, 1.0),
+])
+def test_config_rejects_bad_angle_interval(interval):
+    with pytest.raises(ValueError, match="angle_interval"):
+        ExperimentConfig(angle_interval=interval)
+
+
 @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
 def test_config_rejects_bad_target_rate(rate):
     with pytest.raises(ValueError, match="target_rate must be finite and positive"):
