@@ -16,10 +16,10 @@ The descent caches the per-element terms ``alpha_n cos(phi_n)``,
 ``alpha_n sin(phi_n)`` and ``alpha_n exp(j phi_n)`` with
 ``phi_n = omega_n f_n``, and rewrites entry n only when an update of f_n is
 accepted.  Each coordinate still sums the other N - 1 real terms, and each
-re-evaluation all N complex terms, in index order with numpy's pairwise sum,
-exactly as recomputing every phase per update would; offsets and objective
-values are therefore bit for bit those of that full-recompute form
-(``tests/helpers.py`` keeps it as the oracle).  A running sum would make the
+re-evaluation (``kernels.coupling_power``) all N complex terms, in index
+order with numpy's pairwise sum, exactly as recomputing every phase per
+update would; offsets and objective values are therefore bit for bit those
+of that full-recompute form (``tests/helpers.py`` keeps it as the oracle).  A running sum would make the
 update O(1), but its ulp drift decides the outcome at the cancellation floor,
 where the reachable couplings are roundoff noise.
 """
@@ -106,8 +106,8 @@ def g_value(scenario: Scenario, plan: FrequencyPlan) -> float:
         raise ValueError("plan length does not match element count")
     coeffs = coupling_coefficients(scenario)
     freqs = scenario.rf.carrier_frequency + plan.offsets
-    return coupling_prefactor(scenario) * kernels.coupling_power(
-        coeffs.alpha, coeffs.omega, freqs)
+    terms = coeffs.alpha * np.exp(1j * (coeffs.omega * freqs))
+    return coupling_prefactor(scenario) * kernels.coupling_power(terms)
 
 
 def cosine_argmin(lower: float, upper: float) -> float:
@@ -185,7 +185,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     im = alpha * np.sin(phases)
     terms = alpha * np.exp(1j * phases)
     om, fr = omega.tolist(), freqs.tolist()
-    history = [pref * kernels.power_of_sum(terms)]
+    history = [pref * kernels.coupling_power(terms)]
     rejected = 0
     converged = False
     outer = 0
@@ -208,7 +208,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                 phase = om[i] * f_new
                 kept = terms[i]
                 terms[i] = alpha[i] * np.exp(1j * phase)
-                g_trial = pref * kernels.power_of_sum(terms)
+                g_trial = pref * kernels.coupling_power(terms)
                 if g_trial > g_new:
                     # The exact 1-D update cannot increase the objective, so
                     # any recorded increase is evaluation noise at the

@@ -1,4 +1,4 @@
-"""Hot numeric kernels of the coupling objective, in numpy.
+"""Hot numeric kernel of the coupling objective, in numpy.
 
 ``BACKEND`` names the numeric path for run metadata; there is only one.
 """
@@ -10,12 +10,10 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def coupling_power(alpha: np.ndarray, omega: np.ndarray, freqs: np.ndarray) -> float:
-    """|sum_n alpha_n exp(j omega_n f_n)|^2 for one frequency vector."""
-    return power_of_sum(alpha * np.exp(1j * (omega * freqs)))
+def coupling_power(terms: np.ndarray) -> float:
+    """|sum_n terms_n|^2 of the coupling terms alpha_n exp(j omega_n f_n).
 
-
-def power_of_sum(terms: np.ndarray) -> float:
-    """|sum_n terms_n|^2, summed in numpy's pairwise order."""
+    The terms are summed in index order with numpy's pairwise sum.
+    """
     s = np.add.reduce(terms)
     return float(s.real * s.real + s.imag * s.imag)

@@ -16,7 +16,7 @@ from fdabeam import (
 from fdabeam import kernels
 from fdabeam.coupling import (
     OptimizerTrace,
-    cosine_argmin,
+    _coordinate_minimizer,
     coupling_coefficients,
     coupling_prefactor,
 )
@@ -88,6 +88,11 @@ def random_pair(rng, n=None, shared_bearing=False, min_separation=0.0):
 # brute-force oracles
 
 
+def coupling_power_row(alpha, omega, freqs):
+    """``kernels.coupling_power`` of the terms at one frequency vector."""
+    return kernels.coupling_power(alpha * np.exp(1j * (omega * freqs)))
+
+
 def coupling_power_batch(alpha, omega, freq_rows):
     """|sum_n alpha_n exp(j omega_n f_n)|^2 for each row of ``freq_rows``."""
     rows = freq_rows.shape[0]
@@ -149,12 +154,18 @@ class CosineTerm:
     phase: float
 
 
-def _cosine_term(n, freqs, coeffs):
-    """Reduce the coupling seen by element n to a single cosine in f_n."""
+def _other_sums(n, freqs, coeffs):
+    """Real and imaginary coupling sums over every element but n."""
     phases = coeffs.omega * freqs
     mask = np.arange(freqs.shape[0]) != n
     a = float(np.sum(coeffs.alpha[mask] * np.cos(phases[mask])))
     b = float(np.sum(coeffs.alpha[mask] * np.sin(phases[mask])))
+    return a, b
+
+
+def _cosine_term(n, freqs, coeffs):
+    """Reduce the coupling seen by element n to a single cosine in f_n."""
+    a, b = _other_sums(n, freqs, coeffs)
     sign = math.copysign(1.0, coeffs.omega[n]) if coeffs.omega[n] != 0 else 0.0
     return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
 
@@ -162,19 +173,14 @@ def _cosine_term(n, freqs, coeffs):
 def _best_frequency(n, freqs, coeffs, rf):
     """Best frequency f_n in [f_c, f_c + f_m] with all other entries fixed.
 
-    Minimizes ``sum_{n' != n} alpha_n' cos(omega_n f - omega_n' f_n')``,
-    which is the only part of the coupling that depends on f_n.  Degenerate
-    coordinates (omega_n = 0, or a vanishing amplitude) leave the current
-    frequency unchanged.
+    Rebuilds the sums over the other elements from all N phases and hands
+    them to the package's coordinate minimizer.  Degenerate coordinates
+    (omega_n = 0, a vanishing amplitude or no offset budget) leave the
+    current frequency unchanged.
     """
-    f_lo = rf.carrier_frequency
-    f_hi = rf.carrier_frequency + rf.max_offset
-    term = _cosine_term(n, freqs, coeffs)
-    w = abs(float(coeffs.omega[n]))
-    if w == 0.0 or term.amplitude == 0.0 or rf.max_offset == 0.0:
-        return float(freqs[n])
-    x = cosine_argmin(w * f_lo - term.phase, w * f_hi - term.phase)
-    return min(max((x + term.phase) / w, f_lo), f_hi)
+    a, b = _other_sums(n, freqs, coeffs)
+    f_new = _coordinate_minimizer(a, b, float(coeffs.omega[n]), rf)
+    return float(freqs[n]) if f_new is None else f_new
 
 
 def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
@@ -192,7 +198,7 @@ def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
     coeffs = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
     freqs = rf.carrier_frequency + initial.offsets.copy()
-    history = [pref * kernels.coupling_power(coeffs.alpha, coeffs.omega, freqs)]
+    history = [pref * coupling_power_row(coeffs.alpha, coeffs.omega, freqs)]
     rejected = 0
     converged = False
     outer = 0
@@ -202,8 +208,7 @@ def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
         for i in range(n_elem):
             f_old = freqs[i]
             freqs[i] = _best_frequency(i, freqs, coeffs, rf)
-            g_new = pref * kernels.coupling_power(coeffs.alpha, coeffs.omega,
-                                                  freqs)
+            g_new = pref * coupling_power_row(coeffs.alpha, coeffs.omega, freqs)
             if g_new > history[-1]:
                 freqs[i] = f_old
                 g_new = history[-1]

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdabeam import kernels
 from fdabeam.coupling import (
     CouplingCoefficients,
-    _coordinate_minimizer,
     cosine_argmin,
     coupling_coefficients,
     coupling_prefactor,
@@ -23,6 +21,7 @@ from helpers import (
     _best_frequency,
     _cosine_term,
     coordinate_scan,
+    coupling_power_row,
     grid_oracle,
     half_wave_scenario,
     random_plan,
@@ -170,7 +169,7 @@ def test_cosine_term_reduces_single_coordinate():
         for f in f_probe:
             trial = freqs.copy()
             trial[n] = f
-            g = pref * kernels.coupling_power(coeffs.alpha, coeffs.omega, trial)
+            g = pref * coupling_power_row(coeffs.alpha, coeffs.omega, trial)
             reduced = 2.0 * pref * coeffs.alpha[n] * term.amplitude * math.cos(
                 w * f - term.phase)
             if base is None:
@@ -438,32 +437,6 @@ def test_rejected_updates_counts_the_guard():
     assert trace.outer_iterations == 50 and not trace.converged
     assert trace.rejected_updates > 0
     assert trace.rejected_updates == reference_descent(scenario)[1].rejected_updates
-
-
-def test_coordinate_minimizer_matches_full_recompute_update():
-    """The (a, b) form of the coordinate update returns the frequency of the
-    full-recompute update bit for bit, and None where that update keeps it."""
-    rng = np.random.default_rng(43)
-    scenarios = [random_scenario(rng) for _ in range(200)]
-    scenarios.append(half_wave_scenario(3, 80.0, 0.9, 80.0, 0.9))  # omega = 0
-    scenarios.append(half_wave_scenario(1, 90.0, 1.0, 130.0, 0.4))  # a = b = 0
-    kept = 0
-    for scenario in scenarios:
-        rf = scenario.rf
-        coeffs = coupling_coefficients(scenario)
-        n_elem = scenario.array.element_count
-        freqs = rf.carrier_frequency + random_plan(rng, n_elem).offsets
-        n = int(rng.integers(0, n_elem))
-        phases = coeffs.omega * freqs
-        others = np.arange(n_elem) != n
-        a = float(np.sum(coeffs.alpha[others] * np.cos(phases[others])))
-        b = float(np.sum(coeffs.alpha[others] * np.sin(phases[others])))
-        f_new = _coordinate_minimizer(a, b, float(coeffs.omega[n]), rf)
-        if f_new is None:
-            kept += 1
-            f_new = float(freqs[n])
-        assert f_new == _best_frequency(n, freqs, coeffs, rf)
-    assert kept == 2
 
 
 def _grid_resolution(scenario, points):
