@@ -15,10 +15,8 @@ from .beamforming import (
     lambda_delta_closed_form,
     max_rate_beamformer,
     min_power_beamformer,
-    mrt_beamformer,
     mrt_rate,
     mrt_required_power,
-    power_lower_bound,
     principal_eigvec_span2,
     secrecy_rate,
     snr,
@@ -37,7 +35,6 @@ from .experiments import (
     ConvergenceResult,
     ExperimentConfig,
     SweepResult,
-    bound_metrics,
     linear_fda_plan,
     phased_array_plan,
     run_convergence_study,
@@ -56,7 +53,6 @@ from .scenario import (
     Scenario,
     channel_pair,
     channel_pairs,
-    channel_vector,
     element_positions,
     propagation_distances,
 )

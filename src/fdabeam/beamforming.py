@@ -198,21 +198,19 @@ def principal_eigvec_span2(a: float, u: np.ndarray, b: float,
     return float(vals[top]), basis @ vecs[:, top]
 
 
-def power_lower_bound(pair: ChannelPair, target: SecrecyTarget) -> float:
-    """Eavesdropper-free power floor ``(2^R - 1) / ||h_b||^2``."""
-    b, _, _ = channel_stats(pair)
-    return (2.0**target.rate - 1.0) / b
-
-
 def min_power_beamformer(pair: ChannelPair, target: SecrecyTarget) -> PowerMinSolution:
     """Minimum-power beamformer meeting the secrecy target exactly.
 
     The optimal direction is the principal eigenvector of
     ``h_b h_b^H - 2^R h_e h_e^H`` and the power is ``(2^R - 1) / lambda1``.
     Infeasibility (lambda1 <= 0) is reported in the result, not raised.
+    Since ``lambda1 <= B``, a non-finite lambda1 can only come from ``2^R E``
+    overflowing, which raises :class:`OverflowError`.
     """
     b, e, x = channel_stats(pair)
     lam1 = lambda1_closed_form(b, e, x, target.rate)
+    if not math.isfinite(lam1):
+        raise OverflowError(f"lambda1 is {lam1} at a {target.rate:g}-bit target")
     if lam1 <= 0.0:
         return PowerMinSolution(beamformer=None, power=math.inf,
                                 lambda1=lam1, feasible=False)
@@ -251,45 +249,24 @@ def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSoluti
     return RateMaxSolution(beamformer=w, rate=math.log2(lam), lambda_delta=lam)
 
 
-def mrt_beamformer(h_bob: np.ndarray, budget: PowerBudget) -> np.ndarray:
-    """Maximum-ratio transmission: all power along Bob's channel."""
-    norm = float(np.linalg.norm(h_bob))
-    if norm == 0.0:
-        raise ValueError("cannot steer toward a zero channel")
-    return math.sqrt(budget.power) * np.asarray(h_bob, dtype=complex) / norm
-
-
-def _bob_gain(pair) -> float:
-    """``B = ||h_b||^2`` of a :class:`ChannelPair`; any other value already
-    is the gain (a float or an array)."""
-    if isinstance(pair, ChannelPair):
-        return channel_stats(pair)[0]
-    return pair
-
-
 @_float_semantics
-def mrt_rate(pair: ChannelPair, budget: PowerBudget, coupling: float) -> float:
-    """Secrecy rate of MRT given the coupling ``x = |h_e^H h_b|^2``.
-
-    ``pair`` is the channel pair or Bob's gain ``B = ||h_b||^2`` itself.
-    """
-    b = _bob_gain(pair)
+def mrt_rate(bob_gain: float, budget: PowerBudget, coupling: float) -> float:
+    """Secrecy rate of MRT given Bob's gain ``B = ||h_b||^2`` and the
+    coupling ``x = |h_e^H h_b|^2``."""
     p = budget.power
-    val = np.log2((1.0 + p * b) / (1.0 + p * coupling / b))
+    val = np.log2((1.0 + p * bob_gain) / (1.0 + p * coupling / bob_gain))
     return _float_or_array(np.maximum(val, 0.0))
 
 
-def mrt_required_power(pair: ChannelPair, target: SecrecyTarget,
+def mrt_required_power(bob_gain: float, target: SecrecyTarget,
                        coupling: float) -> float:
     """Power at which MRT meets the secrecy target, or inf when it never does.
 
-    Finite exactly when ``||h_b||^4 > 2^R x``; always an upper bound for the
-    optimal (eigenvector-based) minimum power.  ``pair`` is the channel pair
-    or Bob's gain ``B = ||h_b||^2`` itself.
+    Finite exactly when ``B^2 > 2^R x``; always an upper bound for the
+    optimal (eigenvector-based) minimum power.
     """
-    b = _bob_gain(pair)
     t = 2.0**target.rate
-    denom = np.asarray(b - t * coupling / b)
+    denom = np.asarray(bob_gain - t * coupling / bob_gain)
     power = np.divide(t - 1.0, denom, out=np.full(denom.shape, math.inf),
                       where=denom > 0.0)
     return _float_or_array(power)

@@ -92,7 +92,9 @@ def format_mhz(hz: float) -> str:
 
 
 def format_dbm(watts: float) -> str:
-    return f"{10.0 * math.log10(watts) + 30.0:.17g} dBm"
+    """'<value> dBm' with 17 significant digits; 0 W is '-inf dBm'."""
+    dbm = -math.inf if watts == 0.0 else 10.0 * math.log10(watts) + 30.0
+    return f"{dbm:.17g} dBm"
 
 
 @dataclass
@@ -175,8 +177,11 @@ min/max pairs and time_samples/time_horizon each build one tuple field."""
 def _read_sections(path, overrides: tuple, schema: dict) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
-        parser.read_file(fh)
-    raw = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        try:
+            parser.read_file(fh)
+            raw = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} must look like section.key=value")

@@ -23,7 +23,6 @@ import numpy as np
 from .beamforming import (
     PowerBudget,
     SecrecyTarget,
-    _float_or_array,
     lambda1_closed_form,
     lambda_delta_closed_form,
     mrt_rate,
@@ -152,18 +151,6 @@ def phased_array_plan(element_count: int) -> FrequencyPlan:
     return FrequencyPlan(np.zeros(element_count))
 
 
-def bound_metrics(pair_stats: tuple, constraint) -> float:
-    """Eavesdropper-free reference: the power floor for a
-    :class:`SecrecyTarget` or the rate ceiling for a :class:`PowerBudget`
-    (an array of ceilings for an array of powers)."""
-    b = pair_stats[0]
-    if isinstance(constraint, SecrecyTarget):
-        return (2.0**constraint.rate - 1.0) / b
-    if isinstance(constraint, PowerBudget):
-        return _float_or_array(np.log2(1.0 + constraint.power * b))
-    raise TypeError("constraint must be SecrecyTarget or PowerBudget")
-
-
 def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
                     element_count: int | None = None) -> Scenario:
     """Draw one random wiretap layout under the fixed RF template."""
@@ -221,7 +208,7 @@ def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
     out = {}
     spread = {}
     if "bound" in config.baselines:
-        out["bound"] = bound_metrics((b[2], e[2], x[2]), target)
+        out["bound"] = (2.0**target.rate - 1.0) / b[2]
     for k, scheme in enumerate(_PLAN_SCHEMES):
         if scheme in config.baselines:
             out[scheme] = float(power[k]) if lam1[k] > 0.0 else math.nan
@@ -254,7 +241,7 @@ def _rate_realization(config: ExperimentConfig, index: int) -> tuple:
     grid = np.array(config.power_grid, dtype=float)
     out = {}
     if "bound" in config.baselines:
-        out["bound"] = bound_metrics((b[0], e[0], x[0]), PowerBudget(grid))
+        out["bound"] = np.log2(1.0 + grid * b[0])
     lam = lambda_delta_closed_form(b[:3, None], e[:3, None], x[:3, None], grid)
     rates = np.maximum(np.log2(lam), 0.0)
     for k, scheme in enumerate(_PLAN_SCHEMES):
@@ -306,8 +293,8 @@ def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     tasks = [(n, idx) for n in counts for idx in range(config.realizations)]
     results = _map_tasks(partial(_power_realization, config), tasks, workers)
     spread = {}
-    for (n, idx), (row, sp) in zip(tasks, results):
-        i = counts.index(n)
+    for k, (row, sp) in enumerate(results):
+        i, idx = divmod(k, config.realizations)
         for s in schemes:
             if s in row:
                 values[s][i, idx] = row[s]

@@ -142,7 +142,6 @@ class ChannelPair:
 
     h_bob: np.ndarray
     h_eve: np.ndarray
-    time_instant: float = 0.0
 
     def __post_init__(self):
         hb = np.array(self.h_bob, dtype=complex, copy=True)
@@ -170,31 +169,21 @@ def propagation_distances(scenario: Scenario, node: str) -> np.ndarray:
     return np.hypot(pos[:, 0] - rx, ry)
 
 
-def channel_vector(scenario: Scenario, node: str, plan: FrequencyPlan,
-                   t: float = 0.0) -> np.ndarray:
-    """Free-space channel of ``node`` under ``plan`` at time ``t``.
-
-    Entry n is ``wavelength / (4 pi r_n) * exp(j 2 pi f_n (t - r_n / c))``
-    with ``f_n = f_c + offsets[n]``.  Not noise-normalized; see
-    :func:`channel_pair` for that.
-    """
-    return _synthesize(scenario, node, _plan_offsets(scenario, (plan,)), (t,))[0]
-
-
 def channel_pair(scenario: Scenario, plan: FrequencyPlan,
                  t: float = 0.0) -> ChannelPair:
     """Noise-normalized channels ``h_i / sigma_i`` for Bob and Eve at ``t``;
     one row of :func:`channel_pairs`."""
     hb, he = channel_pairs(scenario, (plan,), (t,))
-    return ChannelPair(h_bob=hb[0], h_eve=he[0], time_instant=t)
+    return ChannelPair(h_bob=hb[0], h_eve=he[0])
 
 
 def channel_pairs(scenario: Scenario, plans, times) -> tuple[np.ndarray, np.ndarray]:
     """Noise-normalized channels ``(h_b / sigma_b, h_e / sigma_e)`` for K
     (plan, time) pairs: ``plans`` holds K :class:`FrequencyPlan` and
     ``times`` K instants in s.  Each result has shape (K, N), row k being the
-    channel under ``plans[k]`` at ``times[k]``; see :func:`channel_vector`
-    for the channel model.
+    channel under ``plans[k]`` at ``times[k]``: entry n of the free-space
+    channel ``h`` is ``wavelength / (4 pi r_n) * exp(j 2 pi f_n (t - r_n / c))``
+    with ``f_n = f_c + offsets[n]`` and r_n the element-to-receiver distance.
 
     Row k equals ``channel_pair(scenario, plans[k], times[k])`` bit for bit:
     both come from this one synthesis.

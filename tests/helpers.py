@@ -14,12 +14,14 @@ from fdabeam import (
     channel_pair,
 )
 from fdabeam import kernels
+from fdabeam.beamforming import channel_stats
 from fdabeam.coupling import (
     OptimizerTrace,
     _coordinate_minimizer,
     coupling_coefficients,
     coupling_prefactor,
 )
+from fdabeam.scenario import _plan_offsets, _synthesize
 
 CARRIER = 2.4e9
 MAX_OFFSET = 3e6
@@ -82,6 +84,26 @@ def random_pair(rng, n=None, shared_bearing=False, min_separation=0.0):
         x = abs(np.vdot(he, hb)) ** 2
         if 1.0 - x / (b * e) >= min_separation:
             return pair
+
+
+def channel_vector(scenario, node, plan, t=0.0):
+    """Free-space channel of ``node`` under ``plan`` at ``t`` before noise
+    normalization; the synthesis behind ``scenario.channel_pairs``."""
+    return _synthesize(scenario, node, _plan_offsets(scenario, (plan,)), (t,))[0]
+
+
+def power_lower_bound(pair, target):
+    """Eavesdropper-free power floor ``(2^R - 1) / ||h_b||^2``."""
+    b, _, _ = channel_stats(pair)
+    return (2.0**target.rate - 1.0) / b
+
+
+def mrt_beamformer(h_bob, budget):
+    """Maximum-ratio transmission: all power along Bob's channel."""
+    norm = float(np.linalg.norm(h_bob))
+    if norm == 0.0:
+        raise ValueError("cannot steer toward a zero channel")
+    return math.sqrt(budget.power) * np.asarray(h_bob, dtype=complex) / norm
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ def test_parse_power_grid():
 def test_format_round_trips():
     for watts in (1e-13, 0.5, 13713.463394405579):
         assert_allclose(parse_power(format_dbm(watts)), watts, rtol=1e-12)
+    assert format_dbm(0.0) == "-inf dBm"
+    assert parse_power(format_dbm(0.0)) == 0.0
     for hz in (0.0, 1.5e6, 3e6):
         assert_allclose(parse_frequency(format_mhz(hz)), hz, atol=1e-9)
 
@@ -251,6 +253,17 @@ def test_solve_rate(scenario_ini, tmp_path, capsys):
     assert (out / "solution.csv").exists()
 
 
+def test_solve_rate_zero_budget(scenario_ini, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["solve-rate", "-c", str(scenario_ini), "-o", str(out),
+                 "--set", "solver.power_budget=0 W"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "power_budget: 0 W (-inf dBm)" in captured.out
+    assert "secrecy_rate: 0 bits" in captured.out
+    assert (out / "solution.csv").exists()
+
+
 def test_optimize_offsets_command(scenario_ini, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["optimize-offsets", "-c", str(scenario_ini), "-o", str(out)])
@@ -342,6 +355,8 @@ def test_cli_error_paths(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, override", [
     ("solve-power", "solver.target_rate=2000"),     # 2^R overflows
+    ("solve-power", "solver.target_rate=500"),      # lambda1 = inf
+    ("solve-power", "solver.target_rate=1023"),     # lambda1 = nan
     ("solve-power", "solver.target_rate=-1"),
     ("solve-power", "rf.max_offset=nan Hz"),
     ("solve-power", "bob.range=inf m"),
@@ -362,6 +377,22 @@ def test_bad_values_exit_1_without_traceback(scenario_ini, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve-power", "sweep-rate"])
+@pytest.mark.parametrize("text", [
+    "[rf]\ncarrier_frequency = 2.4 GHz\ncarrier_frequency = 2 GHz\n",
+    "[experiment]\nseed = 1\n[experiment]\nseed = 2\n",
+    "realizations = 4\n",
+    "[experiment]\nbaselines = 5%\n",
+], ids=["repeated-key", "repeated-section", "no-section-header", "bare-percent"])
+def test_malformed_ini_exits_1(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code = main([command, "-c", str(path), "-o", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot parse {path}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fdabeam.beamforming import PowerBudget, SecrecyTarget, channel_stats
+from fdabeam.beamforming import channel_stats
 from fdabeam.coupling import optimize_offsets
 from fdabeam.experiments import (
     CARRIER_FREQUENCY,
@@ -15,7 +15,6 @@ from fdabeam.experiments import (
     SCHEMES,
     ExperimentConfig,
     _plan_stats,
-    bound_metrics,
     linear_fda_plan,
     phased_array_plan,
     run_convergence_study,
@@ -48,16 +47,6 @@ def test_baseline_plans():
     plan = linear_fda_plan(4, 3e6)
     assert_allclose(plan.offsets, [0.75e6, 1.5e6, 2.25e6, 3e6])
     assert np.all(phased_array_plan(5).offsets == 0.0)
-
-
-def test_bound_metrics_dispatch():
-    stats = (2.0e5, 1.0e5, 3.0e9)
-    assert_allclose(bound_metrics(stats, SecrecyTarget(10.0)),
-                    (2.0**10 - 1.0) / 2.0e5, rtol=1e-15)
-    assert_allclose(bound_metrics(stats, PowerBudget(0.5)),
-                    math.log2(1.0 + 0.5 * 2.0e5), rtol=1e-15)
-    with pytest.raises(TypeError):
-        bound_metrics(stats, 3.0)
 
 
 def test_config_validation():
@@ -315,10 +304,35 @@ def test_baseline_subset_runs():
 
 
 def test_bound_matches_direct_formula():
-    config = ExperimentConfig()
-    rng = np.random.default_rng(77)
-    scn = sample_scenario(rng, config, 4)
-    pair = channel_pair(scn, phased_array_plan(4), 0.0)
-    stats = channel_stats(pair)
-    floor = bound_metrics(stats, SecrecyTarget(10.0))
-    assert_allclose(floor, (2.0**10 - 1.0) / stats[0], rtol=1e-15)
+    """The sweeps' bound rows are the eavesdropper-free formulas, bit for
+    bit: (2^R - 1) / B on the phased-array channel and log2(1 + P B) on the
+    proposed plan's channel, both at the first time sample."""
+    config = _small_power_config(realizations=3)
+    result = run_power_sweep(config)
+    t0 = config.time_samples[0]
+    for i, n in enumerate(config.antenna_counts):
+        for idx in range(config.realizations):
+            scn = sample_scenario(np.random.default_rng((config.rng_seed, idx)), config, n)
+            b = channel_stats(channel_pair(scn, phased_array_plan(n), t0))[0]
+            assert result.values["bound"][i, idx] == (2.0**config.target_rate - 1.0) / b
+
+    config = _small_rate_config(realizations=3)
+    result = run_rate_sweep(config)
+    t0 = config.time_samples[0]
+    grid = np.array(config.power_grid)
+    n = config.antenna_counts[0]
+    for idx in range(config.realizations):
+        scn = sample_scenario(np.random.default_rng((config.rng_seed, idx)), config, n)
+        plan, _ = optimize_offsets(scn)
+        b = channel_stats(channel_pair(scn, plan, t0))[0]
+        assert_array_equal(result.values["bound"][:, idx], np.log2(1.0 + grid * b))
+
+
+def test_power_sweep_repeated_antenna_count():
+    """A count listed twice fills two rows, each equal bit for bit to the
+    row of a sweep that lists it once."""
+    twice = run_power_sweep(_small_power_config(realizations=3, antenna_counts=(2, 2)))
+    once = run_power_sweep(_small_power_config(realizations=3, antenna_counts=(2,)))
+    for scheme in twice.schemes:
+        assert_array_equal(twice.values[scheme], np.vstack([once.values[scheme]] * 2))
+    assert not np.isnan(once.values["proposed"]).any()
