@@ -227,7 +227,8 @@ def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSoluti
     Whitens Eve's side through the rank-1 closed form of
     ``(I/P + h_e h_e^H)^(-1/2)``, takes the principal direction of the
     whitened rank-2 matrix and maps it back; no dense matrix square root is
-    ever formed.
+    ever formed.  A budget so large that lambda_delta overflows raises
+    :class:`OverflowError`.
     """
     p = budget.power
     n = pair.h_bob.shape[0]
@@ -236,6 +237,8 @@ def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSoluti
                                rate=0.0, lambda_delta=1.0)
     b, e, x = channel_stats(pair)
     lam = lambda_delta_closed_form(b, e, x, p)
+    if not math.isfinite(lam):
+        raise OverflowError(f"lambda_delta is {lam} at a {p:g} W budget")
     a = 1.0 / p
     if e > 0.0:
         c2 = (1.0 / math.sqrt(a + e) - 1.0 / math.sqrt(a)) / e

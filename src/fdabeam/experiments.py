@@ -8,6 +8,11 @@ gap behind Bob on the same bearing, and the shared angle is drawn uniformly
 as well.  Per-realization RNG substreams derive from (seed, realization
 index), so results do not depend on how realizations are distributed over
 workers.
+
+Every sweep realization runs one pipeline: :func:`_draw` samples it and
+descends to the proposed plan, one channel synthesis gives (B, E, x), the
+closed forms give all five schemes, and :func:`_sweep` places the results
+and keeps the ``baselines`` schemes.
 """
 
 from __future__ import annotations
@@ -99,14 +104,14 @@ def _all_finite(values) -> bool:
 class SweepResult:
     """Per-scheme metric matrices over one sweep axis.
 
-    ``values[scheme]`` has shape (len(axis), realizations); infeasible
-    realizations are NaN.  ``time_spread`` records the worst relative
-    deviation of any scheme metric across the configured time samples.
+    ``values[scheme]`` has shape (len(axis), realizations) for each of
+    ``schemes`` (the config's baselines); infeasible realizations are NaN.
+    ``time_spread`` records the worst relative deviation of the proposed and
+    MRT metrics across the configured time samples.
     """
 
     axis_name: str
     axis: np.ndarray
-    metric_name: str
     values: dict
     schemes: tuple
     time_spread: dict = field(default_factory=dict)
@@ -152,10 +157,8 @@ def phased_array_plan(element_count: int) -> FrequencyPlan:
 
 
 def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
-                    element_count: int | None = None) -> Scenario:
+                    element_count: int) -> Scenario:
     """Draw one random wiretap layout under the fixed RF template."""
-    if element_count is None:
-        element_count = config.antenna_counts[0]
     rf = RfParams(carrier_frequency=CARRIER_FREQUENCY, max_offset=MAX_OFFSET,
                   noise_power_bob=NOISE_POWER, noise_power_eve=NOISE_POWER)
     geom = ArrayGeometry(element_count=element_count, first_element_x=0.0,
@@ -166,16 +169,6 @@ def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
                     bob=NodePlacement(range_m=r_b, angle_rad=theta),
                     eve=NodePlacement(range_m=r_b + config.range_gap,
                                       angle_rad=theta))
-
-
-def _relative_spread(values, reference: float) -> float:
-    if len(values) == 0 or not math.isfinite(reference) or reference == 0.0:
-        return 0.0
-    return float(np.max(np.abs(np.asarray(values) - reference)) / abs(reference))
-
-
-_PLAN_SCHEMES = ("proposed", "linear", "phased")
-"""Schemes with a frequency plan, in the row order of :func:`_plan_stats`."""
 
 
 def _plan_stats(scenario: Scenario, plan_star: FrequencyPlan,
@@ -193,81 +186,85 @@ def _plan_stats(scenario: Scenario, plan_star: FrequencyPlan,
     return stacked_channel_stats(h_bob, h_eve)
 
 
-def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
-    n, index = task
+def _draw(config: ExperimentConfig, n: int, index: int) -> tuple:
+    """Realization ``index`` at ``n`` elements: its scenario from the
+    (seed, index) substream, the optimized plan and the descent trace."""
     rng = np.random.default_rng((config.rng_seed, index))
     scenario = sample_scenario(rng, config, n)
+    return scenario, *optimize_offsets(scenario)
+
+
+def _spreads(times: tuple, checks: dict) -> dict:
+    """Worst relative deviation of each metric over the later time samples.
+
+    ``checks`` maps a scheme to (first-sample value, callable giving the
+    later values); a NaN (infeasible) value is not re-checked at all.
+    """
+    spread = {}
+    for scheme, (reference, later) in checks.items():
+        if len(times) > 1 and not math.isnan(reference):
+            deviation = np.max(np.abs(np.asarray(later()) - reference))
+            spread[scheme] = float(deviation / abs(reference)) if reference else 0.0
+    return spread
+
+
+def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
+    """Required power of every scheme in :data:`SCHEMES` order (NaN where
+    infeasible) and the time spreads of the proposed and MRT powers."""
+    n, index = task
+    scenario, plan_star, _ = _draw(config, n, index)
     target = SecrecyTarget(config.target_rate)
     times = config.time_samples or (0.0,)
-    plan_star, _ = optimize_offsets(scenario)
     b, e, x = _plan_stats(scenario, plan_star, times)
     lam1 = lambda1_closed_form(b, e, x, target.rate)
+    if not np.isfinite(lam1).all():  # lambda1 >= 0: its max is the inf or NaN
+        raise OverflowError(f"lambda1 is {lam1.max()} at a {target.rate:g}-bit target")
     # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
-    power = np.divide(2.0**target.rate - 1.0, lam1, out=np.full(lam1.shape, math.inf),
-                      where=lam1 > 0.0)
-    out = {}
-    spread = {}
-    if "bound" in config.baselines:
-        out["bound"] = (2.0**target.rate - 1.0) / b[2]
-    for k, scheme in enumerate(_PLAN_SCHEMES):
-        if scheme in config.baselines:
-            out[scheme] = float(power[k]) if lam1[k] > 0.0 else math.nan
-    if "mrt" in config.baselines:
-        p_mrt = mrt_required_power(b[0], target, g_value(scenario, plan_star))
-        out["mrt"] = p_mrt if math.isfinite(p_mrt) else math.nan
+    excess = 2.0**target.rate - 1.0
+    power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
+    p_mrt = mrt_required_power(b[0], target, g_value(scenario, plan_star))
+    row = np.array([excess / b[2], *power[:3], p_mrt])
+    row[~np.isfinite(row)] = math.nan  # infeasible
     # The optimized designs depend on geometry only; confirm across time.
-    if len(times) > 1:
-        for scheme in ("proposed", "mrt"):
-            if scheme not in config.baselines or math.isnan(out.get(scheme, math.nan)):
-                continue
-            if scheme == "proposed":
-                samples = power[3:]
-            else:
-                # Scalar calls, one solve each: wrappers of
-                # mrt_required_power (perfbench's tracer) count solves per call.
-                samples = [mrt_required_power(b_t, target, x_t)
-                           for b_t, x_t in zip(b[3:], x[3:])]
-            spread[scheme] = _relative_spread(samples, out[scheme])
-    return out, spread
+    # Scalar MRT calls, one solve each: wrappers of mrt_required_power
+    # (perfbench's tracer) count solves per call.
+    spread = _spreads(times, {
+        "proposed": (row[1], lambda: power[3:]),
+        "mrt": (row[4], lambda: [mrt_required_power(b_t, target, x_t)
+                                 for b_t, x_t in zip(b[3:], x[3:])]),
+    })
+    return row, spread
 
 
 def _rate_realization(config: ExperimentConfig, index: int) -> tuple:
-    n = config.antenna_counts[0]
-    rng = np.random.default_rng((config.rng_seed, index))
-    scenario = sample_scenario(rng, config, n)
+    """Secrecy rate of every scheme in :data:`SCHEMES` order over the power
+    grid, and the time spreads of the proposed and MRT rates at its top."""
+    scenario, plan_star, _ = _draw(config, config.antenna_counts[0], index)
     times = config.time_samples or (0.0,)
-    plan_star, _ = optimize_offsets(scenario)
     b, e, x = _plan_stats(scenario, plan_star, times)
     grid = np.array(config.power_grid, dtype=float)
-    out = {}
-    if "bound" in config.baselines:
-        out["bound"] = np.log2(1.0 + grid * b[0])
+    with np.errstate(over="ignore"):
+        free = 1.0 + grid * b[0]
     lam = lambda_delta_closed_form(b[:3, None], e[:3, None], x[:3, None], grid)
-    rates = np.maximum(np.log2(lam), 0.0)
-    for k, scheme in enumerate(_PLAN_SCHEMES):
-        if scheme in config.baselines:
-            out[scheme] = rates[k]
-    if "mrt" in config.baselines:
-        out["mrt"] = mrt_rate(b[0], PowerBudget(grid), x[0])
-    spread = {}
-    if len(times) > 1:
-        p_ref = grid[-1]
-        if "proposed" in out:
-            samples = np.log2(lambda_delta_closed_form(b[3:], e[3:], x[3:], p_ref))
-            spread["proposed"] = _relative_spread(samples, out["proposed"][-1])
-        if "mrt" in out:
-            samples = mrt_rate(b[3:], PowerBudget(p_ref), x[3:])
-            spread["mrt"] = _relative_spread(samples, out["mrt"][-1])
-    return out, spread
+    finite = np.isfinite(free) & np.isfinite(lam).all(axis=0)
+    if not finite.all():
+        raise OverflowError(f"lambda_delta or the bound is not finite at a "
+                            f"{grid[~finite][0]:g} W budget")
+    rates = np.vstack([np.log2(free), np.maximum(np.log2(lam), 0.0),
+                       mrt_rate(b[0], PowerBudget(grid), x[0])])
+    p_ref = grid[-1]
+    spread = _spreads(times, {
+        "proposed": (rates[1, -1], lambda: np.log2(
+            lambda_delta_closed_form(b[3:], e[3:], x[3:], p_ref))),
+        "mrt": (rates[4, -1], lambda: mrt_rate(b[3:], PowerBudget(p_ref), x[3:])),
+    })
+    return rates, spread
 
 
 def _convergence_realization(config: ExperimentConfig, task: tuple) -> tuple:
     n, index = task
-    rng = np.random.default_rng((config.rng_seed, index))
-    scenario = sample_scenario(rng, config, n)
-    _, trace = optimize_offsets(scenario)
-    per_sweep = trace.objective_history[::n]
-    return per_sweep, trace.outer_iterations
+    _, _, trace = _draw(config, n, index)
+    return trace.objective_history[::n], trace.outer_iterations
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
@@ -278,55 +275,54 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
+def _sweep(config: ExperimentConfig, realization, tasks: list, axis_name: str,
+           axis: np.ndarray, workers: int) -> SweepResult:
+    """Run ``realization`` on every task, place the metrics of all
+    :data:`SCHEMES` it returns (a value, or one per power) and keep the
+    ``config.baselines`` ones, the only reader of that field.  Power task k
+    fills row ``k // realizations``; rate columns are the transpose.
+    """
+    results = _map_tasks(partial(realization, config), tasks, workers)
+    reps = config.realizations
+    table = np.array([m for m, _ in results])
+    table = table.reshape(len(tasks) // reps, reps, len(SCHEMES), -1)
+    spread = {}
+    for _, sp in results:
+        for s, v in sp.items():
+            spread[s] = max(spread.get(s, 0.0), v)
+    schemes = tuple(config.baselines)
+    return SweepResult(
+        axis_name=axis_name, axis=axis, schemes=schemes,
+        # (row, realization, point) -> (row * point, realization)
+        values={s: table[:, :, SCHEMES.index(s)].swapaxes(1, 2).reshape(-1, reps)
+                for s in schemes},
+        time_spread={s: v for s, v in spread.items() if s in schemes})
+
+
 def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Required transmit power versus antenna count for every scheme.
 
-    Builds no beamformer vectors: each realization synthesizes its channels
-    once, reduces them to (B, E, x) per plan and time sample, and evaluates
-    the closed forms on those arrays.  The time-invariance re-check of the
-    proposed and MRT powers runs on the same (B, E, x) at every configured
-    sample.
+    One task per (count, realization) through the shared pipeline; the MRT
+    time re-check runs only where MRT is feasible.  A 2^R E so large that
+    lambda1 overflows raises :class:`OverflowError`.
     """
     counts = list(config.antenna_counts)
-    schemes = tuple(config.baselines)
-    values = {s: np.full((len(counts), config.realizations), np.nan) for s in schemes}
     tasks = [(n, idx) for n in counts for idx in range(config.realizations)]
-    results = _map_tasks(partial(_power_realization, config), tasks, workers)
-    spread = {}
-    for k, (row, sp) in enumerate(results):
-        i, idx = divmod(k, config.realizations)
-        for s in schemes:
-            if s in row:
-                values[s][i, idx] = row[s]
-        for s, v in sp.items():
-            spread[s] = max(spread.get(s, 0.0), v)
-    return SweepResult(axis_name="element_count", axis=np.array(counts, dtype=float),
-                       metric_name="power_w", values=values, schemes=schemes,
-                       time_spread=spread)
+    return _sweep(config, _power_realization, tasks, "element_count",
+                  np.array(counts, dtype=float), workers)
 
 
 def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Achievable secrecy rate versus transmit power for every scheme.
 
-    Builds no beamformer vectors: the closed forms run on (B, E, x) arrays
-    over the whole power grid, and the time-invariance re-check of the
-    proposed and MRT rates at the largest power uses (B, E, x) at every
-    configured sample.
+    One task per realization at ``antenna_counts[0]`` elements through the
+    shared pipeline, every power of the grid at once; the time re-check runs
+    at the largest power.  A power at which lambda_delta or the bound
+    overflows raises :class:`OverflowError`.
     """
     grid = np.array(config.power_grid, dtype=float)
-    schemes = tuple(config.baselines)
-    values = {s: np.full((len(grid), config.realizations), np.nan) for s in schemes}
-    tasks = list(range(config.realizations))
-    results = _map_tasks(partial(_rate_realization, config), tasks, workers)
-    spread = {}
-    for idx, (row, sp) in zip(tasks, results):
-        for s in schemes:
-            if s in row:
-                values[s][:, idx] = row[s]
-        for s, v in sp.items():
-            spread[s] = max(spread.get(s, 0.0), v)
-    return SweepResult(axis_name="power_w", axis=grid, metric_name="rate_bits",
-                       values=values, schemes=schemes, time_spread=spread)
+    return _sweep(config, _rate_realization, list(range(config.realizations)),
+                  "power_w", grid, workers)
 
 
 def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> ConvergenceResult:

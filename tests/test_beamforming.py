@@ -387,6 +387,16 @@ def test_max_rate_zero_budget():
     assert sol.beamformer.shape == pair.h_bob.shape
 
 
+def test_max_rate_overflow_is_named():
+    """A budget at which lambda_delta overflows is a named error, not an
+    infinite rate, and raises without a numpy warning."""
+    scn = half_wave_scenario(4, 100.0, math.radians(60.0), 120.0, math.radians(60.0))
+    pair = channel_pair(scn, FrequencyPlan(np.zeros(4)), 0.0)
+    for power in (1e150, 1e305):
+        with pytest.raises(OverflowError, match="lambda_delta is"):
+            max_rate_beamformer(pair, PowerBudget(power))
+
+
 def test_max_rate_orthogonal_equals_mrt():
     pair = _orthogonal_pair(bob_gain=6.0, eve_gain=2.0)
     b, _, x = channel_stats(pair)

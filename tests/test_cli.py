@@ -362,6 +362,7 @@ def test_cli_error_paths(tmp_path, capsys):
     ("solve-power", "bob.range=inf m"),
     ("solve-rate", "solver.power_budget=inf W"),
     ("solve-rate", "solver.power_budget=nan W"),
+    ("solve-rate", "solver.power_budget=1e150 W"),  # lambda_delta = inf
     ("solve-power", "solver.time=inf s"),
     ("solve-rate", "solver.time=nan s"),
     ("solve-power", "solver.tolerance=nan"),
@@ -402,6 +403,8 @@ def test_malformed_ini_exits_1(tmp_path, capsys, command, text):
     "experiment.range_gap=nan m",
     "experiment.time_horizon=nan s",
     "experiment.time_horizon=inf s",
+    "experiment.power_grid=1e150 W, 1e160 W",  # lambda_delta = inf
+    "experiment.power_grid=1e305 W",           # P B overflows
 ])
 def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, override):
     code = main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
@@ -409,6 +412,18 @@ def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, o
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_power_lambda1_overflow_exits_1(experiment_ini, tmp_path, capsys, workers):
+    """Where 2^R E overflows lambda1, the sweep stops with the named error
+    instead of reporting power 0 as feasible."""
+    code = main(["sweep-power", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", workers, "--set", "experiment.target_rate=500"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: OverflowError: lambda1 is inf at a 500-bit target\n"
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -1,12 +1,14 @@
 """Monte Carlo harness: sampling, sweeps, reproducibility, CSV output."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fdabeam import experiments
 from fdabeam.beamforming import channel_stats
 from fdabeam.coupling import optimize_offsets
 from fdabeam.experiments import (
@@ -296,11 +298,51 @@ def test_write_convergence_and_trace_csv(tmp_path):
 
 
 def test_baseline_subset_runs():
-    config = _small_power_config(realizations=3,
-                                 baselines=("bound", "proposed"))
-    result = run_power_sweep(config)
-    assert set(result.values) == {"bound", "proposed"}
-    assert result.schemes == ("bound", "proposed")
+    """``baselines`` only selects output: every scheme is computed, and a
+    subset's values and time spreads equal the full sweep's bit for bit."""
+    power_config = _small_power_config(realizations=3, target_rate=1.2)
+    for config, run in ((power_config, run_power_sweep),
+                        (_small_rate_config(realizations=3), run_rate_sweep)):
+        full = run(config)
+        assert set(full.time_spread) == {"proposed", "mrt"}
+        for subset in (("bound", "proposed"), ("mrt", "phased")):
+            result = run(dataclasses.replace(config, baselines=subset))
+            assert set(result.values) == set(subset)
+            assert result.schemes == subset
+            for s in subset:
+                assert_array_equal(result.values[s], full.values[s])
+            assert result.time_spread == {s: v for s, v in full.time_spread.items()
+                                          if s in subset}
+
+
+def test_mrt_recheck_only_where_mrt_is_feasible(monkeypatch):
+    """The MRT time re-check adds T - 1 scalar solves to a realization where
+    MRT meets the target and none where it does not."""
+    calls = []
+    solve = experiments.mrt_required_power
+
+    def counting(bob_gain, target, coupling):
+        assert np.ndim(bob_gain) == 0 and np.ndim(coupling) == 0
+        calls.append(bob_gain)
+        return solve(bob_gain, target, coupling)
+
+    monkeypatch.setattr(experiments, "mrt_required_power", counting)
+    # One antenna: MRT is never feasible, so one solve per realization.
+    config = _small_power_config(realizations=4, antenna_counts=(1,))
+    assert np.isnan(run_power_sweep(config).values["mrt"]).all()
+    assert len(calls) == config.realizations
+
+    config = _small_power_config(target_rate=1.2)
+    extra = len(config.time_samples) - 1
+    feasible = 0
+    for n in config.antenna_counts:
+        for idx in range(config.realizations):
+            calls.clear()
+            row, _ = experiments._power_realization(config, (n, idx))
+            ok = not math.isnan(row[SCHEMES.index("mrt")])
+            assert len(calls) == 1 + extra * ok
+            feasible += ok
+    assert 0 < feasible < len(config.antenna_counts) * config.realizations
 
 
 def test_bound_matches_direct_formula():
