@@ -53,8 +53,6 @@ from .scenario import (
     Scenario,
     channel_pair,
     channel_pairs,
-    element_positions,
-    propagation_distances,
 )
 
 __version__ = "0.1.0"

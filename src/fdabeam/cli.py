@@ -212,15 +212,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", "-c", required=True, help="config file path")
         p.add_argument("--output", "-o", default=None,
                        help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the experiment seed")
-        p.add_argument("--workers", "-j", type=int, default=None,
-                       help="worker processes for sweeps (default: all cores)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="override a config entry; repeatable")
-        p.add_argument("--plot-script", action="store_true",
-                       help="also emit a matplotlib script next to the CSV")
+        if name in ("sweep-power", "sweep-rate", "convergence"):
+            p.add_argument("--seed", type=int, help="override the experiment seed")
+            p.add_argument("--workers", "-j", type=int,
+                           help="worker processes (default: all cores)")
+        if name.startswith("sweep-"):
+            p.add_argument("--plot-script", action="store_true",
+                           help="also emit a matplotlib script next to the CSV")
     return parser
 
 

@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .scenario import (
-    FrequencyPlan,
-    RfParams,
-    Scenario,
-    propagation_distances,
-)
+from .scenario import FrequencyPlan, RfParams, Scenario
 
 _TWO_PI = 2.0 * math.pi
 
@@ -79,9 +74,8 @@ class OptimizerTrace:
 
 
 def coupling_coefficients(scenario: Scenario) -> CouplingCoefficients:
-    """Geometry coefficients (omega, alpha) of the scenario."""
-    r_b = propagation_distances(scenario, "bob")
-    r_e = propagation_distances(scenario, "eve")
+    """Geometry coefficients (omega, alpha) from the stored element distances."""
+    r_b, r_e = scenario.bob_distances, scenario.eve_distances
     omega = _TWO_PI * (r_e - r_b) / scenario.rf.wave_speed
     alpha = 1.0 / (r_b * r_e)
     return CouplingCoefficients(omega=omega, alpha=alpha)

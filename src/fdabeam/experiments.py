@@ -34,13 +34,14 @@ from .beamforming import (
     mrt_required_power,
     stacked_channel_stats,
 )
-from .coupling import g_value, optimize_offsets
+from .coupling import optimize_offsets
 from .scenario import (
     ArrayGeometry,
     FrequencyPlan,
     NodePlacement,
     RfParams,
     Scenario,
+    _is_int,
     channel_pairs,
 )
 
@@ -72,10 +73,13 @@ class ExperimentConfig:
     baselines: tuple = SCHEMES
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ValueError("realizations must be at least 1")
-        if not self.antenna_counts or any(n < 1 for n in self.antenna_counts):
-            raise ValueError("antenna_counts must be positive")
+        if not _is_int(self.realizations) or self.realizations < 1:
+            raise ValueError("realizations must be an integer of at least 1")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise ValueError("rng_seed must be a non-negative integer")
+        if not self.antenna_counts or not all(_is_int(n) and n >= 1
+                                              for n in self.antenna_counts):
+            raise ValueError("antenna_counts must be positive integers")
         if not (self.power_grid and _all_finite(self.power_grid)
                 and all(p > 0 for p in self.power_grid)):
             raise ValueError("power_grid entries must be finite and positive")
@@ -222,7 +226,7 @@ def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
     # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
     excess = 2.0**target.rate - 1.0
     power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
-    p_mrt = mrt_required_power(b[0], target, g_value(scenario, plan_star))
+    p_mrt = mrt_required_power(b[0], target, x[0])  # MRT under the proposed plan
     row = np.array([excess / b[2], *power[:3], p_mrt])
     row[~np.isfinite(row)] = math.nan  # infeasible
     # The optimized designs depend on geometry only; confirm across time.

@@ -5,12 +5,15 @@ A linear array sits on the x axis and radiates toward a legitimate receiver
 the array origin.  Each element n transmits at its own frequency
 ``f_n = f_c + offset_n``, which makes the narrowband channel vectors depend
 on range as well as direction.
+
+A :class:`Scenario` computes its element-to-receiver distances once, at
+construction; channel synthesis and the coupling coefficients read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +21,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 """Propagation speed used by default, m/s."""
 
 _TWO_PI = 2.0 * np.pi
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer (not a bool)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ class ArrayGeometry:
     spacing: float = 0.0625
 
     def __post_init__(self):
-        if int(self.element_count) != self.element_count or self.element_count < 1:
+        if not _is_int(self.element_count) or self.element_count < 1:
             raise ValueError("element_count must be a positive integer")
         for name in ("first_element_x", "spacing"):
             if not math.isfinite(getattr(self, name)):
@@ -106,17 +114,27 @@ class NodePlacement:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One wiretap layout: RF constants, array geometry and both receivers."""
+    """One wiretap layout: RF constants, array geometry and both receivers,
+    with their read-only (N,) element distances in m, ``bob_distances`` and
+    ``eve_distances``."""
 
     rf: RfParams
     array: ArrayGeometry
     bob: NodePlacement
     eve: NodePlacement
+    bob_distances: np.ndarray = field(init=False, repr=False, compare=False)
+    eve_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for node in ("bob", "eve"):
-            if np.any(propagation_distances(self, node) <= 0.0):
+        x = self.array.first_element_x + self.array.spacing * np.arange(
+            self.array.element_count)
+        for node, place in (("bob", self.bob), ("eve", self.eve)):
+            dist = np.hypot(x - place.range_m * np.cos(place.angle_rad),
+                            place.range_m * np.sin(place.angle_rad))
+            if np.any(dist <= 0.0):
                 raise ValueError(f"{node} coincides with an array element")
+            dist.flags.writeable = False
+            object.__setattr__(self, f"{node}_distances", dist)
 
 
 @dataclass(frozen=True)
@@ -154,21 +172,6 @@ class ChannelPair:
         object.__setattr__(self, "h_eve", he)
 
 
-def element_positions(array: ArrayGeometry) -> np.ndarray:
-    """(N, 2) Cartesian element coordinates; the array lies on the x axis."""
-    x = array.first_element_x + array.spacing * np.arange(array.element_count)
-    return np.column_stack([x, np.zeros(array.element_count)])
-
-
-def propagation_distances(scenario: Scenario, node: str) -> np.ndarray:
-    """Exact element-to-receiver distances in m for ``node`` ("bob" or "eve")."""
-    placement = _placement(scenario, node)
-    pos = element_positions(scenario.array)
-    rx = placement.range_m * np.cos(placement.angle_rad)
-    ry = placement.range_m * np.sin(placement.angle_rad)
-    return np.hypot(pos[:, 0] - rx, ry)
-
-
 def channel_pair(scenario: Scenario, plan: FrequencyPlan,
                  t: float = 0.0) -> ChannelPair:
     """Noise-normalized channels ``h_i / sigma_i`` for Bob and Eve at ``t``;
@@ -183,27 +186,27 @@ def channel_pairs(scenario: Scenario, plans, times) -> tuple[np.ndarray, np.ndar
     ``times`` K instants in s.  Each result has shape (K, N), row k being the
     channel under ``plans[k]`` at ``times[k]``: entry n of the free-space
     channel ``h`` is ``wavelength / (4 pi r_n) * exp(j 2 pi f_n (t - r_n / c))``
-    with ``f_n = f_c + offsets[n]`` and r_n the element-to-receiver distance.
+    with ``f_n = f_c + offsets[n]`` and r_n the element-to-receiver distance
+    stored on the scenario (``bob_distances``, ``eve_distances``).
 
     Row k equals ``channel_pair(scenario, plans[k], times[k])`` bit for bit:
     both come from this one synthesis.
     """
     rf = scenario.rf
     offsets = _plan_offsets(scenario, plans)
-    hb = _synthesize(scenario, "bob", offsets, times) / np.sqrt(rf.noise_power_bob)
-    he = _synthesize(scenario, "eve", offsets, times) / np.sqrt(rf.noise_power_eve)
-    return hb, he
+    hb = _synthesize(rf, scenario.bob_distances, offsets, times)
+    he = _synthesize(rf, scenario.eve_distances, offsets, times)
+    return hb / np.sqrt(rf.noise_power_bob), he / np.sqrt(rf.noise_power_eve)
 
 
-def _synthesize(scenario: Scenario, node: str, offsets: np.ndarray, times) -> np.ndarray:
-    """(K, N) channels of ``node``: row k under ``offsets[k]`` at ``times[k]``."""
-    rf = scenario.rf
+def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> np.ndarray:
+    """(K, N) channels of a receiver at element distances ``dist``: row k
+    under ``offsets[k]`` at ``times[k]``."""
     times = np.asarray(times, dtype=np.longdouble)
     if times.shape != offsets.shape[:1]:
         raise ValueError("plans and times must pair up one to one")
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    dist = propagation_distances(scenario, node)
     amp = rf.wavelength / (4.0 * np.pi * dist)
     # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended
     # precision so that the t terms cancel to ~1e-14 rad in later conjugate
@@ -212,14 +215,6 @@ def _synthesize(scenario: Scenario, node: str, offsets: np.ndarray, times) -> np
     cycles = (rf.carrier_frequency + offsets).astype(np.longdouble) * delay
     frac = (cycles - np.floor(cycles)).astype(float)
     return amp * np.exp(1j * _TWO_PI * frac)
-
-
-def _placement(scenario: Scenario, node: str) -> NodePlacement:
-    if node == "bob":
-        return scenario.bob
-    if node == "eve":
-        return scenario.eve
-    raise ValueError(f"unknown node {node!r}, expected 'bob' or 'eve'")
 
 
 def _plan_offsets(scenario: Scenario, plans) -> np.ndarray:

@@ -28,6 +28,7 @@ MAX_OFFSET = 3e6
 NOISE = 1e-13
 
 _CHUNK = 1 << 18
+_SCAN_CHUNK = 1 << 14
 _TWO_PI = 2.0 * math.pi
 
 
@@ -87,9 +88,10 @@ def random_pair(rng, n=None, shared_bearing=False, min_separation=0.0):
 
 
 def channel_vector(scenario, node, plan, t=0.0):
-    """Free-space channel of ``node`` under ``plan`` at ``t`` before noise
-    normalization; the synthesis behind ``scenario.channel_pairs``."""
-    return _synthesize(scenario, node, _plan_offsets(scenario, (plan,)), (t,))[0]
+    """Free-space channel of ``node`` ("bob" or "eve") under ``plan`` at ``t``
+    before noise normalization; the synthesis behind ``scenario.channel_pairs``."""
+    dist = {"bob": scenario.bob_distances, "eve": scenario.eve_distances}[node]
+    return _synthesize(scenario.rf, dist, _plan_offsets(scenario, (plan,)), (t,))[0]
 
 
 def power_lower_bound(pair, target):
@@ -135,10 +137,12 @@ def coordinate_scan(weights, phases, slope, f_lo, f_hi, count):
     step = (f_hi - f_lo) / (count - 1)
     best_val = np.inf
     best_f = f_lo
-    for start in range(0, count, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, count))
+    buf = np.empty((min(_SCAN_CHUNK, count), phases.shape[0]))
+    for start in range(0, count, _SCAN_CHUNK):
+        idx = np.arange(start, min(start + _SCAN_CHUNK, count))
         f = f_lo + step * idx
-        vals = np.cos(slope * f[:, None] - phases[None, :]) @ weights
+        arg = np.subtract(slope * f[:, None], phases[None, :], out=buf[:idx.size])
+        vals = np.cos(arg, out=arg) @ weights
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])

@@ -353,6 +353,36 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve-power", ["--seed", "5"]),
+    ("solve-power", ["--workers", "0"]),
+    ("solve-power", ["--plot-script"]),
+    ("solve-rate", ["-j", "2"]),
+    ("optimize-offsets", ["--seed", "1"]),
+    ("convergence", ["--plot-script"]),
+])
+def test_sweep_only_flags_rejected_elsewhere(scenario_ini, experiment_ini, tmp_path,
+                                             capsys, command, flags):
+    """--seed and --workers belong to the Monte Carlo commands and
+    --plot-script to the two sweeps; anywhere else they are usage errors."""
+    ini = experiment_ini if command == "convergence" else scenario_ini
+    code = main([command, "-c", str(ini), "-o", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "experiment.seed=-3"]])
+def test_negative_seed_is_named(experiment_ini, tmp_path, capsys, args):
+    """Rejected at config time by name, not by numpy inside a realization."""
+    code = main(["sweep-power", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", "1", *args])
+    assert code == 1
+    assert capsys.readouterr().err == "error: rng_seed must be a non-negative integer\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("command, override", [
     ("solve-power", "solver.target_rate=2000"),     # 2^R overflows
     ("solve-power", "solver.target_rate=500"),      # lambda1 = inf

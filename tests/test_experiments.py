@@ -68,6 +68,24 @@ def test_config_validation():
         ExperimentConfig(range_gap=-1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("realizations", 2.0, "realizations must be an integer"),
+    ("realizations", True, "realizations must be an integer"),
+    ("antenna_counts", (2, 4.0), "antenna_counts must be positive integers"),
+    ("rng_seed", -1, "rng_seed must be a non-negative integer"),
+    ("rng_seed", 1.0, "rng_seed must be a non-negative integer"),
+])
+def test_config_rejects_non_integer_counts_and_seeds(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = ExperimentConfig(realizations=np.int64(2), rng_seed=np.uint32(5),
+                              antenna_counts=(np.int32(2),), time_samples=(0.0,))
+    assert run_power_sweep(config).values["proposed"].shape == (1, 2)
+
+
 @pytest.mark.parametrize("field, value", [
     ("power_grid", (1.0, math.nan)),
     ("power_grid", (1.0, math.inf)),
