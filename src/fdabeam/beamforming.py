@@ -6,25 +6,34 @@ inner products.  Two problems are covered:
 * minimum transmit power subject to a secrecy-rate target, solved through
   the principal eigenvalue ``lambda1`` of the rank-2 matrix
   ``h_b h_b^H - 2^R h_e h_e^H``;
-* maximum secrecy rate under a power budget, solved through the principal
-  eigenvalue ``lambda_delta`` of a whitened rank-2 pencil.
+* maximum secrecy rate under a power budget P, solved through the
+  principal eigenvalue ``lambda_delta`` of the pencil
+  ``(I + P h_b h_b^H, I + P h_e h_e^H)``.
 
 Both eigenvalues have closed forms in the three scalars
-``B = ||h_b||^2``, ``E = ||h_e||^2`` and the coupling ``x = |h_e^H h_b|^2``;
-eigenvectors come from a 2x2 problem in the span of the two channels, never
-from a dense decomposition.  The closed forms, and the MRT baseline, take
-floats or arrays that broadcast together: a float in, a Python float out;
-arrays in, an array out.
+``B = ||h_b||^2``, ``E = ||h_e||^2`` and the coupling ``x = |h_e^H h_b|^2``.
+Both beamformer directions are the principal eigenvector of
+``h_b h_b^H - tau h_e h_e^H`` with ``tau = 2^R`` or ``lambda_delta``, found
+from a 2x2 problem in the span of the two channels, never from a dense
+decomposition.  The closed forms, and the MRT baseline, take plain numbers
+or arrays that broadcast together: a float in, a Python float out; arrays
+in, an array out.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import ChannelPair
+
+
+def _is_real(value) -> bool:
+    """True for a real scalar: a Python or numpy int or float (not a bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -34,20 +43,22 @@ class SecrecyTarget:
     rate: float
 
     def __post_init__(self):
+        if not _is_real(self.rate):
+            raise ValueError("target rate must be a real scalar")
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError("target rate must be finite and positive")
 
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Total transmit power ||w||^2 in W; an array of powers where the
-    closed forms take arrays (:func:`mrt_rate`)."""
+    """Total transmit power ||w||^2 in W."""
 
     power: float
 
     def __post_init__(self):
-        power = np.asarray(self.power, dtype=float)
-        if not (np.isfinite(power) & (power >= 0)).all():
+        if not _is_real(self.power):
+            raise ValueError("power budget must be a real scalar")
+        if not (math.isfinite(self.power) and self.power >= 0):
             raise ValueError("power budget must be finite and non-negative")
 
 
@@ -187,7 +198,11 @@ def principal_eigvec_span2(a: float, u: np.ndarray, b: float,
     resid = second - np.vdot(u1, second) * u1
     nr = float(np.linalg.norm(resid))
     if nr > 1e-12 * max(float(np.linalg.norm(second)), nu, nv):
-        basis = np.column_stack([u1, resid / nr])
+        # Nearly parallel vectors leave resid off-orthogonal to u1 by about
+        # eps |second| / nr; a second projection keeps the basis, and so the
+        # returned vector, orthonormal.
+        resid -= np.vdot(u1, resid) * u1
+        basis = np.column_stack([u1, resid / np.linalg.norm(resid)])
     else:
         basis = u1[:, None]
     cu = basis.conj().T @ u
@@ -224,51 +239,43 @@ def min_power_beamformer(pair: ChannelPair, target: SecrecyTarget) -> PowerMinSo
 def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSolution:
     """Maximum-secrecy-rate beamformer with ``||w||^2 = power``.
 
-    Whitens Eve's side through the rank-1 closed form of
-    ``(I/P + h_e h_e^H)^(-1/2)``, takes the principal direction of the
-    whitened rank-2 matrix and maps it back; no dense matrix square root is
-    ever formed.  A budget so large that lambda_delta overflows raises
-    :class:`OverflowError`.
+    The best ratio ``lambda_delta`` solves the pencil
+    ``(I + P h_b h_b^H) w = lambda (I + P h_e h_e^H) w``, which is the same
+    as ``(h_b h_b^H - lambda h_e h_e^H) w = ((lambda - 1) / P) w``.  That
+    matrix has at most one positive eigenvalue, so the direction is its
+    principal eigenvector: the construction of :func:`min_power_beamformer`
+    with ``lambda_delta`` in place of ``2^R``.  A budget so large that
+    lambda_delta overflows raises :class:`OverflowError`.
     """
     p = budget.power
-    n = pair.h_bob.shape[0]
     if p == 0.0:
-        return RateMaxSolution(beamformer=np.zeros(n, dtype=complex),
+        return RateMaxSolution(beamformer=np.zeros(pair.h_bob.shape[0], dtype=complex),
                                rate=0.0, lambda_delta=1.0)
     b, e, x = channel_stats(pair)
     lam = lambda_delta_closed_form(b, e, x, p)
     if not math.isfinite(lam):
         raise OverflowError(f"lambda_delta is {lam} at a {p:g} W budget")
-    a = 1.0 / p
-    if e > 0.0:
-        c2 = (1.0 / math.sqrt(a + e) - 1.0 / math.sqrt(a)) / e
-    else:
-        c2 = 0.0
-    # v = (I/P + h_e h_e^H)^(-1/2) h_b via the rank-1 update formula.
-    v = pair.h_bob / math.sqrt(a) + c2 * np.vdot(pair.h_eve, pair.h_bob) * pair.h_eve
-    _, direction = principal_eigvec_span2(1.0, v, -1.0 / (a + e), pair.h_eve)
-    y = direction / math.sqrt(a) + c2 * np.vdot(pair.h_eve, direction) * pair.h_eve
-    w = math.sqrt(p) * y / np.linalg.norm(y)
-    return RateMaxSolution(beamformer=w, rate=math.log2(lam), lambda_delta=lam)
+    _, direction = principal_eigvec_span2(1.0, pair.h_bob, -lam, pair.h_eve)
+    return RateMaxSolution(beamformer=math.sqrt(p) * direction,
+                           rate=math.log2(lam), lambda_delta=lam)
 
 
 @_float_semantics
-def mrt_rate(bob_gain: float, budget: PowerBudget, coupling: float) -> float:
-    """Secrecy rate of MRT given Bob's gain ``B = ||h_b||^2`` and the
-    coupling ``x = |h_e^H h_b|^2``."""
-    p = budget.power
-    val = np.log2((1.0 + p * bob_gain) / (1.0 + p * coupling / bob_gain))
+def mrt_rate(bob_gain: float, power: float, coupling: float) -> float:
+    """Secrecy rate of MRT at transmit power ``power`` given Bob's gain
+    ``B = ||h_b||^2`` and the coupling ``x = |h_e^H h_b|^2``."""
+    val = np.log2((1.0 + power * bob_gain) / (1.0 + power * coupling / bob_gain))
     return _float_or_array(np.maximum(val, 0.0))
 
 
-def mrt_required_power(bob_gain: float, target: SecrecyTarget,
-                       coupling: float) -> float:
-    """Power at which MRT meets the secrecy target, or inf when it never does.
+def mrt_required_power(bob_gain: float, rate: float, coupling: float) -> float:
+    """Power at which MRT meets the secrecy-rate target ``rate``, or inf
+    when it never does.
 
     Finite exactly when ``B^2 > 2^R x``; always an upper bound for the
     optimal (eigenvector-based) minimum power.
     """
-    t = 2.0**target.rate
+    t = 2.0**rate
     denom = np.asarray(bob_gain - t * coupling / bob_gain)
     power = np.divide(t - 1.0, denom, out=np.full(denom.shape, math.inf),
                       where=denom > 0.0)

@@ -12,16 +12,18 @@ entirely, so minimizing g over the per-element frequencies is a purely
 geometric problem.  The minimization runs as cyclic coordinate descent where
 each 1-D subproblem has a closed-form solution.
 
-The descent caches the per-element terms ``alpha_n cos(phi_n)``,
-``alpha_n sin(phi_n)`` and ``alpha_n exp(j phi_n)`` with
-``phi_n = omega_n f_n``, and rewrites entry n only when an update of f_n is
-accepted.  Each coordinate still sums the other N - 1 real terms, and each
-re-evaluation (``kernels.coupling_power``) all N complex terms, in index
-order with numpy's pairwise sum, exactly as recomputing every phase per
-update would; offsets and objective values are therefore bit for bit those
-of that full-recompute form (``tests/helpers.py`` keeps it as the oracle).  A running sum would make the
-update O(1), but its ulp drift decides the outcome at the cancellation floor,
-where the reachable couplings are roundoff noise.
+The descent caches one array of per-element terms ``alpha_n exp(j phi_n)``
+with ``phi_n = omega_n f_n`` and rewrites entry n only when an update of f_n
+is accepted; their real and imaginary parts, ``alpha_n cos(phi_n)`` and
+``alpha_n sin(phi_n)`` bit for bit, are read through views.  Each
+coordinate still sums the other N - 1 real and imaginary parts, and each
+re-evaluation (``kernels.coupling_power``) all N terms, in index order with
+numpy's pairwise sum, exactly as recomputing every phase per update would;
+offsets and objective values are therefore bit for bit those of that
+full-recompute form (``tests/helpers.py`` keeps it as the oracle).  A
+running sum would make the update O(1), but its ulp drift decides the
+outcome at the cancellation floor, where the reachable couplings are
+roundoff noise.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .scenario import FrequencyPlan, RfParams, Scenario
+from .scenario import FrequencyPlan, RfParams, Scenario, _plan_offsets
 
 _TWO_PI = 2.0 * math.pi
 
@@ -96,10 +98,8 @@ def g_value(scenario: Scenario, plan: FrequencyPlan) -> float:
     time-invariant; it agrees with the direct inner product of
     :func:`fdabeam.scenario.channel_pair` vectors at any t.
     """
-    if plan.offsets.shape[0] != scenario.array.element_count:
-        raise ValueError("plan length does not match element count")
+    freqs = scenario.rf.carrier_frequency + _plan_offsets(scenario, [plan])[0]
     coeffs = coupling_coefficients(scenario)
-    freqs = scenario.rf.carrier_frequency + plan.offsets
     terms = coeffs.alpha * np.exp(1j * (coeffs.omega * freqs))
     return coupling_prefactor(scenario) * kernels.coupling_power(terms)
 
@@ -163,21 +163,15 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     n_elem = scenario.array.element_count
     if initial is None:
         initial = FrequencyPlan(np.zeros(n_elem))
-    if initial.offsets.shape[0] != n_elem:
-        raise ValueError("initial plan length does not match element count")
-    if np.any(initial.offsets > rf.max_offset * (1.0 + 1e-12)):
-        raise ValueError("initial offsets exceed max_offset")
+    freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
 
     coeffs = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
-    freqs = rf.carrier_frequency + initial.offsets
     # Per-element terms of the coupling sum at the current frequencies;
     # entry n changes only when an update of f_n is accepted.
     alpha, omega = coeffs.alpha, coeffs.omega
-    phases = omega * freqs
-    re = alpha * np.cos(phases)
-    im = alpha * np.sin(phases)
-    terms = alpha * np.exp(1j * phases)
+    terms = alpha * np.exp(1j * (omega * freqs))
+    re, im = terms.real, terms.imag
     om, fr = omega.tolist(), freqs.tolist()
     history = [pref * kernels.coupling_power(terms)]
     rejected = 0
@@ -199,9 +193,8 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                                           om[i], rf)
             # An unchanged frequency re-evaluates to the current value.
             if f_new is not None and f_new != fr[i]:
-                phase = om[i] * f_new
                 kept = terms[i]
-                terms[i] = alpha[i] * np.exp(1j * phase)
+                terms[i] = alpha[i] * np.exp(1j * (om[i] * f_new))
                 g_trial = pref * kernels.coupling_power(terms)
                 if g_trial > g_new:
                     # The exact 1-D update cannot increase the objective, so
@@ -211,8 +204,6 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                     rejected += 1
                 else:
                     fr[i] = f_new
-                    re[i] = alpha[i] * np.cos(phase)
-                    im[i] = alpha[i] * np.sin(phase)
                     g_new = g_trial
             history.append(g_new)
         if g_before - history[-1] <= tol * g_before:

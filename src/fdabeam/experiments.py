@@ -26,8 +26,6 @@ from functools import partial
 import numpy as np
 
 from .beamforming import (
-    PowerBudget,
-    SecrecyTarget,
     lambda1_closed_form,
     lambda_delta_closed_form,
     mrt_rate,
@@ -135,7 +133,6 @@ class ConvergenceResult:
     """Mean objective per sweep of the offset optimizer, per antenna count."""
 
     antenna_counts: tuple
-    iterations: np.ndarray
     mean_history: dict
     median_outer: dict
     outer_counts: dict
@@ -217,16 +214,16 @@ def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
     infeasible) and the time spreads of the proposed and MRT powers."""
     n, index = task
     scenario, plan_star, _ = _draw(config, n, index)
-    target = SecrecyTarget(config.target_rate)
+    rate = config.target_rate
     times = config.time_samples or (0.0,)
     b, e, x = _plan_stats(scenario, plan_star, times)
-    lam1 = lambda1_closed_form(b, e, x, target.rate)
+    lam1 = lambda1_closed_form(b, e, x, rate)
     if not np.isfinite(lam1).all():  # lambda1 >= 0: its max is the inf or NaN
-        raise OverflowError(f"lambda1 is {lam1.max()} at a {target.rate:g}-bit target")
+        raise OverflowError(f"lambda1 is {lam1.max()} at a {rate:g}-bit target")
     # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
-    excess = 2.0**target.rate - 1.0
+    excess = 2.0**rate - 1.0
     power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
-    p_mrt = mrt_required_power(b[0], target, x[0])  # MRT under the proposed plan
+    p_mrt = mrt_required_power(b[0], rate, x[0])  # MRT under the proposed plan
     row = np.array([excess / b[2], *power[:3], p_mrt])
     row[~np.isfinite(row)] = math.nan  # infeasible
     # The optimized designs depend on geometry only; confirm across time.
@@ -234,7 +231,7 @@ def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
     # (perfbench's tracer) count solves per call.
     spread = _spreads(times, {
         "proposed": (row[1], lambda: power[3:]),
-        "mrt": (row[4], lambda: [mrt_required_power(b_t, target, x_t)
+        "mrt": (row[4], lambda: [mrt_required_power(b_t, rate, x_t)
                                  for b_t, x_t in zip(b[3:], x[3:])]),
     })
     return row, spread
@@ -255,12 +252,12 @@ def _rate_realization(config: ExperimentConfig, index: int) -> tuple:
         raise OverflowError(f"lambda_delta or the bound is not finite at a "
                             f"{grid[~finite][0]:g} W budget")
     rates = np.vstack([np.log2(free), np.maximum(np.log2(lam), 0.0),
-                       mrt_rate(b[0], PowerBudget(grid), x[0])])
+                       mrt_rate(b[0], grid, x[0])])
     p_ref = grid[-1]
     spread = _spreads(times, {
         "proposed": (rates[1, -1], lambda: np.log2(
             lambda_delta_closed_form(b[3:], e[3:], x[3:], p_ref))),
-        "mrt": (rates[4, -1], lambda: mrt_rate(b[3:], PowerBudget(p_ref), x[3:])),
+        "mrt": (rates[4, -1], lambda: mrt_rate(b[3:], p_ref, x[3:])),
     })
     return rates, spread
 
@@ -338,7 +335,6 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
     mean_history = {}
     median_outer = {}
     outer_counts = {}
-    longest = 1
     for i, n in enumerate(counts):
         block = results[i * reps:(i + 1) * reps]
         histories = [r[0] for r in block]
@@ -348,9 +344,7 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
         mean_history[n] = padded.mean(axis=0)
         median_outer[n] = float(np.median(outers))
         outer_counts[n] = outers
-        longest = max(longest, depth)
     return ConvergenceResult(antenna_counts=counts,
-                             iterations=np.arange(longest, dtype=float),
                              mean_history=mean_history,
                              median_outer=median_outer,
                              outer_counts=outer_counts)

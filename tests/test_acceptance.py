@@ -288,7 +288,7 @@ def test_min_power_exact_target_and_dominance():
                          abs(secrecy_rate(sol.beamformer, pair) - target.rate))
         assert sol.power >= power_lower_bound(pair, target) * (1.0 - 1e-12)
         b, _, x = channel_stats(pair)
-        p_mrt = mrt_required_power(b, target, x)
+        p_mrt = mrt_required_power(b, target.rate, x)
         if math.isfinite(p_mrt):
             mrt_finite += 1
             assert sol.power <= p_mrt * (1.0 + 1e-12)
@@ -302,7 +302,7 @@ def test_min_power_exact_target_and_dominance():
     pair0 = ChannelPair(h_bob=h_b, h_eve=h_e)
     target = SecrecyTarget(6.0)
     sol0 = min_power_beamformer(pair0, target)
-    assert sol0.power == mrt_required_power(channel_stats(pair0)[0], target, 0.0)
+    assert sol0.power == mrt_required_power(channel_stats(pair0)[0], target.rate, 0.0)
     print(f"PASS exact target and dominance: worst |rate - target| "
           f"{worst_rate:.3g} (tol 1e-9) over {feasible} feasible solves, "
           f"MRT dominated in {mrt_finite} finite cases, zero-coupling tie exact")

@@ -21,6 +21,14 @@ from fdabeam.beamforming import (
     snr,
     stacked_channel_stats,
 )
+from fdabeam.coupling import optimize_offsets
+from fdabeam.experiments import (
+    MAX_OFFSET,
+    ExperimentConfig,
+    linear_fda_plan,
+    phased_array_plan,
+    sample_scenario,
+)
 from fdabeam.scenario import ChannelPair, FrequencyPlan, channel_pair
 
 from helpers import half_wave_scenario, mrt_beamformer, power_lower_bound, random_pair
@@ -136,12 +144,26 @@ def test_closed_form_input_guards():
     with pytest.raises(ValueError):
         PowerBudget(-1.0)
     assert lambda_delta_closed_form(2.0, 3.0, 1.0, 0.0) == 1.0
-    for power in (math.nan, math.inf, np.array([1.0, math.nan])):
+    for power in (math.nan, math.inf):
         with pytest.raises(ValueError, match="power budget must be finite"):
             PowerBudget(power)
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError, match="target rate must be finite"):
             SecrecyTarget(rate)
+
+
+def test_budget_and_target_take_only_real_scalars():
+    """An array, a string or a bool is a named error, not numpy's ambiguous
+    truth value later on; numpy and Python numbers are accepted."""
+    for value in (np.array([1.0, math.nan]), np.array([1.0, 2.0]), np.array(1.0),
+                  "1", True, 1.0 + 0j, None):
+        with pytest.raises(ValueError, match="power budget must be a real scalar"):
+            PowerBudget(value)
+        with pytest.raises(ValueError, match="target rate must be a real scalar"):
+            SecrecyTarget(value)
+    for value in (2, np.float64(2.0), np.int64(2), np.float32(2.0)):
+        assert PowerBudget(value).power == 2.0
+        assert SecrecyTarget(value).rate == 2.0
 
 
 def _random_stats(rng, count=40):
@@ -161,10 +183,8 @@ def test_closed_forms_on_arrays_equal_scalar_calls():
         (lambda1_closed_form, lambda i: (b[i], e[i], x[i], 7.0), (b, e, x, 7.0)),
         (lambda_delta_closed_form, lambda i: (b[i], e[i], x[i], powers[i]),
          (b, e, x, powers)),
-        (mrt_required_power, lambda i: (b[i], SecrecyTarget(2.0), x[i]),
-         (b, SecrecyTarget(2.0), x)),
-        (mrt_rate, lambda i: (b[i], PowerBudget(powers[i]), x[i]),
-         (b, PowerBudget(powers), x)),
+        (mrt_required_power, lambda i: (b[i], 2.0, x[i]), (b, 2.0, x)),
+        (mrt_rate, lambda i: (b[i], powers[i], x[i]), (b, powers, x)),
     ]
     for fn, scalar_args, array_args in cases:
         scalars = [fn(*scalar_args(i)) for i in range(b.size)]
@@ -172,7 +192,7 @@ def test_closed_forms_on_arrays_equal_scalar_calls():
         got = fn(*array_args)
         assert isinstance(got, np.ndarray) and got.shape == b.shape, fn.__name__
         assert_array_equal(got, scalars, err_msg=fn.__name__)
-    assert np.isinf(mrt_required_power(b, SecrecyTarget(40.0), x)[:-1]).all()
+    assert np.isinf(mrt_required_power(b, 40.0, x)[:-1]).all()
 
 
 def test_closed_forms_broadcast_over_power_grid():
@@ -250,6 +270,18 @@ def test_principal_eigvec_span2_degenerate():
         principal_eigvec_span2(1.0, np.zeros(3), 1.0, np.zeros(3))
 
 
+def test_principal_eigvec_span2_unit_norm_when_nearly_parallel():
+    """Vectors 1e-6 off parallel with balanced weights, as in the max-rate
+    call on phased-array channels, still give a unit vector (a single
+    Gram-Schmidt pass is off by up to 6e-10 here)."""
+    rng = np.random.default_rng(167)
+    for _ in range(50):
+        u = rng.normal(size=6) + 1j * rng.normal(size=6)
+        v = u + 1e-6 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+        _, vec = principal_eigvec_span2(1.0, u, -1.0, v)
+        assert abs(float(np.vdot(vec, vec).real) - 1.0) <= 4e-15
+
+
 # ---------------------------------------------------------------------------
 # minimum power under a secrecy target
 
@@ -267,7 +299,7 @@ def test_min_power_meets_target_exactly():
                         rtol=1e-9)
         assert sol.power >= power_lower_bound(pair, target) * (1.0 - 1e-12)
         b, _, x = channel_stats(pair)
-        assert sol.power <= mrt_required_power(b, target, x) * (1.0 + 1e-12)
+        assert sol.power <= mrt_required_power(b, target.rate, x) * (1.0 + 1e-12)
 
 
 def test_min_power_matches_dense_bisection():
@@ -317,7 +349,7 @@ def test_min_power_orthogonal_equals_bound():
     assert_allclose(secrecy_rate(sol.beamformer, pair), target.rate,
                     rtol=1e-12)
     b, _, x = channel_stats(pair)
-    assert sol.power == mrt_required_power(b, target, x)
+    assert sol.power == mrt_required_power(b, target.rate, x)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +402,26 @@ def test_max_rate_matches_span_scan_oracle():
         assert sol.rate <= oracle + 1e-6 * max(1.0, oracle)
 
 
+def test_max_rate_on_sweep_geometry():
+    """Nearly parallel channels: the reference sweep's shared-bearing draws,
+    which the random-pair tests exclude through ``min_separation``.  The
+    design meets its claimed rate and the budget for the phased, linear and
+    proposed plans alike."""
+    config = ExperimentConfig()
+    for idx in range(40):
+        for n in (1, 2, 4, 8):
+            scenario = sample_scenario(np.random.default_rng((0, idx)), config, n)
+            plans = (phased_array_plan(n), linear_fda_plan(n, MAX_OFFSET),
+                     optimize_offsets(scenario)[0])
+            for plan in plans:
+                pair = channel_pair(scenario, plan, 0.0)
+                for power in (0.1, 1.0, 10.0):
+                    sol = max_rate_beamformer(pair, PowerBudget(power))
+                    assert abs(secrecy_rate(sol.beamformer, pair) - sol.rate) <= 1e-8
+                    assert_allclose(float(np.vdot(sol.beamformer, sol.beamformer).real),
+                                    power, rtol=1e-12)
+
+
 def test_max_rate_monotone_in_power():
     rng = np.random.default_rng(137)
     pair = random_pair(rng, n=5)
@@ -402,7 +454,7 @@ def test_max_rate_orthogonal_equals_mrt():
     b, _, x = channel_stats(pair)
     sol = max_rate_beamformer(pair, PowerBudget(2.5))
     assert_allclose(sol.rate, math.log2(1.0 + 2.5 * b), rtol=1e-12)
-    assert_allclose(sol.rate, mrt_rate(b, PowerBudget(2.5), x), rtol=1e-12)
+    assert_allclose(sol.rate, mrt_rate(b, 2.5, x), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +479,7 @@ def test_mrt_rate_matches_direct_evaluation():
         power = float(10.0 ** rng.uniform(-2.0, 2.0))
         b, _, x = channel_stats(pair)
         w = mrt_beamformer(pair.h_bob, PowerBudget(power))
-        assert_allclose(mrt_rate(b, PowerBudget(power), x),
+        assert_allclose(mrt_rate(b, power, x),
                         secrecy_rate(w, pair), rtol=1e-9, atol=1e-12)
 
 
@@ -438,11 +490,11 @@ def test_mrt_required_power_meets_target():
         pair = random_pair(rng)
         target = SecrecyTarget(float(rng.uniform(0.5, 6.0)))
         b, _, x = channel_stats(pair)
-        p_req = mrt_required_power(b, target, x)
+        p_req = mrt_required_power(b, target.rate, x)
         if not math.isfinite(p_req):
             continue
         seen_finite += 1
-        assert_allclose(mrt_rate(b, PowerBudget(p_req), x), target.rate,
+        assert_allclose(mrt_rate(b, p_req, x), target.rate,
                         rtol=1e-9)
         sol = min_power_beamformer(pair, target)
         assert sol.power <= p_req * (1.0 + 1e-12)
@@ -453,7 +505,7 @@ def test_mrt_required_power_infinite_branch():
     scenario = half_wave_scenario(3, 90.0, 0.7, 90.0, 0.7)
     pair = channel_pair(scenario, FrequencyPlan(np.zeros(3)), 0.0)
     b, _, x = channel_stats(pair)
-    assert mrt_required_power(b, SecrecyTarget(1.0), x) == math.inf
+    assert mrt_required_power(b, 1.0, x) == math.inf
 
 
 def test_optimal_rate_dominates_mrt():
@@ -463,7 +515,7 @@ def test_optimal_rate_dominates_mrt():
         power = float(10.0 ** rng.uniform(-1.0, 2.0))
         b, _, x = channel_stats(pair)
         best = max_rate_beamformer(pair, PowerBudget(power)).rate
-        assert best >= mrt_rate(b, PowerBudget(power), x) - 1e-9
+        assert best >= mrt_rate(b, power, x) - 1e-9
 
 
 def test_global_phase_invariance():

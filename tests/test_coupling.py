@@ -116,6 +116,20 @@ def test_g_rejects_plan_length_mismatch():
         g_value(scenario, FrequencyPlan(np.zeros(3)))
 
 
+def test_plan_checks_match_channel_synthesis():
+    """g_value, the descent's start and channel_pair reject the same plans
+    with the same message: one of the wrong length and one over budget."""
+    scenario = _reference_scenario()
+    bad = [(FrequencyPlan(np.zeros(3)), "plan length does not match element count"),
+           (FrequencyPlan(np.full(4, 1e9)), "offsets exceed max_offset")]
+    for plan, message in bad:
+        for call in (lambda: g_value(scenario, plan),
+                     lambda: optimize_offsets(scenario, initial=plan),
+                     lambda: channel_pair(scenario, plan, 0.0)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+
 # ---------------------------------------------------------------------------
 # single-coordinate pieces
 

@@ -232,7 +232,6 @@ def test_convergence_worker_count_invariant():
     config = _small_power_config(realizations=3, antenna_counts=(2, 3, 4))
     serial = run_convergence_study(config, workers=1)
     parallel = run_convergence_study(config, workers=2)
-    assert_array_equal(serial.iterations, parallel.iterations)
     for n in config.antenna_counts:
         assert_array_equal(serial.mean_history[n], parallel.mean_history[n])
         assert_array_equal(serial.outer_counts[n], parallel.outer_counts[n])
@@ -262,8 +261,6 @@ def test_convergence_study():
         assert result.outer_counts[n].shape == (10,)
         assert result.median_outer[n] <= 10.0
         assert hist[-1] < hist[0]
-    assert result.iterations.shape[0] == max(
-        len(result.mean_history[n]) for n in (2, 4))
 
 
 def test_write_sweep_csv_round_trip(tmp_path):
@@ -339,10 +336,10 @@ def test_mrt_recheck_only_where_mrt_is_feasible(monkeypatch):
     calls = []
     solve = experiments.mrt_required_power
 
-    def counting(bob_gain, target, coupling):
+    def counting(bob_gain, rate, coupling):
         assert np.ndim(bob_gain) == 0 and np.ndim(coupling) == 0
         calls.append(bob_gain)
-        return solve(bob_gain, target, coupling)
+        return solve(bob_gain, rate, coupling)
 
     monkeypatch.setattr(experiments, "mrt_required_power", counting)
     # One antenna: MRT is never feasible, so one solve per realization.
