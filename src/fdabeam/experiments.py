@@ -9,10 +9,16 @@ as well.  Per-realization RNG substreams derive from (seed, realization
 index), so results do not depend on how realizations are distributed over
 workers.
 
-Every sweep realization runs one pipeline: :func:`_draw` samples it and
-descends to the proposed plan, one channel synthesis gives (B, E, x), the
-closed forms give all five schemes, and :func:`_sweep` places the results
-and keeps the ``baselines`` schemes.
+A power or rate sweep runs in two stages.  Each task (one realization)
+samples its layout and descends to the proposed plan (:func:`_draw`), and
+returns the element distances and the optimized offsets.  :func:`_sweep`
+then takes the realizations of one antenna count at a time, in blocks of
+bounded size: one channel synthesis over (R, K, N), one (B, E, x)
+reduction, and the closed forms and time re-checks on (R, K) arrays give
+all five schemes.  Every entry is computed as the per-realization pipeline
+computes it, so the results do not depend on the block size or on how the
+tasks are spread over workers.  :func:`_sweep` places the results and
+keeps the ``baselines`` schemes.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from .scenario import (
     NodePlacement,
     RfParams,
     Scenario,
+    _channels,
     _is_int,
-    channel_pairs,
 )
 
 CARRIER_FREQUENCY = 2.4e9
@@ -49,6 +55,14 @@ NOISE_POWER = 1e-13
 TIME_HORIZON = 20e-6
 
 SCHEMES = ("bound", "proposed", "linear", "phased", "mrt")
+
+_RF = RfParams(carrier_frequency=CARRIER_FREQUENCY, max_offset=MAX_OFFSET,
+               noise_power_bob=NOISE_POWER, noise_power_eve=NOISE_POWER)
+
+_BLOCK_ENTRIES = 1 << 16
+"""Channel entries (realization, row, element) per receiver that the sweep
+stage synthesizes at once; bounds its memory at any N and realization
+count."""
 
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
 _DEFAULT_TIME_SAMPLES = tuple(float(t) for t in np.linspace(0.0, TIME_HORIZON, 21))
@@ -160,31 +174,14 @@ def phased_array_plan(element_count: int) -> FrequencyPlan:
 def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
                     element_count: int) -> Scenario:
     """Draw one random wiretap layout under the fixed RF template."""
-    rf = RfParams(carrier_frequency=CARRIER_FREQUENCY, max_offset=MAX_OFFSET,
-                  noise_power_bob=NOISE_POWER, noise_power_eve=NOISE_POWER)
     geom = ArrayGeometry(element_count=element_count, first_element_x=0.0,
-                         spacing=rf.wavelength / 2.0)
+                         spacing=_RF.wavelength / 2.0)
     r_b = rng.uniform(*config.range_interval)
     theta = rng.uniform(*config.angle_interval)
-    return Scenario(rf=rf, array=geom,
+    return Scenario(rf=_RF, array=geom,
                     bob=NodePlacement(range_m=r_b, angle_rad=theta),
                     eve=NodePlacement(range_m=r_b + config.range_gap,
                                       angle_rad=theta))
-
-
-def _plan_stats(scenario: Scenario, plan_star: FrequencyPlan,
-                times: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, E, x) of one realization from a single channel synthesis.
-
-    Rows 0-2 are the proposed, linear-FDA and phased-array plans at the
-    first time sample; row 3 + k is the proposed plan at ``times[1 + k]``.
-    """
-    n = scenario.array.element_count
-    plans = (plan_star, linear_fda_plan(n, MAX_OFFSET), phased_array_plan(n))
-    rows = len(times) - 1
-    h_bob, h_eve = channel_pairs(scenario, plans + (plan_star,) * rows,
-                                 (times[0],) * len(plans) + tuple(times[1:]))
-    return stacked_channel_stats(h_bob, h_eve)
 
 
 def _draw(config: ExperimentConfig, n: int, index: int) -> tuple:
@@ -195,71 +192,125 @@ def _draw(config: ExperimentConfig, n: int, index: int) -> tuple:
     return scenario, *optimize_offsets(scenario)
 
 
-def _spreads(times: tuple, checks: dict) -> dict:
-    """Worst relative deviation of each metric over the later time samples.
-
-    ``checks`` maps a scheme to (first-sample value, callable giving the
-    later values); a NaN (infeasible) value is not re-checked at all.
-    """
-    spread = {}
-    for scheme, (reference, later) in checks.items():
-        if len(times) > 1 and not math.isnan(reference):
-            deviation = np.max(np.abs(np.asarray(later()) - reference))
-            spread[scheme] = float(deviation / abs(reference)) if reference else 0.0
-    return spread
+def _descended(config: ExperimentConfig, n: int, index: int) -> tuple:
+    """Bob's and Eve's (N,) element distances and the (N,) optimized offsets
+    of realization ``index`` at ``n`` elements: what the sweep stage needs."""
+    scenario, plan_star, _ = _draw(config, n, index)
+    return scenario.bob_distances, scenario.eve_distances, plan_star.offsets
 
 
 def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
-    """Required power of every scheme in :data:`SCHEMES` order (NaN where
-    infeasible) and the time spreads of the proposed and MRT powers."""
-    n, index = task
-    scenario, plan_star, _ = _draw(config, n, index)
-    rate = config.target_rate
-    times = config.time_samples or (0.0,)
-    b, e, x = _plan_stats(scenario, plan_star, times)
-    lam1 = lambda1_closed_form(b, e, x, rate)
-    if not np.isfinite(lam1).all():  # lambda1 >= 0: its max is the inf or NaN
-        raise OverflowError(f"lambda1 is {lam1.max()} at a {rate:g}-bit target")
-    # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
-    excess = 2.0**rate - 1.0
-    power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
-    p_mrt = mrt_required_power(b[0], rate, x[0])  # MRT under the proposed plan
-    row = np.array([excess / b[2], *power[:3], p_mrt])
-    row[~np.isfinite(row)] = math.nan  # infeasible
-    # The optimized designs depend on geometry only; confirm across time.
-    # Scalar MRT calls, one solve each: wrappers of mrt_required_power
-    # (perfbench's tracer) count solves per call.
-    spread = _spreads(times, {
-        "proposed": (row[1], lambda: power[3:]),
-        "mrt": (row[4], lambda: [mrt_required_power(b_t, rate, x_t)
-                                 for b_t, x_t in zip(b[3:], x[3:])]),
-    })
-    return row, spread
+    """Power task ``(n, index)`` up to and including the descent."""
+    return _descended(config, *task)
 
 
 def _rate_realization(config: ExperimentConfig, index: int) -> tuple:
-    """Secrecy rate of every scheme in :data:`SCHEMES` order over the power
-    grid, and the time spreads of the proposed and MRT rates at its top."""
-    scenario, plan_star, _ = _draw(config, config.antenna_counts[0], index)
-    times = config.time_samples or (0.0,)
-    b, e, x = _plan_stats(scenario, plan_star, times)
+    """Rate task ``index`` (at ``antenna_counts[0]`` elements) up to and
+    including the descent."""
+    return _descended(config, config.antenna_counts[0], index)
+
+
+def _blocks(results: list, reps: int, rows: int):
+    """(R, N) stacks of the bob distances, eve distances and offsets of the
+    task results, one antenna count (``reps`` results) at a time and at most
+    :data:`_BLOCK_ENTRIES` channel entries of ``rows`` rows each per block."""
+    for first in range(0, len(results), reps):
+        count = results[first:first + reps]
+        size = max(1, _BLOCK_ENTRIES // (rows * count[0][2].shape[0]))
+        for lo in range(0, reps, size):
+            yield tuple(np.array(a) for a in zip(*count[lo:lo + size]))
+
+
+def _block_stats(bob: np.ndarray, eve: np.ndarray, offsets: np.ndarray,
+                 times: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, E, x) of R realizations, each (R, K), from one channel synthesis.
+
+    Rows 0-2 are the proposed, linear-FDA and phased-array plans at the
+    first time sample; row 3 + k is the proposed plan at ``times[1 + k]``.
+    """
+    n = offsets.shape[1]
+    plans = np.repeat(offsets[:, None], len(times) + 2, axis=1)
+    plans[:, 1] = linear_fda_plan(n, MAX_OFFSET).offsets
+    plans[:, 2] = phased_array_plan(n).offsets
+    h_bob, h_eve = _channels(_RF, bob, eve, plans, (times[0],) * 3 + tuple(times[1:]))
+    return stacked_channel_stats(h_bob, h_eve)
+
+
+def _power_metrics(config: ExperimentConfig, b, e, x) -> tuple:
+    """Required power (R, 5) of every scheme in :data:`SCHEMES` order (NaN
+    where infeasible) from (R, K) stats, and the proposed and MRT re-checks:
+    scheme -> ((R,) first-sample powers, (R, K - 3) later powers)."""
+    rate = config.target_rate
+    lam1 = lambda1_closed_form(b, e, x, rate)
+    bad = ~np.isfinite(lam1).all(axis=1)
+    if bad.any():  # lambda1 >= 0: a row's max is its inf or NaN
+        raise OverflowError(f"lambda1 is {lam1[bad.argmax()].max()} "
+                            f"at a {rate:g}-bit target")
+    # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
+    excess = 2.0**rate - 1.0
+    power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
+    # MRT under the proposed plan.  Scalar calls, one solve each: wrappers
+    # of mrt_required_power (perfbench's tracer) count solves per call.
+    p_mrt = [mrt_required_power(b_r, rate, x_r)
+             for b_r, x_r in zip(b[:, 0].tolist(), x[:, 0].tolist())]
+    table = np.column_stack([excess / b[:, 2], power[:, :3], p_mrt])
+    table[~np.isfinite(table)] = math.nan  # infeasible
+    # The optimized designs depend on geometry only; confirm across time,
+    # re-solving MRT only where it is feasible.
+    mrt_later = np.full(b[:, 3:].shape, math.nan)
+    for r in np.flatnonzero(~np.isnan(table[:, 4])):
+        mrt_later[r] = [mrt_required_power(b_t, rate, x_t)
+                        for b_t, x_t in zip(b[r, 3:].tolist(), x[r, 3:].tolist())]
+    return table, {"proposed": (table[:, 1], power[:, 3:]),
+                   "mrt": (table[:, 4], mrt_later)}
+
+
+def _rate_metrics(config: ExperimentConfig, b, e, x) -> tuple:
+    """Secrecy rate (R, 5, G) of every scheme in :data:`SCHEMES` order over
+    the power grid from (R, K) stats, and the proposed and MRT re-checks at
+    the largest grid power: scheme -> ((R,) first-sample rates, (R, K - 3)
+    later rates)."""
     grid = np.array(config.power_grid, dtype=float)
     with np.errstate(over="ignore"):
-        free = 1.0 + grid * b[0]
-    lam = lambda_delta_closed_form(b[:3, None], e[:3, None], x[:3, None], grid)
-    finite = np.isfinite(free) & np.isfinite(lam).all(axis=0)
-    if not finite.all():
+        free = 1.0 + grid * b[:, :1]
+    lam = lambda_delta_closed_form(b[:, :3, None], e[:, :3, None], x[:, :3, None], grid)
+    finite = np.isfinite(free) & np.isfinite(lam).all(axis=1)
+    bad = ~finite.all(axis=1)
+    if bad.any():
         raise OverflowError(f"lambda_delta or the bound is not finite at a "
-                            f"{grid[~finite][0]:g} W budget")
-    rates = np.vstack([np.log2(free), np.maximum(np.log2(lam), 0.0),
-                       mrt_rate(b[0], grid, x[0])])
-    p_ref = grid[-1]
-    spread = _spreads(times, {
-        "proposed": (rates[1, -1], lambda: np.log2(
-            lambda_delta_closed_form(b[3:], e[3:], x[3:], p_ref))),
-        "mrt": (rates[4, -1], lambda: mrt_rate(b[3:], p_ref, x[3:])),
-    })
-    return rates, spread
+                            f"{grid[~finite[bad.argmax()]][0]:g} W budget")
+    rates = np.concatenate([np.log2(free)[:, None], np.maximum(np.log2(lam), 0.0),
+                            mrt_rate(b[:, :1], grid, x[:, :1])[:, None]], axis=1)
+    top = int(np.argmax(grid))
+    p_top = grid[top]
+    return rates, {
+        "proposed": (rates[:, 1, top], np.log2(
+            lambda_delta_closed_form(b[:, 3:], e[:, 3:], x[:, 3:], p_top))),
+        "mrt": (rates[:, 4, top], mrt_rate(b[:, 3:], p_top, x[:, 3:])),
+    }
+
+
+def _fold_spreads(spread: dict, checks: dict) -> None:
+    """Fold one block's time re-checks into ``spread``.
+
+    ``checks`` maps a scheme to its (R,) first-sample values and (R, T - 1)
+    later values.  A realization whose first value is NaN (infeasible) is
+    not re-checked.  A re-checked one deviates by the worst ``|later -
+    first| / |first|`` (0 where the first value is 0).  ``spread[scheme]``
+    is the running maximum over realizations in task order, which a NaN
+    deviation never raises; a scheme enters ``spread`` at its first
+    re-checked realization.
+    """
+    found = {}
+    for scheme, (first, later) in checks.items():
+        rows = np.flatnonzero(~np.isnan(first))
+        if rows.size:
+            ref = first[rows]
+            worst = np.max(np.abs(later[rows] - ref[:, None]), axis=1)
+            rel = np.divide(worst, np.abs(ref), out=np.zeros_like(worst), where=ref != 0.0)
+            found[scheme] = rows[0], rel.tolist()
+    for scheme in sorted(found, key=lambda s: found[s][0]):
+        spread[scheme] = max(spread.get(scheme, 0.0), *found[scheme][1])
 
 
 def _convergence_realization(config: ExperimentConfig, task: tuple) -> tuple:
@@ -276,21 +327,24 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _sweep(config: ExperimentConfig, realization, tasks: list, axis_name: str,
-           axis: np.ndarray, workers: int) -> SweepResult:
-    """Run ``realization`` on every task, place the metrics of all
-    :data:`SCHEMES` it returns (a value, or one per power) and keep the
+def _sweep(config: ExperimentConfig, realization, metrics, tasks: list,
+           axis_name: str, axis: np.ndarray, workers: int) -> SweepResult:
+    """Run ``realization`` (draw and descent) on every task, then ``metrics``
+    on each block of :func:`_blocks`; place the metrics of all
+    :data:`SCHEMES` (a value, or one per power) and keep the
     ``config.baselines`` ones, the only reader of that field.  Power task k
     fills row ``k // realizations``; rate columns are the transpose.
     """
     results = _map_tasks(partial(realization, config), tasks, workers)
     reps = config.realizations
-    table = np.array([m for m, _ in results])
-    table = table.reshape(len(tasks) // reps, reps, len(SCHEMES), -1)
-    spread = {}
-    for _, sp in results:
-        for s, v in sp.items():
-            spread[s] = max(spread.get(s, 0.0), v)
+    times = config.time_samples or (0.0,)
+    tables, spread = [], {}
+    for bob, eve, offsets in _blocks(results, reps, len(times) + 2):
+        table, checks = metrics(config, *_block_stats(bob, eve, offsets, times))
+        tables.append(table)
+        if len(times) > 1:
+            _fold_spreads(spread, checks)
+    table = np.concatenate(tables).reshape(len(tasks) // reps, reps, len(SCHEMES), -1)
     schemes = tuple(config.baselines)
     return SweepResult(
         axis_name=axis_name, axis=axis, schemes=schemes,
@@ -303,26 +357,28 @@ def _sweep(config: ExperimentConfig, realization, tasks: list, axis_name: str,
 def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Required transmit power versus antenna count for every scheme.
 
-    One task per (count, realization) through the shared pipeline; the MRT
-    time re-check runs only where MRT is feasible.  A 2^R E so large that
-    lambda1 overflows raises :class:`OverflowError`.
+    One task per (count, realization) draws and descends; the closed forms
+    then run on all realizations of a count at once.  The MRT time re-check
+    runs only where MRT is feasible.  A 2^R E so large that lambda1
+    overflows raises :class:`OverflowError`.
     """
     counts = list(config.antenna_counts)
     tasks = [(n, idx) for n in counts for idx in range(config.realizations)]
-    return _sweep(config, _power_realization, tasks, "element_count",
+    return _sweep(config, _power_realization, _power_metrics, tasks, "element_count",
                   np.array(counts, dtype=float), workers)
 
 
 def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Achievable secrecy rate versus transmit power for every scheme.
 
-    One task per realization at ``antenna_counts[0]`` elements through the
-    shared pipeline, every power of the grid at once; the time re-check runs
-    at the largest power.  A power at which lambda_delta or the bound
-    overflows raises :class:`OverflowError`.
+    One task per realization at ``antenna_counts[0]`` elements draws and
+    descends; the closed forms then run on all realizations and every power
+    of the grid at once.  The time re-check runs at the largest power.  A
+    power at which lambda_delta or the bound overflows raises
+    :class:`OverflowError`.
     """
     grid = np.array(config.power_grid, dtype=float)
-    return _sweep(config, _rate_realization, list(range(config.realizations)),
+    return _sweep(config, _rate_realization, _rate_metrics, list(range(config.realizations)),
                   "power_w", grid, workers)
 
 

@@ -190,23 +190,34 @@ def channel_pairs(scenario: Scenario, plans, times) -> tuple[np.ndarray, np.ndar
     stored on the scenario (``bob_distances``, ``eve_distances``).
 
     Row k equals ``channel_pair(scenario, plans[k], times[k])`` bit for bit:
-    both come from this one synthesis.
+    both come from this one synthesis, the single-scenario call of
+    :func:`_channels`.
     """
-    rf = scenario.rf
-    offsets = _plan_offsets(scenario, plans)
-    hb = _synthesize(rf, scenario.bob_distances, offsets, times)
-    he = _synthesize(rf, scenario.eve_distances, offsets, times)
+    return _channels(scenario.rf, scenario.bob_distances, scenario.eve_distances,
+                     _plan_offsets(scenario, plans), times)
+
+
+def _channels(rf: RfParams, bob_distances: np.ndarray, eve_distances: np.ndarray,
+              offsets: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-normalized (..., K, N) channels of Bob and Eve for a stack of
+    layouts sharing ``rf``: element distances (..., N), offsets (..., K, N)
+    and K instants ``times``, row k under ``offsets[..., k, :]`` at
+    ``times[k]``.  Every entry is computed on its own, so a layout's rows do
+    not depend on what else is in the stack."""
+    hb = _synthesize(rf, bob_distances, offsets, times)
+    he = _synthesize(rf, eve_distances, offsets, times)
     return hb / np.sqrt(rf.noise_power_bob), he / np.sqrt(rf.noise_power_eve)
 
 
 def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> np.ndarray:
-    """(K, N) channels of a receiver at element distances ``dist``: row k
-    under ``offsets[k]`` at ``times[k]``."""
+    """(..., K, N) channels of a receiver at element distances ``dist``
+    (..., N): row k under ``offsets[..., k, :]`` at ``times[k]``."""
     times = np.asarray(times, dtype=np.longdouble)
-    if times.shape != offsets.shape[:1]:
+    if times.shape != offsets.shape[-2:-1]:
         raise ValueError("plans and times must pair up one to one")
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
+    dist = dist[..., None, :]
     amp = rf.wavelength / (4.0 * np.pi * dist)
     # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended
     # precision so that the t terms cancel to ~1e-14 rad in later conjugate

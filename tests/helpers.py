@@ -14,14 +14,26 @@ from fdabeam import (
     channel_pair,
 )
 from fdabeam import kernels
-from fdabeam.beamforming import channel_stats
+from fdabeam.beamforming import (
+    channel_stats,
+    lambda1_closed_form,
+    lambda_delta_closed_form,
+    mrt_rate,
+    mrt_required_power,
+)
 from fdabeam.coupling import (
     OptimizerTrace,
     _coordinate_minimizer,
     coupling_coefficients,
     coupling_prefactor,
 )
-from fdabeam.scenario import _plan_offsets, _synthesize
+from fdabeam.experiments import (
+    SCHEMES,
+    _draw,
+    linear_fda_plan,
+    phased_array_plan,
+)
+from fdabeam.scenario import _plan_offsets, _synthesize, channel_pairs
 
 CARRIER = 2.4e9
 MAX_OFFSET = 3e6
@@ -280,3 +292,106 @@ def update_frequency_case_table(n, plan, coeffs, rf):
         else:
             f = f_c + f_m
     return min(max(f, f_c), f_c + f_m)
+
+
+# ---------------------------------------------------------------------------
+# per-realization sweep oracle
+
+
+def vdot_stats(h_bob, h_eve):
+    """(B, E, x) of one channel pair through ``np.vdot``; the row oracle of
+    ``beamforming.stacked_channel_stats``."""
+    b = float(np.vdot(h_bob, h_bob).real)
+    e = float(np.vdot(h_eve, h_eve).real)
+    x = float(abs(np.vdot(h_eve, h_bob)) ** 2)
+    return b, e, x
+
+
+def plan_stats(scenario, plan_star, times):
+    """(B, E, x) of one sweep realization from one ``channel_pairs`` call,
+    row by row through :func:`vdot_stats`.
+
+    Rows 0-2 are the proposed, linear-FDA and phased-array plans at the
+    first time sample; row 3 + k is the proposed plan at ``times[1 + k]``.
+    """
+    n = scenario.array.element_count
+    plans = (plan_star, linear_fda_plan(n, MAX_OFFSET), phased_array_plan(n))
+    h_bob, h_eve = channel_pairs(scenario, plans + (plan_star,) * (len(times) - 1),
+                                 (times[0],) * len(plans) + tuple(times[1:]))
+    return np.array([vdot_stats(b, e) for b, e in zip(h_bob, h_eve)]).T
+
+
+def _spreads(times, checks):
+    spread = {}
+    for scheme, (reference, later) in checks.items():
+        if len(times) > 1 and not math.isnan(reference):
+            deviation = np.max(np.abs(np.asarray(later()) - reference))
+            spread[scheme] = float(deviation / abs(reference)) if reference else 0.0
+    return spread
+
+
+def _power_realization(config, n, index):
+    scenario, plan_star, _ = _draw(config, n, index)
+    rate = config.target_rate
+    times = config.time_samples or (0.0,)
+    b, e, x = plan_stats(scenario, plan_star, times)
+    lam1 = lambda1_closed_form(b, e, x, rate)
+    if not np.isfinite(lam1).all():
+        raise OverflowError(f"lambda1 is {lam1.max()} at a {rate:g}-bit target")
+    excess = 2.0**rate - 1.0
+    power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
+    p_mrt = mrt_required_power(b[0], rate, x[0])
+    row = np.array([excess / b[2], *power[:3], p_mrt])
+    row[~np.isfinite(row)] = math.nan
+    spread = _spreads(times, {
+        "proposed": (row[1], lambda: power[3:]),
+        "mrt": (row[4], lambda: [mrt_required_power(b_t, rate, x_t)
+                                 for b_t, x_t in zip(b[3:], x[3:])]),
+    })
+    return row, spread
+
+
+def _rate_realization(config, index):
+    scenario, plan_star, _ = _draw(config, config.antenna_counts[0], index)
+    times = config.time_samples or (0.0,)
+    b, e, x = plan_stats(scenario, plan_star, times)
+    grid = np.array(config.power_grid, dtype=float)
+    with np.errstate(over="ignore"):
+        free = 1.0 + grid * b[0]
+    lam = lambda_delta_closed_form(b[:3, None], e[:3, None], x[:3, None], grid)
+    finite = np.isfinite(free) & np.isfinite(lam).all(axis=0)
+    if not finite.all():
+        raise OverflowError(f"lambda_delta or the bound is not finite at a "
+                            f"{grid[~finite][0]:g} W budget")
+    rates = np.vstack([np.log2(free), np.maximum(np.log2(lam), 0.0),
+                       mrt_rate(b[0], grid, x[0])])
+    top = int(np.argmax(grid))
+    spread = _spreads(times, {
+        "proposed": (rates[1, top], lambda: np.log2(
+            lambda_delta_closed_form(b[3:], e[3:], x[3:], grid[top]))),
+        "mrt": (rates[4, top], lambda: mrt_rate(b[3:], grid[top], x[3:])),
+    })
+    return rates, spread
+
+
+def realization_sweep(config, which):
+    """Per-realization form of ``run_power_sweep`` (``which="power"``) or
+    ``run_rate_sweep`` (``"rate"``): every realization synthesizes its own
+    channels, reduces them row by row through :func:`vdot_stats` and
+    evaluates the closed forms on its own (K,) stats.  Returns the sweep's
+    ``(values, time_spread)``, placed as the sweeps place them."""
+    reps = config.realizations
+    if which == "power":
+        results = [_power_realization(config, n, idx)
+                   for n in config.antenna_counts for idx in range(reps)]
+    else:
+        results = [_rate_realization(config, idx) for idx in range(reps)]
+    table = np.array([m for m, _ in results])
+    table = table.reshape(len(results) // reps, reps, len(SCHEMES), -1)
+    spread = {}
+    for _, sp in results:
+        for s, v in sp.items():
+            spread[s] = max(spread.get(s, 0.0), v)
+    values = {s: table[:, :, SCHEMES.index(s)].swapaxes(1, 2).reshape(-1, reps)
+              for s in config.baselines}
+    return values, {s: v for s, v in spread.items() if s in config.baselines}

@@ -29,9 +29,17 @@ from fdabeam.experiments import (
     phased_array_plan,
     sample_scenario,
 )
-from fdabeam.scenario import ChannelPair, FrequencyPlan, channel_pair
+from fdabeam.scenario import ChannelPair, FrequencyPlan, channel_pair, channel_pairs
 
-from helpers import half_wave_scenario, mrt_beamformer, power_lower_bound, random_pair
+from helpers import (
+    half_wave_scenario,
+    mrt_beamformer,
+    power_lower_bound,
+    random_pair,
+    random_plan,
+    random_scenario,
+    vdot_stats,
+)
 
 # Channel statistics of the four-element half-wavelength array with Bob at
 # (100 m, 60 deg) and Eve at (120 m, 60 deg), all offsets zero, sampled at
@@ -227,8 +235,41 @@ def test_stacked_channel_stats_equal_channel_stats_bitwise():
     h_eve = np.array([p.h_eve for p in pairs]).reshape(3, 4, 5)
     b, e, x = stacked_channel_stats(h_bob, h_eve)
     assert b.shape == e.shape == x.shape == (3, 4)
-    expect = np.array([channel_stats(p) for p in pairs]).reshape(3, 4, 3)
+    expect = np.array([vdot_stats(p.h_bob, p.h_eve) for p in pairs]).reshape(3, 4, 3)
     assert_array_equal(np.stack([b, e, x], axis=-1), expect)
+    assert_array_equal(np.array([channel_stats(p) for p in pairs]).reshape(3, 4, 3), expect)
+
+
+def _channel_stack(rng, realizations, rows, n):
+    """(R, K, N) noise-normalized channels of random layouts, plans and times."""
+    h_bob, h_eve = [], []
+    for _ in range(realizations):
+        scn = random_scenario(rng, n)
+        hb, he = channel_pairs(scn, [random_plan(rng, n) for _ in range(rows)],
+                               rng.uniform(0.0, 20e-6, rows))
+        h_bob.append(hb)
+        h_eve.append(he)
+    return np.array(h_bob), np.array(h_eve)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64, 128])
+def test_stacked_channel_stats_equal_vdot_rows(n):
+    """The matmul reduction equals np.vdot on every row bit for bit, on
+    (R, K, N) stacks and on non-contiguous views of them."""
+    h_bob, h_eve = _channel_stack(np.random.default_rng(n), 4, 6, n)
+    views = {
+        "stack": (h_bob, h_eve),
+        "every other layout and row": (h_bob[::2, 1::2], h_eve[::2, 1::2]),
+        "transposed": (h_bob.transpose(1, 0, 2), h_eve.transpose(1, 0, 2)),
+        "every other element": (h_bob[..., ::2], h_eve[..., ::2]),
+        "reversed elements": (h_bob[..., ::-1], h_eve[..., ::-1]),
+    }
+    for name, (hb, he) in views.items():
+        b, e, x = stacked_channel_stats(hb, he)
+        # Each oracle row is a view with the stack's element stride.
+        rows = [vdot_stats(hb[i], he[i]) for i in np.ndindex(hb.shape[:-1])]
+        expect = np.array(rows).reshape(*hb.shape[:-1], 3)
+        assert_array_equal(np.stack([b, e, x], axis=-1), expect, err_msg=name)
 
 
 def test_principal_eigvec_span2_residual():

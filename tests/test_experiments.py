@@ -16,7 +16,6 @@ from fdabeam.experiments import (
     MAX_OFFSET,
     SCHEMES,
     ExperimentConfig,
-    _plan_stats,
     linear_fda_plan,
     phased_array_plan,
     run_convergence_study,
@@ -28,6 +27,8 @@ from fdabeam.experiments import (
     write_trace_csv,
 )
 from fdabeam.scenario import channel_pair
+
+from helpers import realization_sweep
 
 
 def _small_power_config(**overrides):
@@ -118,22 +119,26 @@ def test_config_rejects_bad_target_rate(rate):
 
 
 def test_sweep_stats_equal_channel_stats_bitwise():
-    """The sweeps' (B, E, x) rows are channel_stats of the matching pair,
-    bit for bit.  Phased-array power rests on B E - x, which cancels: a
+    """The sweep stage's (B, E, x) rows are channel_stats of the matching
+    pair, bit for bit.  Phased-array power rests on B E - x, which cancels: a
     last-bit change in x (say from summing it in another order) moves that
     power by up to ~1e-5 relative, so equality here is exact on purpose."""
     config = ExperimentConfig()
     times = config.time_samples
     rng = np.random.default_rng(81)
     for n in (2, 5, 8):
-        scn = sample_scenario(rng, config, n)
-        plan_star, _ = optimize_offsets(scn)
-        b, e, x = _plan_stats(scn, plan_star, times)
-        rows = [(plan_star, times[0]), (linear_fda_plan(n, MAX_OFFSET), times[0]),
-                (phased_array_plan(n), times[0])]
-        rows += [(plan_star, t) for t in times[1:]]
-        expect = np.array([channel_stats(channel_pair(scn, p, t)) for p, t in rows])
-        assert_array_equal(np.stack([b, e, x], axis=-1), expect)
+        scenarios = [sample_scenario(rng, config, n) for _ in range(3)]
+        plans = [optimize_offsets(scn)[0] for scn in scenarios]
+        stats = experiments._block_stats(
+            np.array([scn.bob_distances for scn in scenarios]),
+            np.array([scn.eve_distances for scn in scenarios]),
+            np.array([plan.offsets for plan in plans]), times)
+        for r, (scn, plan_star) in enumerate(zip(scenarios, plans)):
+            rows = [(plan_star, times[0]), (linear_fda_plan(n, MAX_OFFSET), times[0]),
+                    (phased_array_plan(n), times[0])]
+            rows += [(plan_star, t) for t in times[1:]]
+            expect = np.array([channel_stats(channel_pair(scn, p, t)) for p, t in rows])
+            assert_array_equal(np.stack([s[r] for s in stats], axis=-1), expect)
 
 
 def test_sample_scenario_distribution():
@@ -352,12 +357,20 @@ def test_mrt_recheck_only_where_mrt_is_feasible(monkeypatch):
     feasible = 0
     for n in config.antenna_counts:
         for idx in range(config.realizations):
+            bob, eve, offsets = experiments._power_realization(config, (n, idx))
+            stats = experiments._block_stats(bob[None], eve[None], offsets[None],
+                                             config.time_samples)
             calls.clear()
-            row, _ = experiments._power_realization(config, (n, idx))
-            ok = not math.isnan(row[SCHEMES.index("mrt")])
+            table, _ = experiments._power_metrics(config, *stats)
+            ok = not math.isnan(table[0, SCHEMES.index("mrt")])
             assert len(calls) == 1 + extra * ok
             feasible += ok
     assert 0 < feasible < len(config.antenna_counts) * config.realizations
+    # The whole sweep makes the same solves, block by block.
+    calls.clear()
+    mrt = run_power_sweep(config).values["mrt"]
+    assert len(calls) == mrt.size + extra * np.count_nonzero(~np.isnan(mrt)) == \
+        mrt.size + extra * feasible
 
 
 def test_bound_matches_direct_formula():
@@ -393,3 +406,80 @@ def test_power_sweep_repeated_antenna_count():
     for scheme in twice.schemes:
         assert_array_equal(twice.values[scheme], np.vstack([once.values[scheme]] * 2))
     assert not np.isnan(once.values["proposed"]).any()
+
+
+_ORACLE_TIMES = {"21": ExperimentConfig().time_samples, "1": (0.0,), "()": ()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sweeps_equal_per_realization_oracle(seed, workers):
+    """The array stage reproduces the per-realization pipeline bit for bit:
+    values, time spreads and the order of the spread keys, at every time
+    sampling, target and worker count."""
+    for times in _ORACLE_TIMES.values():
+        for rate in (10.0, 1.2):
+            config = ExperimentConfig(realizations=4, rng_seed=seed, antenna_counts=(1, 2, 3, 8),
+                                      target_rate=rate, time_samples=times)
+            result = run_power_sweep(config, workers=workers)
+            values, spread = realization_sweep(config, "power")
+            for s in SCHEMES:
+                assert_array_equal(result.values[s], values[s])
+            assert list(result.time_spread.items()) == list(spread.items())
+        for n in (1, 2, 3, 8):
+            config = ExperimentConfig(realizations=4, rng_seed=seed, antenna_counts=(n,),
+                                      time_samples=times)
+            result = run_rate_sweep(config, workers=workers)
+            values, spread = realization_sweep(config, "rate")
+            for s in SCHEMES:
+                assert_array_equal(result.values[s], values[s])
+            assert list(result.time_spread.items()) == list(spread.items())
+
+
+@pytest.mark.parametrize("which", ["power", "rate"])
+def test_sweep_blocks_do_not_change_results(monkeypatch, which):
+    """Splitting a count's realizations into blocks, down to one realization
+    per block, changes no value, spread or spread key order."""
+    config = ExperimentConfig(realizations=7, rng_seed=3, antenna_counts=(2, 5),
+                              target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
+    run = run_power_sweep if which == "power" else run_rate_sweep
+    whole = run(config)
+    for entries in (1, 3 * 5 * 5):
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+        blocked = run(config)
+        for s in SCHEMES:
+            assert_array_equal(blocked.values[s], whole.values[s])
+        assert list(blocked.time_spread.items()) == list(whole.time_spread.items())
+
+
+@pytest.mark.parametrize("which, override, message", [
+    ("power", {"target_rate": 500.0}, "lambda1 is inf at a 500-bit target"),
+    ("rate", {"power_grid": (1.0, 1e150, 1e160)}, "at a 1e+150 W budget"),
+    ("rate", {"power_grid": (1e305,)}, "at a 1e+305 W budget"),
+])
+def test_sweep_overflow_names_the_first_failing_realization(monkeypatch, which, override,
+                                                            message):
+    """Overflow raises the per-realization pipeline's error, whatever the
+    block size."""
+    config = ExperimentConfig(realizations=3, rng_seed=2, antenna_counts=(2, 3), **override)
+    run = run_power_sweep if which == "power" else run_rate_sweep
+    with pytest.raises(OverflowError) as expected:
+        realization_sweep(config, which)
+    assert message in str(expected.value)
+    for entries in (1, experiments._BLOCK_ENTRIES):
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+        with pytest.raises(OverflowError) as got:
+            run(config)
+        assert str(got.value) == str(expected.value)
+
+
+def test_rate_recheck_at_the_largest_power():
+    """The rate sweep re-checks time invariance at the largest grid power,
+    wherever the grid lists it."""
+    base = _small_rate_config(antenna_counts=(2,), time_samples=(0.0, 10e-6, 20e-6))
+    descending = run_rate_sweep(dataclasses.replace(base, power_grid=(10.0, 0.1)))
+    top = run_rate_sweep(dataclasses.replace(base, power_grid=(10.0,)))
+    bottom = run_rate_sweep(dataclasses.replace(base, power_grid=(0.1,)))
+    assert descending.time_spread == top.time_spread
+    assert descending.time_spread != bottom.time_spread
+    assert list(descending.time_spread) == ["proposed", "mrt"]

@@ -15,6 +15,7 @@ from fdabeam import (
     channel_pair,
     channel_pairs,
 )
+from fdabeam.scenario import _channels
 
 from helpers import (
     channel_vector,
@@ -220,6 +221,25 @@ def test_channel_pairs_rows_equal_channel_pair_bitwise():
             pair = channel_pair(scn, plan, t)
             assert_array_equal(hb[k], pair.h_bob)
             assert_array_equal(he[k], pair.h_eve)
+
+
+def test_stacked_synthesis_equals_channel_pairs_bitwise():
+    """Synthesis over a stack of layouts gives each layout the rows that
+    channel_pairs gives it alone, bit for bit."""
+    rng = np.random.default_rng(15)
+    rf = reference_rf()
+    times = (0.0, 3e-6, 20e-6)
+    for n in (1, 4, 9):
+        scenarios = [random_scenario(rng, n) for _ in range(5)]
+        plans = [[random_plan(rng, n) for _ in times] for _ in scenarios]
+        offsets = np.array([[p.offsets for p in row] for row in plans])
+        hb, he = _channels(rf, np.array([s.bob_distances for s in scenarios]),
+                           np.array([s.eve_distances for s in scenarios]), offsets, times)
+        assert hb.shape == he.shape == (5, len(times), n)
+        for r, scn in enumerate(scenarios):
+            one_b, one_e = channel_pairs(scn, plans[r], times)
+            assert_array_equal(hb[r], one_b)
+            assert_array_equal(he[r], one_e)
 
 
 def test_channel_pairs_need_one_time_per_plan():
