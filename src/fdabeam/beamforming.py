@@ -150,7 +150,9 @@ def lambda1_closed_form(bob_gain: float, eve_gain: float, coupling: float,
 
     Parameters are ``B = ||h_b||^2``, ``E = ||h_e||^2``, the coupling
     ``x = |h_e^H h_b|^2`` and the target rate R.  Always non-negative; zero
-    exactly when the channels are parallel and ``2^R E >= B``.
+    exactly when the channels are parallel and ``2^R E >= B``.  Since
+    ``lambda1 <= B``, a non-finite entry can only come from ``2^R E``
+    overflowing, which raises :class:`OverflowError` naming the first one.
     """
     limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
     t = 2.0**rate
@@ -158,7 +160,12 @@ def lambda1_closed_form(bob_gain: float, eve_gain: float, coupling: float,
     w2 = np.maximum(limit - coupling, 0.0)
     lam = 0.5 * (-w1 + np.sqrt(w1 * w1 + 4.0 * t * w2))
     # Orthogonal channels: the eigenvalue is exactly B.
-    return _float_or_array(np.where(coupling == 0.0, bob_gain, lam))
+    lam = np.where(coupling == 0.0, bob_gain, lam)
+    finite = np.isfinite(lam)  # argmin: the first non-finite entry in C order
+    if not finite.all():
+        v, r = (np.broadcast_to(a, lam.shape).flat[finite.argmin()] for a in (lam, rate))
+        raise OverflowError(f"lambda1 is {v} at a {r:g}-bit target")
+    return _float_or_array(lam)
 
 
 @_float_semantics
@@ -168,14 +175,20 @@ def lambda_delta_closed_form(bob_gain: float, eve_gain: float, coupling: float,
     ``(1 + snr_bob) / (1 + snr_eve)`` achievable with ``||w||^2 = power``.
 
     Always >= 1; equals ``1 + power * B`` exactly for orthogonal channels
-    and 1 for identical channels or zero power.
+    and 1 for identical channels or zero power.  A non-finite entry raises
+    :class:`OverflowError` naming the budget of the first one.
     """
     limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
     f1 = power * (limit - coupling) + bob_gain - eve_gain
     f2 = 4.0 * (1.0 + power * eve_gain) * np.maximum(limit - coupling, 0.0)
     lam = 1.0 + 0.5 * power * (f1 + np.sqrt(f1 * f1 + f2)) / (1.0 + power * eve_gain)
     lam = np.where(coupling == 0.0, 1.0 + power * bob_gain, lam)
-    return _float_or_array(np.where(power == 0.0, 1.0, lam))
+    lam = np.where(power == 0.0, 1.0, lam)
+    finite = np.isfinite(lam)
+    if not finite.all():
+        budget = np.broadcast_to(power, lam.shape).flat[finite.argmin()]
+        raise OverflowError(f"lambda_delta is not finite at a {budget:g} W budget")
+    return _float_or_array(lam)
 
 
 def principal_eigvec_span2(a: float, u: np.ndarray, b: float,
@@ -218,13 +231,9 @@ def min_power_beamformer(pair: ChannelPair, target: SecrecyTarget) -> PowerMinSo
     The optimal direction is the principal eigenvector of
     ``h_b h_b^H - 2^R h_e h_e^H`` and the power is ``(2^R - 1) / lambda1``.
     Infeasibility (lambda1 <= 0) is reported in the result, not raised.
-    Since ``lambda1 <= B``, a non-finite lambda1 can only come from ``2^R E``
-    overflowing, which raises :class:`OverflowError`.
     """
     b, e, x = channel_stats(pair)
     lam1 = lambda1_closed_form(b, e, x, target.rate)
-    if not math.isfinite(lam1):
-        raise OverflowError(f"lambda1 is {lam1} at a {target.rate:g}-bit target")
     if lam1 <= 0.0:
         return PowerMinSolution(beamformer=None, power=math.inf,
                                 lambda1=lam1, feasible=False)
@@ -243,8 +252,7 @@ def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSoluti
     as ``(h_b h_b^H - lambda h_e h_e^H) w = ((lambda - 1) / P) w``.  That
     matrix has at most one positive eigenvalue, so the direction is its
     principal eigenvector: the construction of :func:`min_power_beamformer`
-    with ``lambda_delta`` in place of ``2^R``.  A budget so large that
-    lambda_delta overflows raises :class:`OverflowError`.
+    with ``lambda_delta`` in place of ``2^R``.
     """
     p = budget.power
     if p == 0.0:
@@ -252,8 +260,6 @@ def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSoluti
                                rate=0.0, lambda_delta=1.0)
     b, e, x = channel_stats(pair)
     lam = lambda_delta_closed_form(b, e, x, p)
-    if not math.isfinite(lam):
-        raise OverflowError(f"lambda_delta is {lam} at a {p:g} W budget")
     _, direction = principal_eigvec_span2(1.0, pair.h_bob, -lam, pair.h_eve)
     return RateMaxSolution(beamformer=math.sqrt(p) * direction,
                            rate=math.log2(lam), lambda_delta=lam)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -133,10 +134,10 @@ class SweepResult:
     time_spread: dict = field(default_factory=dict)
 
     def mean(self, scheme: str) -> np.ndarray:
-        return _nanstat(np.nanmean, self.values[scheme])
+        return _nanstat(np.mean, self.values[scheme])
 
     def percentile(self, scheme: str, q: float) -> np.ndarray:
-        return _nanstat(partial(np.nanpercentile, q=q), self.values[scheme])
+        return _nanstat(partial(np.percentile, q=q), self.values[scheme])
 
     def infeasible_fraction(self, scheme: str) -> np.ndarray:
         return np.mean(np.isnan(self.values[scheme]), axis=1)
@@ -153,11 +154,8 @@ class ConvergenceResult:
 
 
 def _nanstat(fn, block: np.ndarray) -> np.ndarray:
-    out = np.empty(block.shape[0])
-    for i, row in enumerate(block):
-        good = row[~np.isnan(row)]
-        out[i] = fn(good) if good.size else math.nan
-    return out
+    rows = (row[~np.isnan(row)] for row in block)
+    return np.array([fn(good) if good.size else math.nan for good in rows], dtype=float)
 
 
 def linear_fda_plan(element_count: int, max_offset: float) -> FrequencyPlan:
@@ -242,10 +240,6 @@ def _power_metrics(config: ExperimentConfig, b, e, x) -> tuple:
     scheme -> ((R,) first-sample powers, (R, K - 3) later powers)."""
     rate = config.target_rate
     lam1 = lambda1_closed_form(b, e, x, rate)
-    bad = ~np.isfinite(lam1).all(axis=1)
-    if bad.any():  # lambda1 >= 0: a row's max is its inf or NaN
-        raise OverflowError(f"lambda1 is {lam1[bad.argmax()].max()} "
-                            f"at a {rate:g}-bit target")
     # Minimum power (2^R - 1) / lambda1; infinite where lambda1 <= 0.
     excess = 2.0**rate - 1.0
     power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
@@ -271,15 +265,13 @@ def _rate_metrics(config: ExperimentConfig, b, e, x) -> tuple:
     the largest grid power: scheme -> ((R,) first-sample rates, (R, K - 3)
     later rates)."""
     grid = np.array(config.power_grid, dtype=float)
-    with np.errstate(over="ignore"):
-        free = 1.0 + grid * b[:, :1]
-    lam = lambda_delta_closed_form(b[:, :3, None], e[:, :3, None], x[:, :3, None], grid)
-    finite = np.isfinite(free) & np.isfinite(lam).all(axis=1)
-    bad = ~finite.all(axis=1)
-    if bad.any():
-        raise OverflowError(f"lambda_delta or the bound is not finite at a "
-                            f"{grid[~finite[bad.argmax()]][0]:g} W budget")
-    rates = np.concatenate([np.log2(free)[:, None], np.maximum(np.log2(lam), 0.0),
+    # (R, G, 4): the bound (the proposed row at zero coupling, where
+    # lambda_delta is exactly 1 + P B), then the proposed, linear and phased
+    # rows; C order names the first failing realization's first failing power.
+    stats = np.stack([b, e, x])[:, :, None, [0, 0, 1, 2]]
+    stats[2, :, :, 0] = 0.0
+    lam = lambda_delta_closed_form(*stats, grid[:, None])
+    rates = np.concatenate([np.maximum(np.log2(lam), 0.0).swapaxes(1, 2),
                             mrt_rate(b[:, :1], grid, x[:, :1])[:, None]], axis=1)
     top = int(np.argmax(grid))
     p_top = grid[top]
@@ -320,7 +312,9 @@ def _convergence_realization(config: ExperimentConfig, task: tuple) -> tuple:
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    # At most one worker per task and per CPU: a fork pool starts them all.
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (4 * workers))
@@ -374,7 +368,7 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     One task per realization at ``antenna_counts[0]`` elements draws and
     descends; the closed forms then run on all realizations and every power
     of the grid at once.  The time re-check runs at the largest power.  A
-    power at which lambda_delta or the bound overflows raises
+    power at which lambda_delta overflows, the bound's included, raises
     :class:`OverflowError`.
     """
     grid = np.array(config.power_grid, dtype=float)

@@ -335,9 +335,7 @@ def _power_realization(config, n, index):
     rate = config.target_rate
     times = config.time_samples or (0.0,)
     b, e, x = plan_stats(scenario, plan_star, times)
-    lam1 = lambda1_closed_form(b, e, x, rate)
-    if not np.isfinite(lam1).all():
-        raise OverflowError(f"lambda1 is {lam1.max()} at a {rate:g}-bit target")
+    lam1 = lambda1_closed_form(b, e, x, rate)  # raises on overflow
     excess = 2.0**rate - 1.0
     power = np.divide(excess, lam1, out=np.full(lam1.shape, math.inf), where=lam1 > 0.0)
     p_mrt = mrt_required_power(b[0], rate, x[0])
@@ -356,13 +354,12 @@ def _rate_realization(config, index):
     times = config.time_samples or (0.0,)
     b, e, x = plan_stats(scenario, plan_star, times)
     grid = np.array(config.power_grid, dtype=float)
-    with np.errstate(over="ignore"):
-        free = 1.0 + grid * b[0]
+    # Overflow raises at the first failing grid power, the bound (lambda_delta
+    # at zero coupling, exactly 1 + P B) included.
+    for p in grid:
+        lambda_delta_closed_form(b[[0, 0, 1, 2]], e[[0, 0, 1, 2]], np.r_[0.0, x[:3]], p)
+    free = 1.0 + grid * b[0]
     lam = lambda_delta_closed_form(b[:3, None], e[:3, None], x[:3, None], grid)
-    finite = np.isfinite(free) & np.isfinite(lam).all(axis=0)
-    if not finite.all():
-        raise OverflowError(f"lambda_delta or the bound is not finite at a "
-                            f"{grid[~finite][0]:g} W budget")
     rates = np.vstack([np.log2(free), np.maximum(np.log2(lam), 0.0),
                        mrt_rate(b[0], grid, x[0])])
     top = int(np.argmax(grid))

@@ -1,6 +1,7 @@
 """Closed-form secrecy beamformers against dense linear-algebra oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,11 @@ def test_orthogonal_channel_identities():
         assert lambda1_closed_form(b, e, x, rate) == b
     for power in (1e-3, 1.0, 1e3):
         assert lambda_delta_closed_form(b, e, x, power) == 1.0 + power * b
+    # Broadcast too: the rate sweep's bound column is lambda_delta at x = 0.
+    rng = np.random.default_rng(4)
+    gains = rng.uniform(0.1, 1e6, (2, 50, 1))
+    grid = 10.0 ** rng.uniform(-3.0, 3.0, 21)
+    assert_array_equal(lambda_delta_closed_form(*gains, 0.0, grid), 1.0 + grid * gains[0])
 
 
 def test_closed_form_input_guards():
@@ -488,6 +494,27 @@ def test_max_rate_overflow_is_named():
     for power in (1e150, 1e305):
         with pytest.raises(OverflowError, match="lambda_delta is"):
             max_rate_beamformer(pair, PowerBudget(power))
+
+
+def test_closed_forms_own_their_overflow():
+    """Scalar and broadcast calls raise the named error without a numpy
+    warning, naming the first non-finite entry in C order: its value and
+    rate for lambda1 (inf where only ``(2^R E)^2`` overflows, nan where
+    ``2^R E`` does), its budget for lambda_delta."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^lambda1 is inf at a 500-bit target$"):
+            lambda1_closed_form(1e3, 1e5, 1.0, 500.0)
+        with pytest.raises(OverflowError, match=r"^lambda1 is nan at a 1000-bit target$"):
+            lambda1_closed_form(1e3, np.array([[1e3, 1e3], [1e10, 1e5]]), 1.0,
+                                np.array([[1.0, 500.0], [1000.0, 500.0]]))
+        with pytest.raises(OverflowError,
+                           match=r"^lambda_delta is not finite at a 1e\+150 W budget$"):
+            lambda_delta_closed_form(1e3, 1e3, 1.0, 1e150)
+        with pytest.raises(OverflowError,
+                           match=r"^lambda_delta is not finite at a 1e\+160 W budget$"):
+            lambda_delta_closed_form(1.0, 1.0, np.array([[1.0], [0.5]]),
+                                     np.array([1e100, 1e160, 1e200]))
 
 
 def test_max_rate_orthogonal_equals_mrt():

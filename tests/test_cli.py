@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fdabeam import experiments
 from fdabeam.cli import OUTPUT_DIR_ENV, main
 from fdabeam.config import (
     ConfigError,
@@ -455,6 +456,54 @@ def test_sweep_power_lambda1_overflow_exits_1(experiment_ini, tmp_path, capsys, 
     assert code == 1
     assert err == "error: OverflowError: lambda1 is inf at a 500-bit target\n"
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_rate_overflow_is_one_error_for_solve_and_sweep(scenario_ini, experiment_ini,
+                                                       tmp_path, capsys):
+    """``solve-rate`` and ``sweep-rate`` at the same overflowing budget print
+    the same line: both take it from ``lambda_delta_closed_form``."""
+    solve = main(["solve-rate", "-c", str(scenario_ini), "-o", str(tmp_path / "s"),
+                  "--set", "solver.power_budget=1e150 W"])
+    solve_err = capsys.readouterr().err
+    sweep = main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "w"),
+                  "-j", "1", "--set", "experiment.power_grid=1e150 W"])
+    line = "error: OverflowError: lambda_delta is not finite at a 1e+150 W budget\n"
+    assert (solve, sweep) == (1, 1)
+    assert solve_err == capsys.readouterr().err == line
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch):
+    """A pool never gets more workers than tasks or CPUs, whatever ``-j``
+    asks for.  The stand-in pool maps serially, so no process starts."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            pools[-1] = (pools[-1], chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
+    assert experiments._map_tasks(abs, list(range(-40, 0)), 10**6) == list(range(40, 0, -1))
+    assert pools == [(2, 1), (3, 3)]  # chunk = tasks // (4 * capped workers)
+    # The config's sweep-rate has 4 tasks, one per realization.
+    assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", "1000000"]) == 0
+    assert pools[2:] == [(3, 1)]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)  # unknown: one
+    assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
+    assert len(pools) == 3
 
 
 @pytest.mark.parametrize("overrides", [

@@ -473,6 +473,26 @@ def test_sweep_overflow_names_the_first_failing_realization(monkeypatch, which, 
         assert str(got.value) == str(expected.value)
 
 
+def test_rate_overflow_names_the_first_failing_power_of_the_first_failing_realization():
+    """The rate stage lays its closed forms out as (realization, power,
+    column) and names the budget of the first non-finite entry in C order.
+
+    Realization 0 never fails.  Realization 1 fails at 1e160 W in the phased
+    column and at 1e200 W in the linear and phased columns, so a
+    column-major scan would name 1e200 W.  Realization 2 fails from 1e100 W,
+    which must not be named since realization 1 fails first.
+    """
+    config = ExperimentConfig(power_grid=(1e100, 1e160, 1e200), time_samples=())
+    b = np.array([[1.0, 1.0, 1.0], [1e-10, 1e-10, 1.0], [1e30, 1e30, 1e30]])
+    x = np.array([[1.0, 1.0, 1.0], [1e-20, 0.5e-20, 0.5], [0.5e60, 0.5e60, 0.5e60]])
+    with pytest.raises(OverflowError,
+                       match=r"^lambda_delta is not finite at a 1e\+160 W budget$"):
+        experiments._rate_metrics(config, b, b, x)
+    x[1, 2] = 1.0  # realization 1 then fails in the linear column only
+    with pytest.raises(OverflowError, match=r"at a 1e\+200 W budget$"):
+        experiments._rate_metrics(config, b, b, x)
+
+
 def test_rate_recheck_at_the_largest_power():
     """The rate sweep re-checks time invariance at the largest grid power,
     wherever the grid lists it."""
