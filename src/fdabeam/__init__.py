@@ -19,11 +19,9 @@ from .beamforming import (
     mrt_required_power,
     principal_eigvec_span2,
     secrecy_rate,
-    snr,
     stacked_channel_stats,
 )
 from .coupling import (
-    CouplingCoefficients,
     OptimizerTrace,
     cosine_argmin,
     coupling_coefficients,
@@ -52,7 +50,6 @@ from .scenario import (
     RfParams,
     Scenario,
     channel_pair,
-    channel_pairs,
 )
 
 __version__ = "0.1.0"

@@ -86,15 +86,10 @@ class RateMaxSolution:
     lambda_delta: float
 
 
-def snr(w: np.ndarray, h_normalized: np.ndarray) -> float:
-    """Receive SNR |h^H w|^2 for a noise-normalized channel."""
-    return float(abs(np.vdot(h_normalized, w)) ** 2)
-
-
 def secrecy_rate(w: np.ndarray, pair: ChannelPair) -> float:
     """Achievable secrecy rate of beamformer ``w`` in bits/s/Hz (clamped at 0)."""
-    gamma_b = snr(w, pair.h_bob)
-    gamma_e = snr(w, pair.h_eve)
+    gamma_b = float(abs(np.vdot(pair.h_bob, w)) ** 2)
+    gamma_e = float(abs(np.vdot(pair.h_eve, w)) ** 2)
     return max(math.log2((1.0 + gamma_b) / (1.0 + gamma_e)), 0.0)
 
 
@@ -135,6 +130,15 @@ _float_semantics = np.errstate(all="ignore")
 Python float arithmetic."""
 
 
+def _exp2(rate):
+    """``2.0**rate`` (``np.exp2`` rounds some rates differently), with inf
+    where a Python float overflows: from 1024 bits on."""
+    try:
+        return 2.0**rate
+    except OverflowError:
+        return math.inf
+
+
 def _cauchy_schwarz_limit(bob_gain, eve_gain, coupling):
     """``B E``, after checking that no coupling exceeds it."""
     limit = bob_gain * eve_gain
@@ -155,7 +159,7 @@ def lambda1_closed_form(bob_gain: float, eve_gain: float, coupling: float,
     overflowing, which raises :class:`OverflowError` naming the first one.
     """
     limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
-    t = 2.0**rate
+    t = _exp2(rate)
     w1 = t * eve_gain - bob_gain
     w2 = np.maximum(limit - coupling, 0.0)
     lam = 0.5 * (-w1 + np.sqrt(w1 * w1 + 4.0 * t * w2))
@@ -280,7 +284,7 @@ def mrt_required_power(bob_gain: float, rate: float, coupling: float) -> float:
     Finite exactly when ``B^2 > 2^R x``; always an upper bound for the
     optimal (eigenvector-based) minimum power.
     """
-    t = 2.0**rate
+    t = _exp2(rate)
     denom = np.asarray(bob_gain - t * coupling / bob_gain)
     power = np.divide(t - 1.0, denom, out=np.full(denom.shape, math.inf),
                       where=denom > 0.0)

@@ -192,7 +192,7 @@ def _cmd_convergence(args: argparse.Namespace, out: Path) -> int:
     result = run_convergence_study(config, workers=_workers(args))
     write_convergence_csv(result, out / "convergence.csv")
     for n in result.antenna_counts:
-        print(f"N={n}: median_outer_iterations={result.median_outer[n]:g}")
+        print(f"N={n}: median_outer_iterations={np.median(result.outer_counts[n]):g}")
     print(f"wrote: {out / 'convergence.csv'}")
     return 0
 

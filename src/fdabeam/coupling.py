@@ -39,26 +39,6 @@ from .scenario import FrequencyPlan, RfParams, Scenario, _plan_offsets
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class CouplingCoefficients:
-    """Geometry-only coefficients of the coupling objective."""
-
-    omega: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        om = np.array(self.omega, dtype=float, copy=True)
-        al = np.array(self.alpha, dtype=float, copy=True)
-        if om.shape != al.shape or om.ndim != 1:
-            raise ValueError("omega and alpha must be 1-D and equally sized")
-        if np.any(al <= 0):
-            raise ValueError("alpha entries must be positive")
-        om.flags.writeable = False
-        al.flags.writeable = False
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "alpha", al)
-
-
 @dataclass
 class OptimizerTrace:
     """Convergence record of :func:`optimize_offsets`.
@@ -75,12 +55,13 @@ class OptimizerTrace:
     rejected_updates: int = 0
 
 
-def coupling_coefficients(scenario: Scenario) -> CouplingCoefficients:
-    """Geometry coefficients (omega, alpha) from the stored element distances."""
+def coupling_coefficients(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Geometry coefficients ``(omega, alpha)``, two (N,) arrays, from the
+    stored element distances."""
     r_b, r_e = scenario.bob_distances, scenario.eve_distances
     omega = _TWO_PI * (r_e - r_b) / scenario.rf.wave_speed
     alpha = 1.0 / (r_b * r_e)
-    return CouplingCoefficients(omega=omega, alpha=alpha)
+    return omega, alpha
 
 
 def coupling_prefactor(scenario: Scenario) -> float:
@@ -99,8 +80,8 @@ def g_value(scenario: Scenario, plan: FrequencyPlan) -> float:
     :func:`fdabeam.scenario.channel_pair` vectors at any t.
     """
     freqs = scenario.rf.carrier_frequency + _plan_offsets(scenario, [plan])[0]
-    coeffs = coupling_coefficients(scenario)
-    terms = coeffs.alpha * np.exp(1j * (coeffs.omega * freqs))
+    omega, alpha = coupling_coefficients(scenario)
+    terms = alpha * np.exp(1j * (omega * freqs))
     return coupling_prefactor(scenario) * kernels.coupling_power(terms)
 
 
@@ -165,11 +146,10 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         initial = FrequencyPlan(np.zeros(n_elem))
     freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
 
-    coeffs = coupling_coefficients(scenario)
+    omega, alpha = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
     # Per-element terms of the coupling sum at the current frequencies;
     # entry n changes only when an update of f_n is accepted.
-    alpha, omega = coeffs.alpha, coeffs.omega
     terms = alpha * np.exp(1j * (omega * freqs))
     re, im = terms.real, terms.imag
     om, fr = omega.tolist(), freqs.tolist()

@@ -47,6 +47,7 @@ from .scenario import (
     RfParams,
     Scenario,
     _channels,
+    _check_times,
     _is_int,
 )
 
@@ -109,8 +110,7 @@ class ExperimentConfig:
         lo, hi = self.angle_interval
         if not 0.0 <= lo <= hi <= math.pi:
             raise ValueError("angle_interval must be finite, ordered and within [0, pi]")
-        if not _all_finite(self.time_samples):
-            raise ValueError("time_samples must be finite")
+        _check_times(_RF, np.asarray(self.time_samples, dtype=float), "time_samples")
 
 
 def _all_finite(values) -> bool:
@@ -127,7 +127,6 @@ class SweepResult:
     MRT metrics across the configured time samples.
     """
 
-    axis_name: str
     axis: np.ndarray
     values: dict
     schemes: tuple
@@ -149,7 +148,6 @@ class ConvergenceResult:
 
     antenna_counts: tuple
     mean_history: dict
-    median_outer: dict
     outer_counts: dict
 
 
@@ -322,7 +320,7 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
 
 
 def _sweep(config: ExperimentConfig, realization, metrics, tasks: list,
-           axis_name: str, axis: np.ndarray, workers: int) -> SweepResult:
+           axis: np.ndarray, workers: int) -> SweepResult:
     """Run ``realization`` (draw and descent) on every task, then ``metrics``
     on each block of :func:`_blocks`; place the metrics of all
     :data:`SCHEMES` (a value, or one per power) and keep the
@@ -341,7 +339,7 @@ def _sweep(config: ExperimentConfig, realization, metrics, tasks: list,
     table = np.concatenate(tables).reshape(len(tasks) // reps, reps, len(SCHEMES), -1)
     schemes = tuple(config.baselines)
     return SweepResult(
-        axis_name=axis_name, axis=axis, schemes=schemes,
+        axis=axis, schemes=schemes,
         # (row, realization, point) -> (row * point, realization)
         values={s: table[:, :, SCHEMES.index(s)].swapaxes(1, 2).reshape(-1, reps)
                 for s in schemes},
@@ -358,7 +356,7 @@ def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     counts = list(config.antenna_counts)
     tasks = [(n, idx) for n in counts for idx in range(config.realizations)]
-    return _sweep(config, _power_realization, _power_metrics, tasks, "element_count",
+    return _sweep(config, _power_realization, _power_metrics, tasks,
                   np.array(counts, dtype=float), workers)
 
 
@@ -373,7 +371,7 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     grid = np.array(config.power_grid, dtype=float)
     return _sweep(config, _rate_realization, _rate_metrics, list(range(config.realizations)),
-                  "power_w", grid, workers)
+                  grid, workers)
 
 
 def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> ConvergenceResult:
@@ -383,7 +381,6 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
     tasks = [(n, idx) for n in counts for idx in range(reps)]
     results = _map_tasks(partial(_convergence_realization, config), tasks, workers)
     mean_history = {}
-    median_outer = {}
     outer_counts = {}
     for i, n in enumerate(counts):
         block = results[i * reps:(i + 1) * reps]
@@ -392,11 +389,9 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
         depth = max(len(h) for h in histories)
         padded = np.array([h + [h[-1]] * (depth - len(h)) for h in histories])
         mean_history[n] = padded.mean(axis=0)
-        median_outer[n] = float(np.median(outers))
         outer_counts[n] = outers
     return ConvergenceResult(antenna_counts=counts,
                              mean_history=mean_history,
-                             median_outer=median_outer,
                              outer_counts=outer_counts)
 
 

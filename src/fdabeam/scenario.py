@@ -21,6 +21,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 """Propagation speed used by default, m/s."""
 
 _TWO_PI = 2.0 * np.pi
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
 
 def _is_int(value) -> bool:
@@ -174,27 +175,13 @@ class ChannelPair:
 
 def channel_pair(scenario: Scenario, plan: FrequencyPlan,
                  t: float = 0.0) -> ChannelPair:
-    """Noise-normalized channels ``h_i / sigma_i`` for Bob and Eve at ``t``;
-    one row of :func:`channel_pairs`."""
-    hb, he = channel_pairs(scenario, (plan,), (t,))
+    """Noise-normalized channels ``h_i / sigma_i`` for Bob and Eve at ``t``:
+    entry n of ``h`` is ``wavelength / (4 pi r_n) exp(j 2 pi f_n (t - r_n / c))``
+    with ``f_n = f_c + offsets[n]`` and r_n the stored element distance.  The
+    one-row call of :func:`_channels`, which the sweeps run on stacks."""
+    hb, he = _channels(scenario.rf, scenario.bob_distances, scenario.eve_distances,
+                       _plan_offsets(scenario, [plan]), (t,))
     return ChannelPair(h_bob=hb[0], h_eve=he[0])
-
-
-def channel_pairs(scenario: Scenario, plans, times) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-normalized channels ``(h_b / sigma_b, h_e / sigma_e)`` for K
-    (plan, time) pairs: ``plans`` holds K :class:`FrequencyPlan` and
-    ``times`` K instants in s.  Each result has shape (K, N), row k being the
-    channel under ``plans[k]`` at ``times[k]``: entry n of the free-space
-    channel ``h`` is ``wavelength / (4 pi r_n) * exp(j 2 pi f_n (t - r_n / c))``
-    with ``f_n = f_c + offsets[n]`` and r_n the element-to-receiver distance
-    stored on the scenario (``bob_distances``, ``eve_distances``).
-
-    Row k equals ``channel_pair(scenario, plans[k], times[k])`` bit for bit:
-    both come from this one synthesis, the single-scenario call of
-    :func:`_channels`.
-    """
-    return _channels(scenario.rf, scenario.bob_distances, scenario.eve_distances,
-                     _plan_offsets(scenario, plans), times)
 
 
 def _channels(rf: RfParams, bob_distances: np.ndarray, eve_distances: np.ndarray,
@@ -215,8 +202,7 @@ def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> n
     times = np.asarray(times, dtype=np.longdouble)
     if times.shape != offsets.shape[-2:-1]:
         raise ValueError("plans and times must pair up one to one")
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
+    _check_times(rf, times)
     dist = dist[..., None, :]
     amp = rf.wavelength / (4.0 * np.pi * dist)
     # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended
@@ -226,6 +212,15 @@ def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> n
     cycles = (rf.carrier_frequency + offsets).astype(np.longdouble) * delay
     frac = (cycles - np.floor(cycles)).astype(float)
     return amp * np.exp(1j * _TWO_PI * frac)
+
+
+def _check_times(rf: RfParams, times: np.ndarray, name: str = "times") -> None:
+    """Reject instants past ``|t| = 1e-6 / ((f_c + f_m) eps)``, where the
+    extended-precision phase ``f (t - r / c)`` at the top frequency would
+    round off more than 1e-6 of a cycle, and non-finite ones."""
+    limit = 1e-6 / ((rf.carrier_frequency + rf.max_offset) * _LONGDOUBLE_EPS)
+    if not (np.abs(times) <= limit).all():
+        raise ValueError(f"{name} must be finite and within ±{limit:.4g} s")
 
 
 def _plan_offsets(scenario: Scenario, plans) -> np.ndarray:

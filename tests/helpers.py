@@ -33,7 +33,7 @@ from fdabeam.experiments import (
     linear_fda_plan,
     phased_array_plan,
 )
-from fdabeam.scenario import _plan_offsets, _synthesize, channel_pairs
+from fdabeam.scenario import _channels, _plan_offsets, _synthesize
 
 CARRIER = 2.4e9
 MAX_OFFSET = 3e6
@@ -101,7 +101,7 @@ def random_pair(rng, n=None, shared_bearing=False, min_separation=0.0):
 
 def channel_vector(scenario, node, plan, t=0.0):
     """Free-space channel of ``node`` ("bob" or "eve") under ``plan`` at ``t``
-    before noise normalization; the synthesis behind ``scenario.channel_pairs``."""
+    before noise normalization; the synthesis behind ``scenario.channel_pair``."""
     dist = {"bob": scenario.bob_distances, "eve": scenario.eve_distances}[node]
     return _synthesize(scenario.rf, dist, _plan_offsets(scenario, (plan,)), (t,))[0]
 
@@ -173,12 +173,12 @@ def grid_oracle(scenario, points_per_axis):
         raise ValueError("grid oracle is limited to 3 elements")
     if points_per_axis < 2:
         raise ValueError("need at least 2 points per axis")
-    coeffs = coupling_coefficients(scenario)
+    omega, alpha = coupling_coefficients(scenario)
     axis = np.linspace(0.0, scenario.rf.max_offset, points_per_axis)
     mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
     offsets = mesh.reshape(-1, n)
     vals = coupling_power_batch(
-        coeffs.alpha, coeffs.omega, scenario.rf.carrier_frequency + offsets)
+        alpha, omega, scenario.rf.carrier_frequency + offsets)
     best = int(np.argmin(vals))
     return (FrequencyPlan(offsets[best]),
             coupling_prefactor(scenario) * float(vals[best]))
@@ -193,18 +193,21 @@ class CosineTerm:
 
 
 def _other_sums(n, freqs, coeffs):
-    """Real and imaginary coupling sums over every element but n."""
-    phases = coeffs.omega * freqs
+    """Real and imaginary coupling sums over every element but n;
+    ``coeffs`` is the ``(omega, alpha)`` pair of ``coupling_coefficients``."""
+    omega, alpha = coeffs
+    phases = omega * freqs
     mask = np.arange(freqs.shape[0]) != n
-    a = float(np.sum(coeffs.alpha[mask] * np.cos(phases[mask])))
-    b = float(np.sum(coeffs.alpha[mask] * np.sin(phases[mask])))
+    a = float(np.sum(alpha[mask] * np.cos(phases[mask])))
+    b = float(np.sum(alpha[mask] * np.sin(phases[mask])))
     return a, b
 
 
 def _cosine_term(n, freqs, coeffs):
     """Reduce the coupling seen by element n to a single cosine in f_n."""
     a, b = _other_sums(n, freqs, coeffs)
-    sign = math.copysign(1.0, coeffs.omega[n]) if coeffs.omega[n] != 0 else 0.0
+    omega_n = coeffs[0][n]
+    sign = math.copysign(1.0, omega_n) if omega_n != 0 else 0.0
     return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
 
 
@@ -217,7 +220,7 @@ def _best_frequency(n, freqs, coeffs, rf):
     current frequency unchanged.
     """
     a, b = _other_sums(n, freqs, coeffs)
-    f_new = _coordinate_minimizer(a, b, float(coeffs.omega[n]), rf)
+    f_new = _coordinate_minimizer(a, b, float(coeffs[0][n]), rf)
     return float(freqs[n]) if f_new is None else f_new
 
 
@@ -234,9 +237,10 @@ def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
     if initial is None:
         initial = FrequencyPlan(np.zeros(n_elem))
     coeffs = coupling_coefficients(scenario)
+    omega, alpha = coeffs
     pref = coupling_prefactor(scenario)
     freqs = rf.carrier_frequency + initial.offsets.copy()
-    history = [pref * coupling_power_row(coeffs.alpha, coeffs.omega, freqs)]
+    history = [pref * coupling_power_row(alpha, omega, freqs)]
     rejected = 0
     converged = False
     outer = 0
@@ -246,7 +250,7 @@ def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
         for i in range(n_elem):
             f_old = freqs[i]
             freqs[i] = _best_frequency(i, freqs, coeffs, rf)
-            g_new = pref * coupling_power_row(coeffs.alpha, coeffs.omega, freqs)
+            g_new = pref * coupling_power_row(alpha, omega, freqs)
             if g_new > history[-1]:
                 freqs[i] = f_old
                 g_new = history[-1]
@@ -272,7 +276,7 @@ def update_frequency_case_table(n, plan, coeffs, rf):
     f_c = rf.carrier_frequency
     f_m = rf.max_offset
     term = _cosine_term(n, freqs, coeffs)
-    w = abs(float(coeffs.omega[n]))
+    w = abs(float(coeffs[0][n]))
     if w == 0.0 or term.amplitude == 0.0 or f_m == 0.0:
         return float(freqs[n])
     b = w * f_c - term.phase
@@ -308,16 +312,17 @@ def vdot_stats(h_bob, h_eve):
 
 
 def plan_stats(scenario, plan_star, times):
-    """(B, E, x) of one sweep realization from one ``channel_pairs`` call,
-    row by row through :func:`vdot_stats`.
+    """(B, E, x) of one sweep realization from one channel synthesis
+    (``_channels`` of the scenario), row by row through :func:`vdot_stats`.
 
     Rows 0-2 are the proposed, linear-FDA and phased-array plans at the
     first time sample; row 3 + k is the proposed plan at ``times[1 + k]``.
     """
     n = scenario.array.element_count
     plans = (plan_star, linear_fda_plan(n, MAX_OFFSET), phased_array_plan(n))
-    h_bob, h_eve = channel_pairs(scenario, plans + (plan_star,) * (len(times) - 1),
-                                 (times[0],) * len(plans) + tuple(times[1:]))
+    offsets = _plan_offsets(scenario, plans + (plan_star,) * (len(times) - 1))
+    h_bob, h_eve = _channels(scenario.rf, scenario.bob_distances, scenario.eve_distances,
+                             offsets, (times[0],) * len(plans) + tuple(times[1:]))
     return np.array([vdot_stats(b, e) for b, e in zip(h_bob, h_eve)]).T
 
 

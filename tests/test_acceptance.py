@@ -128,7 +128,7 @@ def test_orthogonal_channel_identities():
 
 def _case_boundary_distance(n, plan, coeffs, rf):
     term = _cosine_term(n, rf.carrier_frequency + plan.offsets, coeffs)
-    w = abs(float(coeffs.omega[n]))
+    w = abs(float(coeffs[0][n]))
     b = w * rf.carrier_frequency - term.phase
     a = b - 2.0 * math.pi * math.floor(b / (2.0 * math.pi))
     c = w * rf.max_offset
@@ -151,15 +151,16 @@ def test_coordinate_update_matches_million_point_scan():
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
         coeffs = coupling_coefficients(scenario)
+        omega, alpha = coeffs
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
         f_new = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
 
         freqs = rf.carrier_frequency + np.array(plan.offsets)
         mask = np.arange(freqs.shape[0]) != n
-        weights = 2.0 * coeffs.alpha[n] * coeffs.alpha[mask]
-        phases = coeffs.omega[mask] * freqs[mask]
-        slope = float(coeffs.omega[n])
+        weights = 2.0 * alpha[n] * alpha[mask]
+        phases = omega[mask] * freqs[mask]
+        slope = float(omega[n])
         _, v_grid = coordinate_scan(
             weights, phases, slope, rf.carrier_frequency,
             rf.carrier_frequency + rf.max_offset, count)
@@ -178,7 +179,7 @@ def test_coordinate_update_matches_million_point_scan():
             boundary_skips += 1
             continue
         term = _cosine_term(n, rf.carrier_frequency + plan.offsets, coeffs)
-        w = abs(float(coeffs.omega[n]))
+        w = abs(float(omega[n]))
         v_generic = math.cos(w * f_new - term.phase)
         v_branch = math.cos(w * f_table - term.phase)
         diff = abs(v_branch - v_generic)
@@ -206,7 +207,7 @@ def test_offset_optimizer_monotone_quick_and_grid_optimal():
         assert np.all(np.diff(hist) <= 1e-12 * hist[:-1])
 
     study = run_convergence_study(config)
-    medians = {n: study.median_outer[n] for n in config.antenna_counts}
+    medians = {n: float(np.median(study.outer_counts[n])) for n in config.antenna_counts}
     assert all(m <= 5.0 for m in medians.values()), medians
 
     hits = 0
@@ -216,10 +217,10 @@ def test_offset_optimizer_monotone_quick_and_grid_optimal():
         plan, _ = optimize_offsets(scenario, tol=1e-10, max_outer=200)
         g_opt = g_value(scenario, plan)
         _, g_grid = grid_oracle(scenario, 1000)
-        coeffs = coupling_coefficients(scenario)
+        omega, alpha = coupling_coefficients(scenario)
         pref = coupling_prefactor(scenario)
-        stepsum = float(np.sum(2.0 * pref * coeffs.alpha * np.abs(coeffs.omega)
-                               * float(np.sum(coeffs.alpha))))
+        stepsum = float(np.sum(2.0 * pref * alpha * np.abs(omega)
+                               * float(np.sum(alpha))))
         resolution = stepsum * 0.5 * scenario.rf.max_offset / 999
         if abs(g_opt - g_grid) <= resolution + 1e-9 * g_grid:
             hits += 1

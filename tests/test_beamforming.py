@@ -19,7 +19,6 @@ from fdabeam.beamforming import (
     mrt_required_power,
     principal_eigvec_span2,
     secrecy_rate,
-    snr,
     stacked_channel_stats,
 )
 from fdabeam.coupling import optimize_offsets
@@ -30,7 +29,13 @@ from fdabeam.experiments import (
     phased_array_plan,
     sample_scenario,
 )
-from fdabeam.scenario import ChannelPair, FrequencyPlan, channel_pair, channel_pairs
+from fdabeam.scenario import (
+    ChannelPair,
+    FrequencyPlan,
+    _channels,
+    _plan_offsets,
+    channel_pair,
+)
 
 from helpers import (
     half_wave_scenario,
@@ -251,8 +256,9 @@ def _channel_stack(rng, realizations, rows, n):
     h_bob, h_eve = [], []
     for _ in range(realizations):
         scn = random_scenario(rng, n)
-        hb, he = channel_pairs(scn, [random_plan(rng, n) for _ in range(rows)],
-                               rng.uniform(0.0, 20e-6, rows))
+        offsets = _plan_offsets(scn, [random_plan(rng, n) for _ in range(rows)])
+        hb, he = _channels(scn.rf, scn.bob_distances, scn.eve_distances, offsets,
+                           rng.uniform(0.0, 20e-6, rows))
         h_bob.append(hb)
         h_eve.append(he)
     return np.array(h_bob), np.array(h_eve)
@@ -517,6 +523,23 @@ def test_closed_forms_own_their_overflow():
                                      np.array([1e100, 1e160, 1e200]))
 
 
+@pytest.mark.parametrize("rate", [1024.0, 1100.0, 1e308])
+def test_targets_past_float_range_are_named(rate):
+    """From 1024 bits on, ``2.0**rate`` overflows a Python float: lambda1 is
+    then the named nan error, and MRT never meets the target (inf power),
+    neither with a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as exc:
+            lambda1_closed_form(1e3, 1e5, 1.0, rate)
+        assert str(exc.value) == f"lambda1 is nan at a {rate:g}-bit target"
+        pair = random_pair(np.random.default_rng(5))
+        with pytest.raises(OverflowError, match=r"^lambda1 is nan"):
+            min_power_beamformer(pair, SecrecyTarget(rate))
+        assert mrt_required_power(1e3, rate, 1.0) == math.inf
+        assert mrt_required_power(1e3, rate, 0.0) == math.inf
+
+
 def test_max_rate_orthogonal_equals_mrt():
     pair = _orthogonal_pair(bob_gain=6.0, eve_gain=2.0)
     b, _, x = channel_stats(pair)
@@ -535,7 +558,7 @@ def test_mrt_beamformer_alignment():
     w = mrt_beamformer(pair.h_bob, PowerBudget(3.0))
     assert_allclose(float(np.vdot(w, w).real), 3.0, rtol=1e-12)
     b = float(np.vdot(pair.h_bob, pair.h_bob).real)
-    assert_allclose(snr(w, pair.h_bob), 3.0 * b, rtol=1e-12)
+    assert_allclose(abs(np.vdot(pair.h_bob, w)) ** 2, 3.0 * b, rtol=1e-12)
     with pytest.raises(ValueError):
         mrt_beamformer(np.zeros(4, dtype=complex), PowerBudget(1.0))
 

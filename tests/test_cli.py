@@ -385,7 +385,7 @@ def test_negative_seed_is_named(experiment_ini, tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("command, override", [
-    ("solve-power", "solver.target_rate=2000"),     # 2^R overflows
+    ("solve-power", "solver.target_rate=2000"),     # 2^R overflows: lambda1 = nan
     ("solve-power", "solver.target_rate=500"),      # lambda1 = inf
     ("solve-power", "solver.target_rate=1023"),     # lambda1 = nan
     ("solve-power", "solver.target_rate=-1"),
@@ -396,6 +396,7 @@ def test_negative_seed_is_named(experiment_ini, tmp_path, capsys, args):
     ("solve-rate", "solver.power_budget=1e150 W"),  # lambda_delta = inf
     ("solve-power", "solver.time=inf s"),
     ("solve-rate", "solver.time=nan s"),
+    ("solve-power", "solver.time=1e10 s"),          # past the phase precision bound
     ("solve-power", "solver.tolerance=nan"),
     ("solve-power", "solver.tolerance=-1"),
     ("optimize-offsets", "solver.max_outer=-3"),
@@ -434,6 +435,7 @@ def test_malformed_ini_exits_1(tmp_path, capsys, command, text):
     "experiment.range_gap=nan m",
     "experiment.time_horizon=nan s",
     "experiment.time_horizon=inf s",
+    "experiment.time_horizon=1e4 s",           # past the phase precision bound
     "experiment.power_grid=1e150 W, 1e160 W",  # lambda_delta = inf
     "experiment.power_grid=1e305 W",           # P B overflows
 ])
@@ -456,6 +458,49 @@ def test_sweep_power_lambda1_overflow_exits_1(experiment_ini, tmp_path, capsys, 
     assert code == 1
     assert err == "error: OverflowError: lambda1 is inf at a 500-bit target\n"
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command, section", [("solve-power", "solver"),
+                                              ("sweep-power", "experiment")])
+def test_targets_of_1024_bits_or_more_are_the_named_lambda1_error(
+        scenario_ini, experiment_ini, tmp_path, capsys, command, section):
+    """``2^R`` past a Python float is inf, so lambda1 is nan: one named line
+    and no CSV, where Python's unnamed float-power error used to escape."""
+    ini = scenario_ini if section == "solver" else experiment_ini
+    code = main([command, "-c", str(ini), "-o", str(tmp_path / "o"),
+                 "--set", f"{section}.target_rate=1100"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: OverflowError: lambda1 is nan at a 1100-bit target\n")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_solve_power_at_the_time_bound(scenario_ini, tmp_path, capsys):
+    """At the largest accepted |t| the solve power stays within 1e-11 of its
+    t = 0 value; one float step later the time is a named error."""
+    rf = load_scenario_config(scenario_ini)[0].rf
+    limit = 1e-6 / ((rf.carrier_frequency + rf.max_offset)
+                    * float(np.finfo(np.longdouble).eps))
+
+    def solve(t):
+        code = main(["solve-power", "-c", str(scenario_ini), "-o", str(tmp_path / "o"),
+                     "--set", f"solver.time={t!r} s"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def power(out):
+        return float(out.split("transmit_power: ")[1].split()[0])
+
+    code, out, _ = solve(0.0)
+    assert code == 0
+    p0 = power(out)
+    for t in (limit, -limit):
+        code, out, _ = solve(t)
+        assert code == 0
+        assert abs(power(out) - p0) <= 1e-11 * p0
+    code, _, err = solve(float(np.nextafter(limit, math.inf)))
+    assert code == 1
+    assert err == f"error: times must be finite and within ±{limit:.4g} s\n"
 
 
 def test_rate_overflow_is_one_error_for_solve_and_sweep(scenario_ini, experiment_ini,

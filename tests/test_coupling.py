@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fdabeam.coupling import (
-    CouplingCoefficients,
     cosine_argmin,
     coupling_coefficients,
     coupling_prefactor,
@@ -54,29 +53,14 @@ def _reference_scenario():
 
 
 def test_coefficients_frozen_values():
-    coeffs = coupling_coefficients(_reference_scenario())
-    assert_allclose(coeffs.omega, OMEGA_REFERENCE, rtol=1e-12)
-    assert_allclose(coeffs.alpha, ALPHA_REFERENCE, rtol=1e-12)
+    omega, alpha = coupling_coefficients(_reference_scenario())
+    assert_allclose(omega, OMEGA_REFERENCE, rtol=1e-12)
+    assert_allclose(alpha, ALPHA_REFERENCE, rtol=1e-12)
 
 
 def test_prefactor_frozen_value():
     assert_allclose(coupling_prefactor(_reference_scenario()),
                     PREFACTOR_REFERENCE, rtol=1e-12)
-
-
-def test_coefficients_are_read_only():
-    coeffs = coupling_coefficients(_reference_scenario())
-    with pytest.raises(ValueError):
-        coeffs.omega[0] = 0.0
-    with pytest.raises(ValueError):
-        coeffs.alpha[0] = 1.0
-
-
-def test_coefficients_validate_shapes():
-    with pytest.raises(ValueError):
-        CouplingCoefficients(omega=np.zeros(3), alpha=np.ones(2))
-    with pytest.raises(ValueError):
-        CouplingCoefficients(omega=np.zeros(2), alpha=np.array([1.0, 0.0]))
 
 
 def test_g_zero_offsets_frozen_value():
@@ -171,10 +155,11 @@ def test_cosine_term_reduces_single_coordinate():
         scenario = random_scenario(rng, n=4)
         plan = random_plan(rng, scenario.array.element_count)
         coeffs = coupling_coefficients(scenario)
+        omega, alpha = coeffs
         pref = coupling_prefactor(scenario)
         n = int(rng.integers(0, 4))
         term = _cosine_term(n, scenario.rf.carrier_frequency + plan.offsets, coeffs)
-        w = abs(coeffs.omega[n])
+        w = abs(omega[n])
         freqs = scenario.rf.carrier_frequency + np.array(plan.offsets)
         f_probe = scenario.rf.carrier_frequency + rng.uniform(
             0.0, scenario.rf.max_offset, size=3)
@@ -183,8 +168,8 @@ def test_cosine_term_reduces_single_coordinate():
         for f in f_probe:
             trial = freqs.copy()
             trial[n] = f
-            g = pref * coupling_power_row(coeffs.alpha, coeffs.omega, trial)
-            reduced = 2.0 * pref * coeffs.alpha[n] * term.amplitude * math.cos(
+            g = pref * coupling_power_row(alpha, omega, trial)
+            reduced = 2.0 * pref * alpha[n] * term.amplitude * math.cos(
                 w * f - term.phase)
             if base is None:
                 base, base_cos = g, reduced
@@ -202,6 +187,7 @@ def test_update_frequency_beats_dense_scan():
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
         coeffs = coupling_coefficients(scenario)
+        omega, alpha = coeffs
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
         f_new = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
@@ -209,9 +195,9 @@ def test_update_frequency_beats_dense_scan():
 
         freqs = rf.carrier_frequency + np.array(plan.offsets)
         mask = np.arange(freqs.shape[0]) != n
-        weights = 2.0 * coeffs.alpha[n] * coeffs.alpha[mask]
-        phases = coeffs.omega[mask] * freqs[mask]
-        slope = float(coeffs.omega[n])
+        weights = 2.0 * alpha[n] * alpha[mask]
+        phases = omega[mask] * freqs[mask]
+        slope = float(omega[n])
         _, v_grid = coordinate_scan(
             weights, phases, slope, rf.carrier_frequency,
             rf.carrier_frequency + rf.max_offset, count)
@@ -250,12 +236,13 @@ def test_case_table_matches_generic_update():
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
         coeffs = coupling_coefficients(scenario)
+        omega, _ = coeffs
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
         f_generic = _best_frequency(n, rf.carrier_frequency + plan.offsets, coeffs, rf)
         f_table = update_frequency_case_table(n, plan, coeffs, rf)
         term = _cosine_term(n, rf.carrier_frequency + plan.offsets, coeffs)
-        w = abs(coeffs.omega[n])
+        w = abs(omega[n])
         v_generic = term.amplitude * math.cos(w * f_generic - term.phase)
         v_table = term.amplitude * math.cos(w * f_table - term.phase)
         assert abs(v_table - v_generic) <= 1e-10 * term.amplitude
@@ -266,7 +253,7 @@ def test_update_degenerate_coordinates():
     # frequency is optimal and the update must leave the plan untouched
     scenario = half_wave_scenario(3, 80.0, 0.9, 80.0, 0.9)
     coeffs = coupling_coefficients(scenario)
-    assert_allclose(coeffs.omega, 0.0, atol=1e-18)
+    assert_allclose(coeffs[0], 0.0, atol=1e-18)
     plan = FrequencyPlan(np.array([0.0, 1e6, 2e6]))
     rf = scenario.rf
     for n in range(3):
@@ -347,8 +334,8 @@ def test_optimize_single_element():
     # frequency at all
     scenario = half_wave_scenario(1, 90.0, 1.0, 130.0, 0.4)
     plan, trace = optimize_offsets(scenario)
-    coeffs = coupling_coefficients(scenario)
-    expected = coupling_prefactor(scenario) * float(coeffs.alpha[0]) ** 2
+    _, alpha = coupling_coefficients(scenario)
+    expected = coupling_prefactor(scenario) * float(alpha[0]) ** 2
     assert_allclose(trace.objective_history, expected, rtol=1e-12)
     assert trace.converged
     assert_allclose(g_value(scenario, plan), expected, rtol=1e-12)
@@ -435,7 +422,7 @@ def test_descent_bitwise_on_degenerate_coordinates():
     base = half_wave_scenario(8, 100.0, math.pi / 2, 100.0, 0.0)
     d = base.array.spacing
     scenario = dataclasses.replace(base, array=ArrayGeometry(8, -3.0 * d, d))
-    omega = coupling_coefficients(scenario).omega
+    omega, _ = coupling_coefficients(scenario)
     assert omega[3] == 0.0 and np.count_nonzero(omega) == 7
     start = random_plan(np.random.default_rng(5), 8)
     for initial in (None, start):
@@ -454,11 +441,11 @@ def test_rejected_updates_counts_the_guard():
 
 
 def _grid_resolution(scenario, points):
-    coeffs = coupling_coefficients(scenario)
+    omega, alpha = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
     step = scenario.rf.max_offset / (points - 1)
-    total = float(np.sum(coeffs.alpha))
-    slopes = 2.0 * pref * coeffs.alpha * np.abs(coeffs.omega) * total
+    total = float(np.sum(alpha))
+    slopes = 2.0 * pref * alpha * np.abs(omega) * total
     return float(np.sum(slopes)) * 0.5 * step
 
 

@@ -13,9 +13,8 @@ from fdabeam import (
     Scenario,
     SPEED_OF_LIGHT,
     channel_pair,
-    channel_pairs,
 )
-from fdabeam.scenario import _channels
+from fdabeam.scenario import _channels, _plan_offsets
 
 from helpers import (
     channel_vector,
@@ -205,9 +204,16 @@ def test_node_placement_rejects_non_finite_range(value):
         NodePlacement(range_m=value, angle_rad=1.0)
 
 
+def _rows(scn, plans, times):
+    """(K, N) channels of one scenario, row k under ``plans[k]`` at
+    ``times[k]``."""
+    return _channels(scn.rf, scn.bob_distances, scn.eve_distances,
+                     _plan_offsets(scn, plans), times)
+
+
 def test_channel_pairs_rows_equal_channel_pair_bitwise():
-    """Every row of the batched synthesis is the single-pair synthesis, bit
-    for bit, for any mix of plans and times."""
+    """Every row of a multi-row synthesis is the single-pair synthesis of
+    channel_pair, bit for bit, for any mix of plans and times."""
     rng = np.random.default_rng(14)
     for _ in range(10):
         scn = random_scenario(rng)
@@ -215,7 +221,7 @@ def test_channel_pairs_rows_equal_channel_pair_bitwise():
         plans = [FrequencyPlan(np.zeros(n)), random_plan(rng, n), random_plan(rng, n)]
         rows = [(plan, t) for plan in plans
                 for t in (0.0, 1e-6, float(rng.uniform(0, 2e-5)), 20e-6)]
-        hb, he = channel_pairs(scn, [p for p, _ in rows], [t for _, t in rows])
+        hb, he = _rows(scn, [p for p, _ in rows], [t for _, t in rows])
         assert hb.shape == he.shape == (len(rows), n)
         for k, (plan, t) in enumerate(rows):
             pair = channel_pair(scn, plan, t)
@@ -224,8 +230,8 @@ def test_channel_pairs_rows_equal_channel_pair_bitwise():
 
 
 def test_stacked_synthesis_equals_channel_pairs_bitwise():
-    """Synthesis over a stack of layouts gives each layout the rows that
-    channel_pairs gives it alone, bit for bit."""
+    """Synthesis over a stack of layouts gives each layout the rows that its
+    own synthesis gives it alone, bit for bit."""
     rng = np.random.default_rng(15)
     rf = reference_rf()
     times = (0.0, 3e-6, 20e-6)
@@ -237,7 +243,7 @@ def test_stacked_synthesis_equals_channel_pairs_bitwise():
                            np.array([s.eve_distances for s in scenarios]), offsets, times)
         assert hb.shape == he.shape == (5, len(times), n)
         for r, scn in enumerate(scenarios):
-            one_b, one_e = channel_pairs(scn, plans[r], times)
+            one_b, one_e = _rows(scn, plans[r], times)
             assert_array_equal(hb[r], one_b)
             assert_array_equal(he[r], one_e)
 
@@ -246,16 +252,14 @@ def test_channel_pairs_need_one_time_per_plan():
     scn = half_wave_scenario(2, 100.0, 1.0, 120.0, 1.0)
     plan = FrequencyPlan(np.zeros(2))
     with pytest.raises(ValueError, match="one to one"):
-        channel_pairs(scn, [plan, plan], [0.0])
+        _rows(scn, [plan, plan], [0.0])
     with pytest.raises(ValueError, match="max_offset"):
-        channel_pairs(scn, [plan, FrequencyPlan(np.array([0.0, 4e6]))], [0.0, 0.0])
+        _rows(scn, [plan, FrequencyPlan(np.array([0.0, 4e6]))], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_channel_pairs_reject_non_finite_times(t):
     scn = half_wave_scenario(2, 100.0, 1.0, 120.0, 1.0)
     plan = FrequencyPlan(np.zeros(2))
-    with pytest.raises(ValueError, match="times must be finite"):
-        channel_pairs(scn, [plan, plan], [0.0, t])
     with pytest.raises(ValueError, match="times must be finite"):
         channel_pair(scn, plan, t)
