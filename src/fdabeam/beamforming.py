@@ -234,16 +234,21 @@ def min_power_beamformer(pair: ChannelPair, target: SecrecyTarget) -> PowerMinSo
 
     The optimal direction is the principal eigenvector of
     ``h_b h_b^H - 2^R h_e h_e^H`` and the power is ``(2^R - 1) / lambda1``.
-    Infeasibility (lambda1 <= 0) is reported in the result, not raised.
+    Infeasibility (lambda1 <= 0) is reported in the result, not raised; a
+    power past float range raises :class:`OverflowError`.
     """
     b, e, x = channel_stats(pair)
     lam1 = lambda1_closed_form(b, e, x, target.rate)
     if lam1 <= 0.0:
         return PowerMinSolution(beamformer=None, power=math.inf,
                                 lambda1=lam1, feasible=False)
-    power = (2.0**target.rate - 1.0) / lam1
-    _, direction = principal_eigvec_span2(1.0, pair.h_bob,
-                                          -(2.0**target.rate), pair.h_eve)
+    t = _exp2(target.rate)
+    power = (t - 1.0) / lam1
+    if not math.isfinite(power):
+        # An infinite 2^R passes lambda1 only at coupling 0 (lambda1 = B);
+        # the direction step would then get a -inf weight.
+        raise OverflowError(f"power is {power} at a {target.rate:g}-bit target")
+    _, direction = principal_eigvec_span2(1.0, pair.h_bob, -t, pair.h_eve)
     return PowerMinSolution(beamformer=math.sqrt(power) * direction,
                             power=power, lambda1=lam1, feasible=True)
 

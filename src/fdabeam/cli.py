@@ -14,7 +14,7 @@ import csv
 import dataclasses
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +197,10 @@ def _cmd_convergence(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing copies the
+    ``--set`` default list, so calls share no state."""
     parser = _Parser(prog="fdabeam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (

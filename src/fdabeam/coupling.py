@@ -143,8 +143,9 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     rf = scenario.rf
     n_elem = scenario.array.element_count
     if initial is None:
-        initial = FrequencyPlan(np.zeros(n_elem))
-    freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
+        freqs = np.full(n_elem, rf.carrier_frequency)
+    else:
+        freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
 
     omega, alpha = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
@@ -189,7 +190,9 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         if g_before - history[-1] <= tol * g_before:
             converged = True
 
-    offsets = np.clip(np.array(fr) - rf.carrier_frequency, 0.0, rf.max_offset)
+    # Every frequency is >= f_c, so no -0.0 offset can arise.
+    offsets = np.minimum(np.maximum(np.array(fr) - rf.carrier_frequency, 0.0),
+                         rf.max_offset)
     trace = OptimizerTrace(objective_history=history, outer_iterations=outer,
                            converged=converged, rejected_updates=rejected)
     return FrequencyPlan(offsets), trace

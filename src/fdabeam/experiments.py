@@ -152,8 +152,17 @@ class ConvergenceResult:
 
 
 def _nanstat(fn, block: np.ndarray) -> np.ndarray:
-    rows = (row[~np.isnan(row)] for row in block)
-    return np.array([fn(good) if good.size else math.nan for good in rows], dtype=float)
+    """``fn`` of each row's non-NaN entries, NaN for an all-NaN row.  The
+    entries are packed to the front in their order, so one ``fn(..., axis=1)``
+    call per distinct count gives each row's per-row value."""
+    nan = np.isnan(block)
+    packed = np.take_along_axis(block, np.argsort(nan, axis=1, kind="stable"), axis=1)
+    counts = block.shape[1] - nan.sum(axis=1)
+    out = np.full(block.shape[0], math.nan)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = fn(packed[rows, :k], axis=1)
+    return out
 
 
 def linear_fda_plan(element_count: int, max_offset: float) -> FrequencyPlan:

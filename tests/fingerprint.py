@@ -1,0 +1,69 @@
+"""SHA-256 fingerprints of the command-line outputs, to show that a change
+keeps every output byte.
+
+Runs ``sweep-power``, ``sweep-rate`` and ``convergence`` at the reference
+config (an empty ``[experiment]`` section) at ``-j 1`` and ``-j 2``, and
+``solve-power``, ``solve-rate`` and ``optimize-offsets`` on the README's INI
+block.  Each command runs in a fresh directory, on the package of the tree
+this file sits in, and the script prints one hash per CSV, per stdout and per
+stderr, plus the exit code.  Run it on two trees and compare:
+
+    python3 tests/fingerprint.py > before.txt   # in the parent's checkout
+    python3 tests/fingerprint.py > after.txt    # in the change's checkout
+    diff before.txt after.txt
+
+pytest does not collect it (the name does not match ``test_*.py``).  The
+sweeps take a few seconds each.
+"""
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_EXPERIMENT = "[experiment]\n"
+
+
+def _readme_ini() -> str:
+    return re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+
+
+def _run(command: list, ini: str) -> tuple[int, dict]:
+    """Exit code and output bytes of ``fdabeam <command>`` on ``ini``."""
+    env = dict(os.environ)
+    env.pop("FDABEAM_OUTPUT_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "config.ini").write_text(ini)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdabeam.cli", *command,
+             "--config", "config.ini", "--output", "out"],
+            cwd=tmp, env=env, capture_output=True, check=False)
+        outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
+        for path in sorted((Path(tmp) / "out").glob("*")):
+            outputs[path.name] = path.read_bytes()
+    return proc.returncode, outputs
+
+
+def main() -> int:
+    runs = [([name, "-j", jobs], REFERENCE_EXPERIMENT)
+            for name in ("sweep-power", "sweep-rate", "convergence")
+            for jobs in ("1", "2")]
+    runs += [([name], _readme_ini())
+             for name in ("solve-power", "solve-rate", "optimize-offsets")]
+    for command, ini in runs:
+        label = " ".join(command)
+        code, outputs = _run(command, ini)
+        print(f"{label}: exit {code}")
+        for name, data in outputs.items():
+            print(f"{label}: {name} {hashlib.sha256(data).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,7 @@ from fdabeam.coupling import (
     _coordinate_minimizer,
     coupling_coefficients,
     coupling_prefactor,
+    optimize_offsets,
 )
 from fdabeam.experiments import (
     SCHEMES,
@@ -104,6 +105,33 @@ def channel_vector(scenario, node, plan, t=0.0):
     before noise normalization; the synthesis behind ``scenario.channel_pair``."""
     dist = {"bob": scenario.bob_distances, "eve": scenario.eve_distances}[node]
     return _synthesize(scenario.rf, dist, _plan_offsets(scenario, (plan,)), (t,))[0]
+
+
+def floor_synthesize(rf, dist, offsets, times):
+    """``scenario._synthesize`` with the phase reduced as ``cycles -
+    np.floor(cycles)``; the package's ``np.modf`` reduction must equal it bit
+    for bit.  Input checks are left to the package."""
+    times = np.asarray(times, dtype=np.longdouble)
+    dist = dist[..., None, :]
+    amp = rf.wavelength / (4.0 * np.pi * dist)
+    delay = times[:, None] - dist.astype(np.longdouble) / np.longdouble(rf.wave_speed)
+    cycles = (rf.carrier_frequency + offsets).astype(np.longdouble) * delay
+    frac = (cycles - np.floor(cycles)).astype(float)
+    return amp * np.exp(1j * _TWO_PI * frac)
+
+
+def zero_plan_descent(scenario, **options):
+    """``optimize_offsets`` from an explicit all-zero plan; its ``initial=None``
+    start must equal this bit for bit."""
+    zero = FrequencyPlan(np.zeros(scenario.array.element_count))
+    return optimize_offsets(scenario, zero, **options)
+
+
+def rowwise_nanstat(fn, block):
+    """Per-row form of ``experiments._nanstat``: ``fn`` of each row's non-NaN
+    entries, NaN for an all-NaN row."""
+    rows = (row[~np.isnan(row)] for row in block)
+    return np.array([fn(good) if good.size else math.nan for good in rows], dtype=float)
 
 
 def power_lower_bound(pair, target):

@@ -540,6 +540,23 @@ def test_targets_past_float_range_are_named(rate):
         assert mrt_required_power(1e3, rate, 0.0) == math.inf
 
 
+def test_min_power_on_orthogonal_channels_past_float_range_is_named():
+    """On orthogonal channels lambda1 = B stays finite at any target, so an
+    infinite 2^R reaches the power: a named error from 1024 bits on, while
+    1023.5 bits stays feasible and finite."""
+    pair = ChannelPair([1, 0], [0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rate in (1024.0, 1100.0):
+            with pytest.raises(OverflowError) as exc:
+                min_power_beamformer(pair, SecrecyTarget(rate))
+            assert str(exc.value) == f"power is inf at a {rate:g}-bit target"
+        sol = min_power_beamformer(pair, SecrecyTarget(1023.5))
+    assert sol.feasible and sol.lambda1 == 1.0
+    assert sol.power == 2.0**1023.5 - 1.0
+    assert np.isfinite(sol.beamformer).all()
+
+
 def test_max_rate_orthogonal_equals_mrt():
     pair = _orthogonal_pair(bob_gain=6.0, eve_gain=2.0)
     b, _, x = channel_stats(pair)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdabeam import experiments
+from fdabeam import cli, experiments
 from fdabeam.cli import OUTPUT_DIR_ENV, main
 from fdabeam.config import (
     ConfigError,
@@ -595,3 +595,22 @@ def test_module_entry_point(scenario_ini, tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "offsets.csv").exists()
+
+
+def test_parser_built_once_keeps_no_state(tmp_path, monkeypatch):
+    """The parser is built once per process, and a call without ``--set``
+    or ``--seed`` sees none from the call before it."""
+    seen = []
+
+    def record(args):
+        seen.append((args.overrides, args.seed))
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli, "_experiment_config", record)
+    config = tmp_path / "experiment.ini"
+    config.write_text(EXPERIMENT_INI)
+    command = ["sweep-power", "--config", str(config), "--output", str(tmp_path)]
+    assert main(command + ["--set", "experiment.realizations=2", "--seed", "5"]) == 1
+    assert main(command) == 1
+    assert seen == [(["experiment.realizations=2"], 5), ([], None)]
+    assert cli._build_parser() is cli._build_parser()

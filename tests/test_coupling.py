@@ -27,6 +27,7 @@ from helpers import (
     random_scenario,
     reference_descent,
     update_frequency_case_table,
+    zero_plan_descent,
 )
 
 # Geometry coefficients for the four-element half-wavelength array with Bob
@@ -428,6 +429,16 @@ def test_descent_bitwise_on_degenerate_coordinates():
     for initial in (None, start):
         _assert_same_descent(optimize_offsets(scenario, initial=initial),
                              reference_descent(scenario, initial=initial))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_default_start_equals_explicit_zero_plan_bitwise(n):
+    """``initial=None`` starts from f_c without building a plan, with the
+    offsets, history and guard count of an explicit all-zero plan."""
+    rng = np.random.default_rng(2000 + n)
+    for k in range(6):
+        scenario = random_scenario(rng, n=n, shared_bearing=bool(k % 2))
+        _assert_same_descent(optimize_offsets(scenario), zero_plan_descent(scenario))
 
 
 def test_rejected_updates_counts_the_guard():

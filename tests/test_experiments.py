@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from fdabeam.experiments import (
 )
 from fdabeam.scenario import channel_pair
 
-from helpers import realization_sweep
+from helpers import realization_sweep, rowwise_nanstat
 
 
 def _small_power_config(**overrides):
@@ -501,3 +502,20 @@ def test_rate_recheck_at_the_largest_power():
     assert descending.time_spread == top.time_spread
     assert descending.time_spread != bottom.time_spread
     assert list(descending.time_spread) == ["proposed", "mrt"]
+
+
+def test_nanstat_equals_per_row_form_bitwise():
+    """One call per distinct non-NaN count gives each row the statistic of
+    its own non-NaN entries, bit for bit; all-NaN rows stay NaN."""
+    rng = np.random.default_rng(21)
+    width = 40
+    counts = [width, 0, 1, width - 1, 20, 20, 20, 5, 0, width, 2, 33, 1]
+    for _ in range(3):
+        block = rng.lognormal(0.0, 3.0, size=(len(counts), width))
+        for row, k in zip(block, counts):
+            row[rng.permutation(width)[k:]] = math.nan
+        for fn in (np.mean, partial(np.percentile, q=5.0),
+                   partial(np.percentile, q=50.0), partial(np.percentile, q=95.0)):
+            got = experiments._nanstat(fn, block)
+            assert got.tobytes() == rowwise_nanstat(fn, block).tobytes()
+            assert np.isnan(got[[1, 8]]).all() and not np.isnan(np.delete(got, [1, 8])).any()

@@ -14,10 +14,11 @@ from fdabeam import (
     SPEED_OF_LIGHT,
     channel_pair,
 )
-from fdabeam.scenario import _channels, _plan_offsets
+from fdabeam.scenario import _channels, _plan_offsets, _synthesize
 
 from helpers import (
     channel_vector,
+    floor_synthesize,
     half_wave_scenario,
     random_plan,
     random_scenario,
@@ -263,3 +264,39 @@ def test_channel_pairs_reject_non_finite_times(t):
     plan = FrequencyPlan(np.zeros(2))
     with pytest.raises(ValueError, match="times must be finite"):
         channel_pair(scn, plan, t)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_phase_reduction_equals_floor_form_bitwise():
+    """The np.modf phase reduction gives the channels of the ``cycles -
+    floor(cycles)`` form bit for bit: on random layouts at times out to ± the
+    phase bound, and on cycle counts that are negative integers or tiny and
+    negative (rounding up to a whole cycle)."""
+    rng = np.random.default_rng(13)
+    rf = reference_rf()
+    limit = 1e-6 / ((rf.carrier_frequency + rf.max_offset)
+                    * float(np.finfo(np.longdouble).eps))
+    times = (-limit, -20e-6, 0.0, 3e-6, 20e-6, limit)
+    for n in (1, 4, 9):
+        dist = np.array([random_scenario(rng, n).bob_distances for _ in range(3)])
+        offsets = rng.uniform(0.0, rf.max_offset, size=(3, len(times), n))
+        offsets[:, :, 0] = 0.0
+        offsets[:, 1, :] = rf.max_offset
+        _assert_same_bits(_synthesize(rf, dist, offsets, times),
+                          floor_synthesize(rf, dist, offsets, times))
+
+    # Unit carrier and wave speed: cycles = (1 + offset) (t - d) exactly.
+    unit = RfParams(carrier_frequency=1.0, max_offset=1.0, noise_power_bob=1.0,
+                    noise_power_eve=1.0, wave_speed=1.0)
+    dist = np.array([3.0, 1e-30, 1e-300, 0.5, 2.5, 7.0])
+    times = (0.0, 1.0, -2.0, 3.0)
+    offsets = np.array([[0.0] * 6, [1.0] * 6, [0.0, 1.0] * 3, [1.0, 0.0] * 3])
+    cycles = (1.0 + offsets) * (np.array(times)[:, None] - dist)
+    assert (cycles < 0).any() and (cycles == np.round(cycles)).any()
+    assert ((cycles < 0) & (cycles > -1e-29)).any()
+    _assert_same_bits(_synthesize(unit, dist, offsets, times),
+                      floor_synthesize(unit, dist, offsets, times))
