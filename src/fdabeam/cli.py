@@ -10,8 +10,6 @@ numeric error (printed as ``error: ...``), 2 infeasible single solve.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import os
 import sys
 from functools import cache, partial
@@ -29,6 +27,8 @@ from .config import (
 )
 from .coupling import g_value, optimize_offsets
 from .experiments import (
+    _fmt,
+    _write_csv,
     linear_fda_plan,
     run_convergence_study,
     run_power_sweep,
@@ -54,15 +54,9 @@ def _resolve_output(args: argparse.Namespace) -> Path:
 
 
 def _write_solution_csv(path: Path, offsets: np.ndarray, w: np.ndarray | None) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "offset_hz", "w_real", "w_imag"])
-        for i, off in enumerate(offsets):
-            if w is None:
-                writer.writerow([i, f"{off:.17g}", "", ""])
-            else:
-                writer.writerow([i, f"{off:.17g}", f"{w[i].real:.17g}",
-                                 f"{w[i].imag:.17g}"])
+    beam = [("", "")] * len(offsets) if w is None else [(_fmt(x.real), _fmt(x.imag)) for x in w]
+    _write_csv(path, ["element", "offset_hz", "w_real", "w_imag"],
+               ([i, _fmt(off), *pair] for i, (off, pair) in enumerate(zip(offsets, beam))))
 
 
 def _plot_script(csv_name: str, xlabel: str, ylabel: str, logy: bool) -> str:
@@ -154,27 +148,27 @@ def _cmd_optimize_offsets(args: argparse.Namespace, out: Path) -> int:
 
 
 def _experiment_config(args: argparse.Namespace):
-    config = load_experiment_config(args.config, args.overrides)
-    if args.seed is not None:
-        config = dataclasses.replace(config, rng_seed=args.seed)
-    return config
+    """The experiment config; ``--seed`` is the last override, so it beats
+    any ``--set experiment.seed``."""
+    seed = [] if args.seed is None else [f"experiment.seed={args.seed}"]
+    return load_experiment_config(args.config, [*args.overrides, *seed])
 
 
-def _workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
-        return args.workers
-    return os.cpu_count() or 1
+def positive_int(text: str) -> int:
+    """argparse type of ``--workers``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def _cmd_sweep(args: argparse.Namespace, out: Path, which: str) -> int:
     config = _experiment_config(args)
     if which == "power":
-        result = run_power_sweep(config, workers=_workers(args))
+        result = run_power_sweep(config, workers=args.workers)
         name, xlabel, ylabel = "power_sweep.csv", "array elements", "mean power (W)"
     else:
-        result = run_rate_sweep(config, workers=_workers(args))
+        result = run_rate_sweep(config, workers=args.workers)
         name, xlabel, ylabel = "rate_sweep.csv", "transmit power (W)", "mean secrecy rate (bits)"
     write_sweep_csv(result, out / name)
     for scheme, spread in result.time_spread.items():
@@ -189,7 +183,7 @@ def _cmd_sweep(args: argparse.Namespace, out: Path, which: str) -> int:
 
 def _cmd_convergence(args: argparse.Namespace, out: Path) -> int:
     config = _experiment_config(args)
-    result = run_convergence_study(config, workers=_workers(args))
+    result = run_convergence_study(config, workers=args.workers)
     write_convergence_csv(result, out / "convergence.csv")
     for n in result.antenna_counts:
         print(f"N={n}: median_outer_iterations={np.median(result.outer_counts[n]):g}")
@@ -220,7 +214,7 @@ def _build_parser() -> _Parser:
                        help="override a config entry; repeatable")
         if name in ("sweep-power", "sweep-rate", "convergence"):
             p.add_argument("--seed", type=int, help="override the experiment seed")
-            p.add_argument("--workers", "-j", type=int,
+            p.add_argument("--workers", "-j", type=positive_int, default=os.cpu_count() or 1,
                            help="worker processes (default: all cores)")
         if name.startswith("sweep-"):
             p.add_argument("--plot-script", action="store_true",

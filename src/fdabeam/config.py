@@ -52,18 +52,18 @@ parse_time = _unit_parser(
 parse_angle = _unit_parser("angle", {"": 1.0, "rad": 1.0, "deg": math.pi / 180.0})
 
 
+_parse_linear_power = _unit_parser("power", {"": 1.0, "w": 1.0, "mw": 1e-3})
+
+
 def parse_power(text: str) -> float:
     """Power in W from '3 W', '5 mW', '-100 dBm' or '0 dBW' (bare = W)."""
     value, unit = _split_unit(text)
-    if unit in ("", "w"):
-        return value
-    if unit == "mw":
-        return value * 1e-3
-    if unit == "dbw":
-        return 10.0 ** (value / 10.0)
-    if unit == "dbm":
-        return 10.0 ** ((value - 30.0) / 10.0)
-    raise ValueError(f"unknown power unit {unit!r}")
+    if unit not in ("dbw", "dbm"):
+        return _parse_linear_power(text)
+    try:
+        return 10.0 ** ((value if unit == "dbw" else value - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{text.strip()!r} is past the float range") from None
 
 
 def parse_int_list(text: str) -> tuple:
@@ -78,8 +78,10 @@ def parse_power_grid(text: str) -> tuple:
     """Either 'lo : hi : count' (dB-equispaced) or a comma list of powers."""
     if ":" in text:
         lo_s, hi_s, count_s = (p.strip() for p in text.split(":"))
-        lo_db = 10.0 * math.log10(parse_power(lo_s))
-        hi_db = 10.0 * math.log10(parse_power(hi_s))
+        lo, hi = parse_power(lo_s), parse_power(hi_s)
+        if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+            raise ValueError("power grid ends must be finite and positive")
+        lo_db, hi_db = 10.0 * math.log10(lo), 10.0 * math.log10(hi)
         count = int(count_s)
         if count < 2:
             raise ValueError("power grid needs at least 2 points")

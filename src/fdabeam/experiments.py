@@ -102,6 +102,8 @@ class ExperimentConfig:
         unknown = set(self.baselines) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
+        if not self.baselines or len(set(self.baselines)) != len(self.baselines):
+            raise ValueError("baselines must name at least one scheme, each once")
         lo, hi = self.range_interval
         if not (_all_finite(self.range_interval) and 0 < lo <= hi):
             raise ValueError("range_interval must be finite, positive and ordered")
@@ -408,35 +410,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write ``header`` and then ``rows`` to a new CSV file at ``path``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per (axis value, scheme) with mean, 5/95 percentiles and the
     infeasible fraction; floats carry 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "scheme", "mean_metric", "p05", "p95",
-                         "infeasible_fraction"])
-        stats = {s: (result.mean(s), result.percentile(s, 5.0),
-                     result.percentile(s, 95.0), result.infeasible_fraction(s))
-                 for s in result.schemes}
-        for i, x in enumerate(result.axis):
-            for s in result.schemes:
-                mean, p05, p95, frac = stats[s]
-                writer.writerow([_fmt(x), s, _fmt(mean[i]), _fmt(p05[i]),
-                                 _fmt(p95[i]), _fmt(frac[i])])
+    stats = {s: (result.mean(s), result.percentile(s, 5.0),
+                 result.percentile(s, 95.0), result.infeasible_fraction(s))
+             for s in result.schemes}
+    _write_csv(path, ["axis", "scheme", "mean_metric", "p05", "p95", "infeasible_fraction"],
+               ([_fmt(x), s, *(_fmt(col[i]) for col in stats[s])]
+                for i, x in enumerate(result.axis) for s in result.schemes))
 
 
 def write_convergence_csv(result: ConvergenceResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "element_count", "mean_g"])
-        for n in result.antenna_counts:
-            for i, g in enumerate(result.mean_history[n]):
-                writer.writerow([i, n, _fmt(g)])
+    _write_csv(path, ["iteration", "element_count", "mean_g"],
+               ([i, n, _fmt(g)] for n in result.antenna_counts
+                for i, g in enumerate(result.mean_history[n])))
 
 
 def write_trace_csv(history, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "g"])
-        for i, g in enumerate(history):
-            writer.writerow([i, _fmt(g)])
+    _write_csv(path, ["iteration", "g"], ([i, _fmt(g)] for i, g in enumerate(history)))

@@ -22,6 +22,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 _TWO_PI = 2.0 * np.pi
 _LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 
 def _is_int(value) -> bool:
@@ -68,6 +69,18 @@ class RfParams:
             raise ValueError("noise powers must be positive")
         if not self.wave_speed > 0:
             raise ValueError("wave_speed must be positive")
+        # The float64 form of the wavelength and of coupling_prefactor's K:
+        # inf or 0 here is an overflow or a zero division there.
+        with np.errstate(all="ignore"):
+            wavelength = np.float64(self.wave_speed) / self.carrier_frequency
+            prefactor = wavelength**4 / ((4.0 * math.pi)**4 * np.float64(self.noise_power_bob)
+                                         * self.noise_power_eve)
+        if not 0.0 < wavelength < math.inf:
+            raise ValueError("wavelength wave_speed / carrier_frequency must be finite "
+                             "and positive")
+        if not 0.0 < prefactor < math.inf:
+            raise ValueError("coupling prefactor wavelength^4 / ((4 pi)^4 noise_power_bob "
+                             "noise_power_eve) must be finite and positive")
 
     @property
     def wavelength(self) -> float:
@@ -127,15 +140,42 @@ class Scenario:
     eve_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = self.array.first_element_x + self.array.spacing * np.arange(
-            self.array.element_count)
-        for node, place in (("bob", self.bob), ("eve", self.eve)):
-            dist = np.hypot(x - place.range_m * np.cos(place.angle_rad),
-                            place.range_m * np.sin(place.angle_rad))
-            if (dist <= 0.0).any():
-                raise ValueError(f"{node} coincides with an array element")
-            dist.flags.writeable = False
-            object.__setattr__(self, f"{node}_distances", dist)
+        rf, n = self.rf, self.array.element_count
+        # Rejects layouts where a channel gain, a coupling coefficient
+        # 1 / (r_bob r_eve) (coupling.coupling_coefficients) or a coupling
+        # phase may leave the float range.  Each receiver's nearest and
+        # farthest element distances bound all of them and their sums, so
+        # the check is a min and a max per receiver and float arithmetic
+        # that cannot raise: a sweep builds one scenario per realization.
+        amp = rf.wavelength / (4.0 * math.pi)  # a gain is (amp / r)^2 / noise power
+        extent = []
+        with np.errstate(all="ignore"):
+            x = self.array.first_element_x + self.array.spacing * np.arange(n)
+            for node, place, noise in (("bob", self.bob, rf.noise_power_bob),
+                                       ("eve", self.eve, rf.noise_power_eve)):
+                dist = np.hypot(x - place.range_m * np.cos(place.angle_rad),
+                                place.range_m * np.sin(place.angle_rad))
+                as_list = dist.tolist()  # Python min and max are faster at small N
+                lo, hi = min(as_list), max(as_list)
+                if not lo > 0.0:
+                    raise ValueError(f"{node} coincides with an array element")
+                far, near = amp / hi, amp / lo
+                if not (far * far / noise > 0.0 and n * near * near / noise < math.inf):
+                    raise ValueError(f"{node}'s channel gains (wavelength / (4 pi r))^2 / "
+                                     f"noise_power_{node} must be positive, and N times the "
+                                     "largest finite")
+                dist.flags.writeable = False
+                object.__setattr__(self, f"{node}_distances", dist)
+                extent.append((lo, hi))
+        (lo_b, hi_b), (lo_e, hi_e) = extent
+        # (sum alpha)^2 <= (N / (lo_b lo_e))^2 is finite below sqrt(max float).
+        if not (hi_b * hi_e < math.inf and n < _SQRT_FLOAT_MAX * lo_b * lo_e):
+            raise ValueError("coupling coefficients 1 / (r_bob r_eve) must be positive, "
+                             "and (N / (min r_bob min r_eve))^2 finite")
+        if not (_TWO_PI * max(hi_b, hi_e) / rf.wave_speed
+                * (rf.carrier_frequency + rf.max_offset) < math.inf):
+            raise ValueError("coupling phases 2 pi r (f_c + f_m) / wave_speed must be "
+                             "finite at every element distance r")
 
 
 @dataclass(frozen=True)

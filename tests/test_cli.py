@@ -1,6 +1,7 @@
 """Config parsing and the command-line front end."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -25,7 +26,8 @@ from fdabeam.config import (
     parse_power_grid,
     parse_time,
 )
-from fdabeam.experiments import run_power_sweep, run_rate_sweep
+from fdabeam.coupling import g_value, optimize_offsets
+from fdabeam.experiments import linear_fda_plan, run_power_sweep, run_rate_sweep
 
 SCENARIO_INI = """\
 [rf]
@@ -97,6 +99,13 @@ def test_parse_power():
     assert parse_power("0.25") == 0.25
     with pytest.raises(ValueError):
         parse_power("5 horses")
+    # Past the float range: a ValueError the config loader names, not
+    # Python's unnamed float-power OverflowError.
+    for text in ("4000 dBW", "4000 dBm", "3083 dBW"):
+        with pytest.raises(ValueError, match=f"'{text}' is past the float range"):
+            parse_power(text)
+    assert parse_power("inf dBW") == math.inf
+    assert parse_power("-inf dBm") == 0.0
 
 
 def test_parse_angle_length_time():
@@ -122,6 +131,9 @@ def test_parse_power_grid():
                     rtol=1e-15)
     with pytest.raises(ValueError):
         parse_power_grid("1 W : 2 W : 1")
+    for text in ("1 W : inf W : 3", "0 W : 1 W : 3", "nan W : 1 W : 3", "-1 W : 1 W : 3"):
+        with pytest.raises(ValueError, match="power grid ends must be finite and positive"):
+            parse_power_grid(text)
 
 
 def test_format_round_trips():
@@ -183,6 +195,30 @@ def test_bad_initialization(scenario_ini):
 def test_malformed_override(scenario_ini):
     with pytest.raises(ConfigError, match="section.key=value"):
         load_scenario_config(scenario_ini, ("max_offset=1 MHz",))
+
+
+@pytest.mark.parametrize("experiment, override, message", [
+    (False, "rf.max_offset=3 MHz extra",
+     "invalid value for rf.max_offset: cannot parse quantity '3 MHz extra'"),
+    (False, "array.element_count=four",
+     "invalid value for array.element_count: invalid literal for int() with base 10: 'four'"),
+    (True, "experiment.time_samples=0", "experiment.time_samples must be at least 1"),
+])
+def test_config_errors_name_the_entry(scenario_ini, experiment_ini, experiment, override,
+                                      message):
+    load, path = ((load_experiment_config, experiment_ini) if experiment
+                  else (load_scenario_config, scenario_ini))
+    with pytest.raises(ConfigError) as info:
+        load(path, (override,))
+    assert str(info.value) == message
+
+
+def test_missing_section_is_named(tmp_path):
+    path = tmp_path / "no_rf.ini"
+    path.write_text("[array]\nelement_count = 4\n")
+    with pytest.raises(ConfigError) as info:
+        load_scenario_config(path)
+    assert str(info.value) == "missing section [rf]"
 
 
 def test_load_experiment_config(experiment_ini):
@@ -290,6 +326,56 @@ def test_sweep_power_deterministic_across_workers(experiment_ini, tmp_path):
     assert b1 == b2
     header = b1.decode().splitlines()[0]
     assert header == "axis,scheme,mean_metric,p05,p95,infeasible_fraction"
+
+
+def test_linear_initialization_starts_the_descent_from_the_linear_plan(
+        scenario_ini, tmp_path, capsys):
+    """``solver.initialization = linear`` prints and writes the offsets and
+    coupling of a descent from ``linear_fda_plan``, bit for bit."""
+    override = "solver.initialization=linear"
+    scenario, _ = load_scenario_config(scenario_ini)
+    plan, trace = optimize_offsets(scenario, initial=linear_fda_plan(
+        scenario.array.element_count, scenario.rf.max_offset))
+    assert not np.array_equal(plan.offsets, optimize_offsets(scenario)[0].offsets)
+    out = tmp_path / "run"
+    assert main(["optimize-offsets", "-c", str(scenario_ini), "-o", str(out),
+                 "--set", override]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"offsets: {' '.join(format_mhz(o) for o in plan.offsets)}",
+                         f"coupling: {g_value(scenario, plan):.17g}",
+                         f"outer_iterations: {trace.outer_iterations}"]
+    rows = (out / "offsets.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == plan.offsets.tolist()
+
+
+def test_seed_flag_is_the_last_override(experiment_ini, tmp_path):
+    """``--seed`` beats ``--set experiment.seed`` and leaves nothing behind
+    for the next call of the (cached) parser."""
+    def sweep(name, *flags):
+        assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / name),
+                     "-j", "1", *flags]) == 0
+        return (tmp_path / name / "rate_sweep.csv").read_bytes()
+
+    seeded = sweep("seeded", "--set", "experiment.seed=5")
+    assert sweep("flag_wins", "--set", "experiment.seed=99", "--seed", "5") == seeded
+    assert sweep("flag_alone", "--seed", "99") != seeded
+    # No --seed 99 left behind: without the flag the INI's seed, 3, applies.
+    assert sweep("config") == sweep("config_seed", "--seed", "3")
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+def test_bad_worker_counts_are_usage_errors(experiment_ini, tmp_path, capsys, value):
+    code = main(["sweep-power", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", value])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --workers/-j: invalid positive_int value: '{value}'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_workers_default_to_all_cores(experiment_ini):
+    args = cli._build_parser().parse_args(["convergence", "-c", str(experiment_ini)])
+    assert args.workers == (os.cpu_count() or 1)
 
 
 def test_sweep_rate_and_seed_override(experiment_ini, tmp_path):
@@ -402,14 +488,29 @@ def test_negative_seed_is_named(experiment_ini, tmp_path, capsys, args):
     ("optimize-offsets", "solver.max_outer=-3"),
     ("solve-power", "array.spacing=inf m"),
     ("solve-power", "array.first_element_x=nan m"),
+    ("solve-rate", "solver.power_budget=4000 dBW"),  # 10^400 W: past the float range
+    ("solve-rate", "rf.noise_power_bob=4000 dBm"),
+    ("sweep-rate", "experiment.power_grid=-10 dBW : 4000 dBW : 3"),
+    # Degenerate scales: a gain, K, a coefficient or a phase leaves the float range.
+    ("sweep-power", "experiment.range_max=1e300 m"),
+    ("solve-power", "bob.range=1e-300 m"),
+    ("solve-power", "rf.noise_power_bob=1e-320 W"),
+    ("solve-power", "rf.wave_speed=1e-300"),
+    ("solve-power", "array.spacing=1e300 m"),
+    ("solve-power", "array.first_element_x=1e300 m"),
+    ("solve-power", "rf.carrier_frequency=1e-300 Hz"),
 ])
-def test_bad_values_exit_1_without_traceback(scenario_ini, tmp_path, capsys, command,
-                                              override):
-    code = main([command, "-c", str(scenario_ini), "-o", str(tmp_path / "o"),
-                 "--set", override])
+def test_bad_values_exit_1_without_traceback(scenario_ini, experiment_ini, tmp_path, capsys,
+                                              command, override):
+    """One ``error:`` line; a numpy warning would be an exception under this
+    suite's warning filter."""
+    sweep = command.startswith("sweep-")
+    code = main([command, "-c", str(experiment_ini if sweep else scenario_ini),
+                 "-o", str(tmp_path / "o"), "--set", override, *(["-j", "1"] if sweep else [])])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["solve-power", "sweep-rate"])
@@ -438,6 +539,10 @@ def test_malformed_ini_exits_1(tmp_path, capsys, command, text):
     "experiment.time_horizon=1e4 s",           # past the phase precision bound
     "experiment.power_grid=1e150 W, 1e160 W",  # lambda_delta = inf
     "experiment.power_grid=1e305 W",           # P B overflows
+    "experiment.power_grid=1 W : inf W : 3",
+    "experiment.time_samples=0",
+    "experiment.baselines=",
+    "experiment.baselines=proposed, proposed",
 ])
 def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, override):
     code = main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),

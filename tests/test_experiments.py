@@ -70,6 +70,14 @@ def test_config_validation():
         ExperimentConfig(range_gap=-1.0)
 
 
+@pytest.mark.parametrize("baselines", [(), ("proposed", "proposed"), ("bound", "mrt", "bound")])
+def test_config_rejects_empty_or_repeated_baselines(baselines):
+    """An empty list would write a header-only CSV and a repeated scheme
+    every row twice."""
+    with pytest.raises(ValueError, match="baselines must name at least one scheme, each once"):
+        ExperimentConfig(baselines=baselines)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("realizations", 2.0, "realizations must be an integer"),
     ("realizations", True, "realizations must be an integer"),

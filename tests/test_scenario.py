@@ -199,6 +199,65 @@ def test_rf_params_reject_non_finite(field, value):
         RfParams(**kwargs)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("carrier_frequency", 0.0, "carrier_frequency must be positive"),
+    ("max_offset", -1.0, "max_offset must be non-negative"),
+    ("noise_power_eve", 0.0, "noise powers must be positive"),
+    ("wave_speed", 0.0, "wave_speed must be positive"),
+    ("carrier_frequency", 1e-300, "wavelength wave_speed / carrier_frequency"),  # inf
+    ("wave_speed", 5e-324, "wavelength wave_speed / carrier_frequency"),  # 0
+    ("wave_speed", 1e-300, "coupling prefactor wavelength"),  # K = 0
+    ("noise_power_bob", 1e-320, "coupling prefactor wavelength"),  # K = inf
+    ("carrier_frequency", 1e200, "coupling prefactor wavelength"),  # wavelength^4 = 0
+])
+def test_rf_params_reject_out_of_range(field, value, message):
+    """Each input, and the wavelength and the coupling prefactor K derived
+    from them, is rejected by name (no numpy warning: this suite's warning
+    filter turns one into an error)."""
+    kwargs = dict(carrier_frequency=2.4e9, max_offset=3e6, noise_power_bob=1e-13,
+                  noise_power_eve=1e-13)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=message):
+        RfParams(**kwargs)
+
+
+def _rf(carrier_frequency=2.4e9, max_offset=3e6, noise=1e-13, wave_speed=SPEED_OF_LIGHT):
+    return RfParams(carrier_frequency=carrier_frequency, max_offset=max_offset,
+                    noise_power_bob=noise, noise_power_eve=noise, wave_speed=wave_speed)
+
+
+@pytest.mark.parametrize("rf, array, bob, eve, message", [
+    # Bob 1e-300 m from element 0: the gain there overflows.
+    (_rf(), ArrayGeometry(4), (1e-300, 1.0), (120.0, 1.0), "bob's channel gains"),
+    # Eve past 1e300 m: the gains underflow to 0.
+    (_rf(), ArrayGeometry(4), (100.0, 1.0), (1e300, 1.0), "eve's channel gains"),
+    (_rf(), ArrayGeometry(4, spacing=1e300), (100.0, 1.0), (120.0, 1.0),
+     "bob's channel gains"),
+    # 3 x 1e308 m overflows the element positions themselves.
+    (_rf(), ArrayGeometry(4, spacing=1e308), (100.0, 1.0), (120.0, 1.0),
+     "bob's channel gains"),
+    (_rf(), ArrayGeometry(4, first_element_x=1e300), (100.0, 1.0), (120.0, 1.0),
+     "bob's channel gains"),
+    # r_bob r_eve = 1.5e400 overflows, so alpha = 0 (a 1e70 m wavelength
+    # keeps the gains positive).
+    (_rf(carrier_frequency=SPEED_OF_LIGHT / 1e70, noise=1.0), ArrayGeometry(4),
+     (1e200, 1.0), (1.5e200, 1.0), "coupling coefficients"),
+    # alpha_0 = 5e199: finite, but its square is not (gains finite at 1e100 W noise).
+    (_rf(noise=1e100), ArrayGeometry(4), (1e-100, math.pi / 2), (2e-100, math.pi / 2),
+     "coupling coefficients"),
+    # omega_n (f_c + f_m) overflows at a 1e-200 m/s wave speed and a 1e108 Hz budget.
+    (_rf(carrier_frequency=1e-199, max_offset=1e108, wave_speed=1e-200), ArrayGeometry(4),
+     (100.0, 1.0), (120.0, 1.0), "coupling phases"),
+], ids=["bob-near", "eve-far", "spacing", "positions-overflow", "first-element",
+        "alpha-zero", "alpha-sum-squared", "phase"])
+def test_scenario_rejects_layouts_past_the_float_range(rf, array, bob, eve, message):
+    """Where a channel gain, a coupling coefficient or a coupling phase
+    leaves the float range, building the scenario raises a named error
+    instead of a solver dividing by zero or overflowing later."""
+    with pytest.raises(ValueError, match=message):
+        Scenario(rf=rf, array=array, bob=NodePlacement(*bob), eve=NodePlacement(*eve))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_node_placement_rejects_non_finite_range(value):
     with pytest.raises(ValueError, match="range_m must be finite"):
