@@ -15,15 +15,16 @@ each 1-D subproblem has a closed-form solution.
 The descent caches one array of per-element terms ``alpha_n exp(j phi_n)``
 with ``phi_n = omega_n f_n`` and rewrites entry n only when an update of f_n
 is accepted; their real and imaginary parts, ``alpha_n cos(phi_n)`` and
-``alpha_n sin(phi_n)`` bit for bit, are read through views.  Each
-coordinate still sums the other N - 1 real and imaginary parts, and each
-re-evaluation (``kernels.coupling_power``) all N terms, in index order with
-numpy's pairwise sum, exactly as recomputing every phase per update would;
-offsets and objective values are therefore bit for bit those of that
-full-recompute form (``tests/helpers.py`` keeps it as the oracle).  A
-running sum would make the update O(1), but its ulp drift decides the
-outcome at the cancellation floor, where the reachable couplings are
-roundoff noise.
+``alpha_n sin(phi_n)`` bit for bit, are kept as Python floats.  A (2, N - 1)
+buffer holds the real and imaginary parts of every element but the current
+one, and each coordinate sums both rows with one numpy reduce over the last
+axis; each re-evaluation (``kernels.coupling_power``) sums all N terms.  Both
+sums run in index order with numpy's pairwise sum, exactly as recomputing
+every phase per update would; offsets and objective values are therefore
+bit for bit those of that full-recompute form (``tests/helpers.py`` keeps it
+as the oracle).  A running sum would make the update O(1), but its ulp drift
+decides the outcome at the cancellation floor, where the reachable couplings
+are roundoff noise.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .scenario import FrequencyPlan, RfParams, Scenario, _plan_offsets
+from .scenario import FrequencyPlan, Scenario, _is_int, _plan_offsets
 
 _TWO_PI = 2.0 * math.pi
 
@@ -90,38 +91,21 @@ def cosine_argmin(lower: float, upper: float) -> float:
 
     Returns the smallest odd multiple of pi inside the interval if one
     exists, otherwise the endpoint with the smaller cosine (ties go to the
-    lower endpoint).
+    lower endpoint).  An empty interval, a NaN bound or an infinite lower
+    bound is a ValueError; an infinite upper bound is allowed.
     """
-    if lower > upper:
-        raise ValueError("empty interval")
-    k = math.ceil(lower / math.pi)
+    if not lower <= upper:
+        raise ValueError("empty interval or NaN bound")
+    try:
+        k = math.ceil(lower / math.pi)
+    except OverflowError:
+        raise ValueError("lower bound must be finite") from None
     if k % 2 == 0:
         k += 1
     x = k * math.pi
     if x <= upper:
         return x
     return lower if math.cos(lower) <= math.cos(upper) else upper
-
-
-def _coordinate_minimizer(a: float, b: float, omega_n: float,
-                          rf: RfParams) -> float | None:
-    """Best frequency f in the box [f_c, f_c + f_m] for one coordinate.
-
-    ``a + jb`` is the coupling sum over every other element, so the part of
-    the coupling that depends on f is ``a cos(omega_n f) + b sin(omega_n f)``
-    (up to a positive factor), i.e. ``hypot(a, b) cos(|omega_n| f - phase)``.
-    Returns None when every f in the box is optimal (omega_n = 0, a vanishing
-    amplitude or an empty offset budget).
-    """
-    amplitude = math.hypot(a, b)
-    w = abs(omega_n)
-    if w == 0.0 or amplitude == 0.0 or rf.max_offset == 0.0:
-        return None
-    phase = math.copysign(1.0, omega_n) * math.atan2(b, a)
-    f_lo = rf.carrier_frequency
-    f_hi = rf.carrier_frequency + rf.max_offset
-    x = cosine_argmin(w * f_lo - phase, w * f_hi - phase)
-    return min(max((x + phase) / w, f_lo), f_hi)
 
 
 def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
@@ -138,8 +122,8 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and non-negative")
-    if max_outer < 0:
-        raise ValueError("max_outer must be non-negative")
+    if not _is_int(max_outer) or max_outer < 0:
+        raise ValueError("max_outer must be a non-negative integer")
     rf = scenario.rf
     n_elem = scenario.array.element_count
     if initial is None:
@@ -149,11 +133,19 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
 
     omega, alpha = coupling_coefficients(scenario)
     pref = coupling_prefactor(scenario)
-    # Per-element terms of the coupling sum at the current frequencies;
-    # entry n changes only when an update of f_n is accepted.
-    terms = alpha * np.exp(1j * (omega * freqs))
-    re, im = terms.real, terms.imag
+    f_lo = rf.carrier_frequency
+    f_hi = rf.carrier_frequency + rf.max_offset
     om, fr = omega.tolist(), freqs.tolist()
+    # (|omega_n|, sign of omega_n, |omega_n| f_lo, |omega_n| f_hi) per
+    # element, or None where every f in the box is optimal.
+    steps = [None if w == 0.0 or rf.max_offset == 0.0
+             else (abs(w), math.copysign(1.0, w), abs(w) * f_lo, abs(w) * f_hi)
+             for w in om]
+    # Per-element terms of the coupling sum at the current frequencies, and
+    # their real and imaginary parts; entry n changes only when an update of
+    # f_n is accepted.
+    terms = alpha * np.exp(1j * (omega * freqs))
+    re, im = terms.real.tolist(), terms.imag.tolist()
     history = [pref * kernels.coupling_power(terms)]
     rejected = 0
     converged = False
@@ -161,32 +153,42 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     while outer < max_outer and not converged:
         outer += 1
         g_before = history[-1]
-        # re and im without entry i, in index order: moving on to i + 1
-        # writes entry i into the slot that held entry i + 1.
-        re_rest, im_rest = re[1:].copy(), im[1:].copy()
-        for i in range(n_elem):
+        # Rows 0 and 1 hold re and im without entry i, in index order: moving
+        # on to i + 1 writes entry i into the slot that held entry i + 1.
+        rest = np.array([re[1:], im[1:]])
+        for i, step in enumerate(steps):
             if i:
-                re_rest[i - 1] = re[i - 1]
-                im_rest[i - 1] = im[i - 1]
-            g_new = history[-1]
-            f_new = _coordinate_minimizer(float(np.add.reduce(re_rest)),
-                                          float(np.add.reduce(im_rest)),
-                                          om[i], rf)
+                rest[0, i - 1] = re[i - 1]
+                rest[1, i - 1] = im[i - 1]
+            history.append(history[-1])
+            if step is None:
+                continue
+            # a + jb is the coupling sum over every other element, so the
+            # part that depends on f is hypot(a, b) cos(|omega_i| f - phase).
+            a, b = np.add.reduce(rest, axis=1).tolist()
+            if a == 0.0 and b == 0.0:
+                continue
+            w, sign, x_lo, x_hi = step
+            phase = sign * math.atan2(b, a)
+            x = cosine_argmin(x_lo - phase, x_hi - phase)
+            f_new = min(max((x + phase) / w, f_lo), f_hi)
             # An unchanged frequency re-evaluates to the current value.
-            if f_new is not None and f_new != fr[i]:
-                kept = terms[i]
-                terms[i] = alpha[i] * np.exp(1j * (om[i] * f_new))
-                g_trial = pref * kernels.coupling_power(terms)
-                if g_trial > g_new:
-                    # The exact 1-D update cannot increase the objective, so
-                    # any recorded increase is evaluation noise at the
-                    # cancellation floor; keep the previous frequency.
-                    terms[i] = kept
-                    rejected += 1
-                else:
-                    fr[i] = f_new
-                    g_new = g_trial
-            history.append(g_new)
+            if f_new == fr[i]:
+                continue
+            kept = terms[i]
+            term = complex(alpha[i] * np.exp(1j * (om[i] * f_new)))
+            terms[i] = term
+            g_trial = pref * kernels.coupling_power(terms)
+            if g_trial > history[-1]:
+                # The exact 1-D update cannot increase the objective, so any
+                # recorded increase is evaluation noise at the cancellation
+                # floor; keep the previous frequency.
+                terms[i] = kept
+                rejected += 1
+            else:
+                fr[i] = f_new
+                re[i], im[i] = term.real, term.imag
+                history[-1] = g_trial
         if g_before - history[-1] <= tol * g_before:
             converged = True
 

@@ -15,5 +15,5 @@ def coupling_power(terms: np.ndarray) -> float:
 
     The terms are summed in index order with numpy's pairwise sum.
     """
-    s = np.add.reduce(terms)
-    return float(s.real * s.real + s.imag * s.imag)
+    s = complex(np.add.reduce(terms))
+    return s.real * s.real + s.imag * s.imag

@@ -2,7 +2,9 @@
 keeps every output byte.
 
 Runs ``sweep-power``, ``sweep-rate`` and ``convergence`` at the reference
-config (an empty ``[experiment]`` section) at ``-j 1`` and ``-j 2``, and
+config (an empty ``[experiment]`` section) at ``-j 1`` and ``-j 2``,
+``convergence -j 1`` at N = 9, 33 and 130 (the reference config descends at
+N <= 8 only; its CSV carries the mean histories to 17 digits), and
 ``solve-power``, ``solve-rate`` and ``optimize-offsets`` on the README's INI
 block.  Each command runs in a fresh directory, on the package of the tree
 this file sits in, and the script prints one hash per CSV, per stdout and per
@@ -26,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_EXPERIMENT = "[experiment]\n"
+LARGE_N_EXPERIMENT = "[experiment]\nrealizations = 4\nantenna_counts = 9, 33, 130\n"
 
 
 def _readme_ini() -> str:
@@ -51,13 +54,14 @@ def _run(command: list, ini: str) -> tuple[int, dict]:
 
 
 def main() -> int:
-    runs = [([name, "-j", jobs], REFERENCE_EXPERIMENT)
+    runs = [(f"{name} -j {jobs}", [name, "-j", jobs], REFERENCE_EXPERIMENT)
             for name in ("sweep-power", "sweep-rate", "convergence")
             for jobs in ("1", "2")]
-    runs += [([name], _readme_ini())
+    runs.append(("convergence -j 1 large-N", ["convergence", "-j", "1"],
+                 LARGE_N_EXPERIMENT))
+    runs += [(name, [name], _readme_ini())
              for name in ("solve-power", "solve-rate", "optimize-offsets")]
-    for command, ini in runs:
-        label = " ".join(command)
+    for label, command, ini in runs:
         code, outputs = _run(command, ini)
         print(f"{label}: exit {code}")
         for name, data in outputs.items():

@@ -23,7 +23,7 @@ from fdabeam.beamforming import (
 )
 from fdabeam.coupling import (
     OptimizerTrace,
-    _coordinate_minimizer,
+    cosine_argmin,
     coupling_coefficients,
     coupling_prefactor,
     optimize_offsets,
@@ -157,6 +157,14 @@ def coupling_power_row(alpha, omega, freqs):
     return kernels.coupling_power(alpha * np.exp(1j * (omega * freqs)))
 
 
+def numpy_coupling_power(terms):
+    """``kernels.coupling_power`` with the square taken in numpy scalars
+    (float64 parts of the pairwise sum); the package's Python-float form
+    must equal it bit for bit."""
+    s = np.add.reduce(terms)
+    return float(s.real * s.real + s.imag * s.imag)
+
+
 def coupling_power_batch(alpha, omega, freq_rows):
     """|sum_n alpha_n exp(j omega_n f_n)|^2 for each row of ``freq_rows``."""
     rows = freq_rows.shape[0]
@@ -239,11 +247,33 @@ def _cosine_term(n, freqs, coeffs):
     return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
 
 
+def _coordinate_minimizer(a, b, omega_n, rf):
+    """Best frequency f in the box [f_c, f_c + f_m] for one coordinate.
+
+    ``a + jb`` is the coupling sum over every other element, so the part of
+    the coupling that depends on f is ``a cos(omega_n f) + b sin(omega_n f)``
+    (up to a positive factor), i.e. ``hypot(a, b) cos(|omega_n| f - phase)``.
+    Returns None when every f in the box is optimal (omega_n = 0, a vanishing
+    amplitude or an empty offset budget).  The package's descent inlines this
+    expression sequence with per-element constants hoisted; its results must
+    equal this form bit for bit.
+    """
+    amplitude = math.hypot(a, b)
+    w = abs(omega_n)
+    if w == 0.0 or amplitude == 0.0 or rf.max_offset == 0.0:
+        return None
+    phase = math.copysign(1.0, omega_n) * math.atan2(b, a)
+    f_lo = rf.carrier_frequency
+    f_hi = rf.carrier_frequency + rf.max_offset
+    x = cosine_argmin(w * f_lo - phase, w * f_hi - phase)
+    return min(max((x + phase) / w, f_lo), f_hi)
+
+
 def _best_frequency(n, freqs, coeffs, rf):
     """Best frequency f_n in [f_c, f_c + f_m] with all other entries fixed.
 
     Rebuilds the sums over the other elements from all N phases and hands
-    them to the package's coordinate minimizer.  Degenerate coordinates
+    them to :func:`_coordinate_minimizer`.  Degenerate coordinates
     (omega_n = 0, a vanishing amplitude or no offset budget) leave the
     current frequency unchanged.
     """

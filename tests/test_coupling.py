@@ -133,8 +133,22 @@ def test_cosine_argmin_endpoints():
     # symmetric window: tie goes to the lower endpoint
     assert cosine_argmin(-1.0, 1.0) == -1.0
     assert cosine_argmin(0.3, 0.3) == 0.3
-    with pytest.raises(ValueError):
-        cosine_argmin(1.0, 0.0)
+    # an unbounded upper end still holds the first odd multiple of pi
+    assert cosine_argmin(0.0, math.inf) == math.pi
+
+
+@pytest.mark.parametrize("lower, upper, match", [
+    (1.0, 0.0, "empty interval"),
+    (math.nan, 1.0, "NaN bound"),
+    (0.0, math.nan, "NaN bound"),
+    (math.nan, math.nan, "NaN bound"),
+    (math.inf, math.inf, "lower bound must be finite"),
+    (-math.inf, 0.0, "lower bound must be finite"),
+    (-math.inf, math.inf, "lower bound must be finite"),
+])
+def test_cosine_argmin_rejects_bad_bounds(lower, upper, match):
+    with pytest.raises(ValueError, match=match):
+        cosine_argmin(lower, upper)
 
 
 def test_cosine_argmin_matches_dense_grid():
@@ -353,6 +367,9 @@ def test_optimize_rejects_bad_initial():
     ({"tol": math.inf}, "tol"),
     ({"tol": -1.0}, "tol"),
     ({"max_outer": -3}, "max_outer"),
+    ({"max_outer": math.nan}, "max_outer must be a non-negative integer"),
+    ({"max_outer": 2.5}, "max_outer must be a non-negative integer"),
+    ({"max_outer": True}, "max_outer must be a non-negative integer"),
 ])
 def test_optimize_rejects_bad_stopping_rule(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -411,6 +428,19 @@ def test_descent_bitwise_on_random_inputs(n):
                              reference_descent(scenario, **kwargs))
 
 
+@pytest.mark.parametrize("n", [9, 10, 65, 66, 130, 131, 300])
+def test_descent_bitwise_at_pairwise_sum_widths(n):
+    """numpy's pairwise sum changes form past 8 and past 128 summands; the
+    rest rows hold N - 1 values and the coupling sum adds N complex terms as
+    2N doubles, so these widths put both on each side of every switch."""
+    rng = np.random.default_rng(3000 + n)
+    for k in range(4):
+        scenario = random_scenario(rng, n=n, shared_bearing=bool(k % 2))
+        initial = random_plan(rng, n) if k >= 2 else None
+        _assert_same_descent(optimize_offsets(scenario, initial=initial),
+                             reference_descent(scenario, initial=initial))
+
+
 def test_descent_bitwise_on_degenerate_coordinates():
     # no offset budget: every coordinate is degenerate
     scenario = half_wave_scenario(8, 80.0, 0.9, 120.0, 1.4)
@@ -418,17 +448,19 @@ def test_descent_bitwise_on_degenerate_coordinates():
         scenario, rf=dataclasses.replace(scenario.rf, max_offset=0.0))
     _assert_same_descent(optimize_offsets(scenario), reference_descent(scenario))
 
-    # Bob and Eve on a circle around element 3 (which sits at x = 0), so
-    # omega_3 = 0 while every other coordinate still moves
-    base = half_wave_scenario(8, 100.0, math.pi / 2, 100.0, 0.0)
-    d = base.array.spacing
-    scenario = dataclasses.replace(base, array=ArrayGeometry(8, -3.0 * d, d))
-    omega, _ = coupling_coefficients(scenario)
-    assert omega[3] == 0.0 and np.count_nonzero(omega) == 7
-    start = random_plan(np.random.default_rng(5), 8)
-    for initial in (None, start):
-        _assert_same_descent(optimize_offsets(scenario, initial=initial),
-                             reference_descent(scenario, initial=initial))
+    # Bob and Eve on a circle around element k (which sits at x = 0), so
+    # omega_k = 0 while every other coordinate still moves; at N = 2 the sum
+    # over the other element is then real, with an imaginary part of exactly 0
+    for n, k in ((8, 3), (2, 1)):
+        base = half_wave_scenario(n, 100.0, math.pi / 2, 100.0, 0.0)
+        d = base.array.spacing
+        scenario = dataclasses.replace(base, array=ArrayGeometry(n, -k * d, d))
+        omega, _ = coupling_coefficients(scenario)
+        assert omega[k] == 0.0 and np.count_nonzero(omega) == n - 1
+        start = random_plan(np.random.default_rng(5), n)
+        for initial in (None, start):
+            _assert_same_descent(optimize_offsets(scenario, initial=initial),
+                                 reference_descent(scenario, initial=initial))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])

@@ -3,7 +3,13 @@ from numpy.testing import assert_allclose
 
 from fdabeam import kernels
 
-from helpers import _CHUNK, coordinate_scan, coupling_power_batch, coupling_power_row
+from helpers import (
+    _CHUNK,
+    coordinate_scan,
+    coupling_power_batch,
+    coupling_power_row,
+    numpy_coupling_power,
+)
 
 
 def _random_inputs(rng, n):
@@ -20,6 +26,19 @@ def test_single_matches_direct_sum():
         direct = abs(np.sum(alpha * np.exp(1j * omega * freqs))) ** 2
         assert_allclose(kernels.coupling_power(alpha * np.exp(1j * (omega * freqs))),
                         direct, rtol=1e-12)
+
+
+def test_single_equals_numpy_scalar_form_bitwise():
+    """Widths 1-299 cross every form change of numpy's pairwise sum, each at
+    three magnitudes."""
+    rng = np.random.default_rng(4)
+    for n in range(1, 300):
+        for scale in (1e-6, 1.0, 1e40):
+            alpha = scale * rng.uniform(0.3, 2.0, n)
+            terms = alpha * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+            got, want = kernels.coupling_power(terms), numpy_coupling_power(terms)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_batch_matches_single():
