@@ -24,8 +24,6 @@ from .beamforming import (
 from .coupling import (
     OptimizerTrace,
     cosine_argmin,
-    coupling_coefficients,
-    coupling_prefactor,
     g_value,
     optimize_offsets,
 )

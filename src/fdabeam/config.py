@@ -206,13 +206,13 @@ def _read_sections(path, overrides: tuple, schema: dict) -> dict:
 
 
 def _section_kwargs(parsed: dict, sec: str, cls) -> dict:
-    """Field values of ``cls`` given in section ``sec``; every field of
+    """Field values of ``cls`` given in section ``sec``; every init field of
     ``cls`` without a default must be among them."""
     kwargs = {_FIELD_OF_KEY.get(key, key): value
               for key, value in parsed.get(sec, {}).items()}
     for field in fields(cls):
-        if (field.default is MISSING and field.default_factory is MISSING
-                and field.name not in kwargs):
+        if (field.init and field.default is MISSING
+                and field.default_factory is MISSING and field.name not in kwargs):
             if sec not in parsed:
                 raise ConfigError(f"missing section [{sec}]")
             key = _KEY_OF_FIELD.get(field.name, field.name)

@@ -1,16 +1,12 @@
 """Bob/Eve channel coupling and frequency-offset optimization.
 
 The squared coupling ``g = |h_eve^H h_bob|^2`` between the noise-normalized
-channels factors into geometry-only coefficients
-
-    omega_n = 2 pi (r_eve_n - r_bob_n) / c      (rad/Hz)
-    alpha_n = 1 / (r_bob_n r_eve_n)             (1/m^2)
-
-via ``g = K |sum_n alpha_n exp(j omega_n f_n)|^2`` with a constant prefactor
-``K = wavelength^4 / ((4 pi)^4 sigma_b^2 sigma_e^2)``.  Time drops out
-entirely, so minimizing g over the per-element frequencies is a purely
-geometric problem.  The minimization runs as cyclic coordinate descent where
-each 1-D subproblem has a closed-form solution.
+channels factors as ``g = K |sum_n alpha_n exp(j omega_n f_n)|^2``, where the
+geometry-only coefficients ``Scenario.omega`` and ``Scenario.alpha`` and the
+prefactor ``RfParams.coupling_prefactor`` (K) are computed once by their
+dataclasses.  Time drops out entirely, so minimizing g over the per-element
+frequencies is a purely geometric problem.  The minimization runs as cyclic
+coordinate descent where each 1-D subproblem has a closed-form solution.
 
 The descent caches one array of per-element terms ``alpha_n exp(j phi_n)``
 with ``phi_n = omega_n f_n`` and rewrites entry n only when an update of f_n
@@ -37,8 +33,6 @@ import numpy as np
 from . import kernels
 from .scenario import FrequencyPlan, Scenario, _is_int, _plan_offsets
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass
 class OptimizerTrace:
@@ -56,23 +50,6 @@ class OptimizerTrace:
     rejected_updates: int = 0
 
 
-def coupling_coefficients(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Geometry coefficients ``(omega, alpha)``, two (N,) arrays, from the
-    stored element distances."""
-    r_b, r_e = scenario.bob_distances, scenario.eve_distances
-    omega = _TWO_PI * (r_e - r_b) / scenario.rf.wave_speed
-    alpha = 1.0 / (r_b * r_e)
-    return omega, alpha
-
-
-def coupling_prefactor(scenario: Scenario) -> float:
-    """Constant K mapping |sum alpha exp(j omega f)|^2 to |h_e^H h_b|^2."""
-    lam = scenario.rf.wavelength
-    four_pi = 4.0 * math.pi
-    return lam**4 / (four_pi**4 * scenario.rf.noise_power_bob
-                     * scenario.rf.noise_power_eve)
-
-
 def g_value(scenario: Scenario, plan: FrequencyPlan) -> float:
     """Squared coupling |h_eve^H h_bob|^2 of the normalized channels.
 
@@ -81,9 +58,8 @@ def g_value(scenario: Scenario, plan: FrequencyPlan) -> float:
     :func:`fdabeam.scenario.channel_pair` vectors at any t.
     """
     freqs = scenario.rf.carrier_frequency + _plan_offsets(scenario, [plan])[0]
-    omega, alpha = coupling_coefficients(scenario)
-    terms = alpha * np.exp(1j * (omega * freqs))
-    return coupling_prefactor(scenario) * kernels.coupling_power(terms)
+    terms = scenario.alpha * np.exp(1j * (scenario.omega * freqs))
+    return scenario.rf.coupling_prefactor * kernels.coupling_power(terms)
 
 
 def cosine_argmin(lower: float, upper: float) -> float:
@@ -91,8 +67,10 @@ def cosine_argmin(lower: float, upper: float) -> float:
 
     Returns the smallest odd multiple of pi inside the interval if one
     exists, otherwise the endpoint with the smaller cosine (ties go to the
-    lower endpoint).  An empty interval, a NaN bound or an infinite lower
-    bound is a ValueError; an infinite upper bound is allowed.
+    lower endpoint).  Where ``k pi`` rounds to just below ``lower``, the
+    multiple lies within an ulp of it and ``lower`` is returned.  An empty
+    interval, a NaN bound or an infinite lower bound is a ValueError; an
+    infinite upper bound is allowed.
     """
     if not lower <= upper:
         raise ValueError("empty interval or NaN bound")
@@ -104,7 +82,7 @@ def cosine_argmin(lower: float, upper: float) -> float:
         k += 1
     x = k * math.pi
     if x <= upper:
-        return x
+        return x if x >= lower else lower
     return lower if math.cos(lower) <= math.cos(upper) else upper
 
 
@@ -131,8 +109,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     else:
         freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
 
-    omega, alpha = coupling_coefficients(scenario)
-    pref = coupling_prefactor(scenario)
+    omega, alpha, pref = scenario.omega, scenario.alpha, rf.coupling_prefactor
     f_lo = rf.carrier_frequency
     f_hi = rf.carrier_frequency + rf.max_offset
     om, fr = omega.tolist(), freqs.tolist()

@@ -6,8 +6,10 @@ the array origin.  Each element n transmits at its own frequency
 ``f_n = f_c + offset_n``, which makes the narrowband channel vectors depend
 on range as well as direction.
 
-A :class:`Scenario` computes its element-to-receiver distances once, at
-construction; channel synthesis and the coupling coefficients read them.
+:class:`RfParams` computes its wavelength and coupling prefactor K, and a
+:class:`Scenario` its element-to-receiver distances and coupling
+coefficients omega and alpha, once, at construction, beside the checks that
+bound them; channel synthesis and the offset descent read them.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class RfParams:
     wave_speed : float
         Propagation speed in m/s.
 
-    The carrier wavelength is always derived as ``wave_speed /
-    carrier_frequency`` and never stored.
+    Derived at construction: ``wavelength = wave_speed / carrier_frequency``
+    in m and ``coupling_prefactor``, the K of the factorization
+    ``|h_eve^H h_bob|^2 = K |sum_n alpha_n exp(j omega_n f_n)|^2``.
     """
 
     carrier_frequency: float
@@ -55,6 +58,8 @@ class RfParams:
     noise_power_bob: float
     noise_power_eve: float
     wave_speed: float = SPEED_OF_LIGHT
+    wavelength: float = field(init=False, repr=False, compare=False)
+    coupling_prefactor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("carrier_frequency", "max_offset", "noise_power_bob",
@@ -69,8 +74,8 @@ class RfParams:
             raise ValueError("noise powers must be positive")
         if not self.wave_speed > 0:
             raise ValueError("wave_speed must be positive")
-        # The float64 form of the wavelength and of coupling_prefactor's K:
-        # inf or 0 here is an overflow or a zero division there.
+        # In float64, so that an overflow or a zero division gives inf or 0,
+        # which the checks below reject, instead of raising.
         with np.errstate(all="ignore"):
             wavelength = np.float64(self.wave_speed) / self.carrier_frequency
             prefactor = wavelength**4 / ((4.0 * math.pi)**4 * np.float64(self.noise_power_bob)
@@ -81,11 +86,8 @@ class RfParams:
         if not 0.0 < prefactor < math.inf:
             raise ValueError("coupling prefactor wavelength^4 / ((4 pi)^4 noise_power_bob "
                              "noise_power_eve) must be finite and positive")
-
-    @property
-    def wavelength(self) -> float:
-        """Carrier wavelength in m."""
-        return self.wave_speed / self.carrier_frequency
+        object.__setattr__(self, "wavelength", float(wavelength))
+        object.__setattr__(self, "coupling_prefactor", float(prefactor))
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,10 @@ class NodePlacement:
 @dataclass(frozen=True)
 class Scenario:
     """One wiretap layout: RF constants, array geometry and both receivers,
-    with their read-only (N,) element distances in m, ``bob_distances`` and
-    ``eve_distances``."""
+    with read-only (N,) arrays derived at construction: the element
+    distances ``bob_distances`` (r_b) and ``eve_distances`` (r_e) in m, and
+    the coupling coefficients ``omega = 2 pi (r_e - r_b) / wave_speed`` in
+    rad/Hz and ``alpha = 1 / (r_b r_e)`` in 1/m^2."""
 
     rf: RfParams
     array: ArrayGeometry
@@ -138,12 +142,14 @@ class Scenario:
     eve: NodePlacement
     bob_distances: np.ndarray = field(init=False, repr=False, compare=False)
     eve_distances: np.ndarray = field(init=False, repr=False, compare=False)
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rf, n = self.rf, self.array.element_count
         # Rejects layouts where a channel gain, a coupling coefficient
-        # 1 / (r_bob r_eve) (coupling.coupling_coefficients) or a coupling
-        # phase may leave the float range.  Each receiver's nearest and
+        # alpha_n or a coupling phase omega_n f may leave the float range
+        # before omega and alpha are computed.  Each receiver's nearest and
         # farthest element distances bound all of them and their sums, so
         # the check is a min and a max per receiver and float arithmetic
         # that cannot raise: a sweep builds one scenario per realization.
@@ -176,6 +182,11 @@ class Scenario:
                 * (rf.carrier_frequency + rf.max_offset) < math.inf):
             raise ValueError("coupling phases 2 pi r (f_c + f_m) / wave_speed must be "
                              "finite at every element distance r")
+        r_b, r_e = self.bob_distances, self.eve_distances
+        for name, value in (("omega", _TWO_PI * (r_e - r_b) / rf.wave_speed),
+                            ("alpha", 1.0 / (r_b * r_e))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,12 @@ config (an empty ``[experiment]`` section) at ``-j 1`` and ``-j 2``,
 ``convergence -j 1`` at N = 9, 33 and 130 (the reference config descends at
 N <= 8 only; its CSV carries the mean histories to 17 digits), and
 ``solve-power``, ``solve-rate`` and ``optimize-offsets`` on the README's INI
-block.  Each command runs in a fresh directory, on the package of the tree
+block.  Three more runs on that block cover a descent from a non-zero start
+(``solve-power`` with ``solver.initialization=linear``, which ends at
+interior offsets) and two failure paths: ``optimize-offsets`` with a
+coupling prefactor K past the float range (``rf.noise_power_bob``) and with
+channel gains past it (``bob.range``).  Each command runs in a fresh
+directory, on the package of the tree
 this file sits in, and the script prints one hash per CSV, per stdout and per
 stderr, plus the exit code.  Run it on two trees and compare:
 
@@ -61,6 +66,10 @@ def main() -> int:
                  LARGE_N_EXPERIMENT))
     runs += [(name, [name], _readme_ini())
              for name in ("solve-power", "solve-rate", "optimize-offsets")]
+    runs += [(f"{name} --set {override}", [name, "--set", override], _readme_ini())
+             for name, override in (("solve-power", "solver.initialization=linear"),
+                                    ("optimize-offsets", "rf.noise_power_bob=1e-320 W"),
+                                    ("optimize-offsets", "bob.range=1e-300 m"))]
     for label, command, ini in runs:
         code, outputs = _run(command, ini)
         print(f"{label}: exit {code}")

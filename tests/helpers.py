@@ -24,8 +24,6 @@ from fdabeam.beamforming import (
 from fdabeam.coupling import (
     OptimizerTrace,
     cosine_argmin,
-    coupling_coefficients,
-    coupling_prefactor,
     optimize_offsets,
 )
 from fdabeam.experiments import (
@@ -209,7 +207,7 @@ def grid_oracle(scenario, points_per_axis):
         raise ValueError("grid oracle is limited to 3 elements")
     if points_per_axis < 2:
         raise ValueError("need at least 2 points per axis")
-    omega, alpha = coupling_coefficients(scenario)
+    omega, alpha = scenario.omega, scenario.alpha
     axis = np.linspace(0.0, scenario.rf.max_offset, points_per_axis)
     mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
     offsets = mesh.reshape(-1, n)
@@ -217,7 +215,7 @@ def grid_oracle(scenario, points_per_axis):
         alpha, omega, scenario.rf.carrier_frequency + offsets)
     best = int(np.argmin(vals))
     return (FrequencyPlan(offsets[best]),
-            coupling_prefactor(scenario) * float(vals[best]))
+            scenario.rf.coupling_prefactor * float(vals[best]))
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ class CosineTerm:
 
 def _other_sums(n, freqs, coeffs):
     """Real and imaginary coupling sums over every element but n;
-    ``coeffs`` is the ``(omega, alpha)`` pair of ``coupling_coefficients``."""
+    ``coeffs`` is the ``(omega, alpha)`` pair of a ``Scenario``."""
     omega, alpha = coeffs
     phases = omega * freqs
     mask = np.arange(freqs.shape[0]) != n
@@ -294,9 +292,9 @@ def reference_descent(scenario, initial=None, tol=1e-8, max_outer=50):
     n_elem = scenario.array.element_count
     if initial is None:
         initial = FrequencyPlan(np.zeros(n_elem))
-    coeffs = coupling_coefficients(scenario)
+    coeffs = (scenario.omega, scenario.alpha)
     omega, alpha = coeffs
-    pref = coupling_prefactor(scenario)
+    pref = scenario.rf.coupling_prefactor
     freqs = rf.carrier_frequency + initial.offsets.copy()
     history = [pref * coupling_power_row(alpha, omega, freqs)]
     rejected = 0

@@ -22,8 +22,6 @@ from fdabeam.beamforming import (
     secrecy_rate,
 )
 from fdabeam.coupling import (
-    coupling_coefficients,
-    coupling_prefactor,
     g_value,
     optimize_offsets,
 )
@@ -150,7 +148,7 @@ def test_coordinate_update_matches_million_point_scan():
     for _ in range(1000):
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
-        coeffs = coupling_coefficients(scenario)
+        coeffs = (scenario.omega, scenario.alpha)
         omega, alpha = coeffs
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
@@ -217,8 +215,8 @@ def test_offset_optimizer_monotone_quick_and_grid_optimal():
         plan, _ = optimize_offsets(scenario, tol=1e-10, max_outer=200)
         g_opt = g_value(scenario, plan)
         _, g_grid = grid_oracle(scenario, 1000)
-        omega, alpha = coupling_coefficients(scenario)
-        pref = coupling_prefactor(scenario)
+        omega, alpha = scenario.omega, scenario.alpha
+        pref = scenario.rf.coupling_prefactor
         stepsum = float(np.sum(2.0 * pref * alpha * np.abs(omega)
                                * float(np.sum(alpha))))
         resolution = stepsum * 0.5 * scenario.rf.max_offset / 999

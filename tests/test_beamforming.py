@@ -171,6 +171,55 @@ def test_closed_form_input_guards():
             SecrecyTarget(rate)
 
 
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (lambda1_closed_form, (_NAN, 1.0, 0.5, 3.0), "bob_gain is NaN"),
+    (lambda1_closed_form, (2.0, _NAN, 0.5, 3.0), "eve_gain is NaN"),
+    (lambda1_closed_form, (2.0, 1.0, _NAN, 3.0), "coupling is NaN"),
+    (lambda1_closed_form, (2.0, 1.0, 0.5, _NAN), "rate is NaN"),
+    # at zero coupling lambda1 = B would hide a NaN E or R
+    (lambda1_closed_form, (2.0, _NAN, 0.0, 3.0), "eve_gain is NaN"),
+    (lambda1_closed_form, (2.0, 1.0, 0.0, _NAN), "rate is NaN"),
+    (lambda1_closed_form, (np.array([2.0, 2.0]), 1.0, np.array([0.5, _NAN]), 3.0),
+     "coupling is NaN"),
+    (lambda_delta_closed_form, (_NAN, 1.0, 0.5, 1.0), "bob_gain is NaN"),
+    (lambda_delta_closed_form, (2.0, _NAN, 0.5, 1.0), "eve_gain is NaN"),
+    (lambda_delta_closed_form, (2.0, 1.0, _NAN, 1.0), "coupling is NaN"),
+    (lambda_delta_closed_form, (2.0, 1.0, 0.5, _NAN), "power is NaN"),
+    (lambda_delta_closed_form, (2.0, 1.0, 0.5, -0.5), "power must be non-negative"),
+    (lambda_delta_closed_form, (2.0, 1.0, 0.5, -1.0), "power must be non-negative"),
+    (lambda_delta_closed_form, (2.0, 1.0, 0.5, np.array([1.0, -1.0])),
+     "power must be non-negative"),
+    (mrt_rate, (_NAN, 1.0, 0.5), "bob_gain is NaN"),
+    (mrt_rate, (2.0, _NAN, 0.5), "power is NaN"),
+    (mrt_rate, (2.0, 1.0, _NAN), "coupling is NaN"),
+    (mrt_rate, (2.0, -1.0, 0.5), "power must be non-negative"),
+    (mrt_rate, (2.0, np.array([1.0, _NAN]), 0.5), "power is NaN"),
+    (mrt_required_power, (_NAN, 5.0, 0.5), "bob_gain is NaN"),
+    (mrt_required_power, (2.0, _NAN, 0.5), "rate is NaN"),
+    (mrt_required_power, (2.0, 5.0, _NAN), "coupling is NaN"),
+    (mrt_required_power, (2.0, -5.0, 0.5), "rate must be non-negative"),
+    (mrt_required_power, (2.0, np.float64(-5.0), 0.5), "rate must be non-negative"),
+    (mrt_required_power, (2, -5, 0.5), "rate must be non-negative"),
+])
+def test_closed_forms_name_nan_and_negative_inputs(fn, args, message):
+    """A NaN input, a negative power or budget, or a negative MRT rate target
+    is a ValueError naming the input, not a result or an OverflowError."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
+def test_closed_forms_accept_their_edge_values():
+    """Zero power, zero rate and zero coupling stay valid inputs."""
+    assert lambda_delta_closed_form(2.0, 1.0, 0.5, 0.0) == 1.0
+    assert mrt_rate(2.0, 0.0, 0.5) == 0.0
+    assert mrt_required_power(2.0, 0.0, 0.5) == 0.0
+    assert lambda1_closed_form(2.0, 1.0, 0.0, 0.0) == 2.0
+
+
 def test_budget_and_target_take_only_real_scalars():
     """An array, a string or a bool is a named error, not numpy's ambiguous
     truth value later on; numpy and Python numbers are accepted."""

@@ -187,6 +187,26 @@ def test_missing_required_key(tmp_path):
         load_scenario_config(path)
 
 
+@pytest.mark.parametrize("key", ["carrier_frequency", "max_offset", "noise_power_bob",
+                                 "noise_power_eve"])
+def test_rf_requires_exactly_its_four_keys(tmp_path, key):
+    """RfParams' derived fields (wavelength, coupling_prefactor) are neither
+    required nor accepted as [rf] keys."""
+    path = tmp_path / "scenario.ini"
+    path.write_text("".join(line for line in SCENARIO_INI.splitlines(keepends=True)
+                            if not line.startswith(key)))
+    with pytest.raises(ConfigError) as info:
+        load_scenario_config(path)
+    assert str(info.value) == f"missing key {key!r} in section [rf]"
+
+
+@pytest.mark.parametrize("key", ["wavelength", "coupling_prefactor"])
+def test_derived_rf_fields_are_unknown_keys(scenario_ini, key):
+    with pytest.raises(ConfigError) as info:
+        load_scenario_config(scenario_ini, (f"rf.{key}=1",))
+    assert str(info.value) == f"unknown key {key!r} in section [rf]"
+
+
 def test_bad_initialization(scenario_ini):
     with pytest.raises(ConfigError, match="initialization"):
         load_scenario_config(scenario_ini, ("solver.initialization=random",))

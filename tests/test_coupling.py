@@ -9,8 +9,6 @@ from numpy.testing import assert_allclose
 
 from fdabeam.coupling import (
     cosine_argmin,
-    coupling_coefficients,
-    coupling_prefactor,
     g_value,
     optimize_offsets,
 )
@@ -54,13 +52,13 @@ def _reference_scenario():
 
 
 def test_coefficients_frozen_values():
-    omega, alpha = coupling_coefficients(_reference_scenario())
-    assert_allclose(omega, OMEGA_REFERENCE, rtol=1e-12)
-    assert_allclose(alpha, ALPHA_REFERENCE, rtol=1e-12)
+    scenario = _reference_scenario()
+    assert_allclose(scenario.omega, OMEGA_REFERENCE, rtol=1e-12)
+    assert_allclose(scenario.alpha, ALPHA_REFERENCE, rtol=1e-12)
 
 
 def test_prefactor_frozen_value():
-    assert_allclose(coupling_prefactor(_reference_scenario()),
+    assert_allclose(_reference_scenario().rf.coupling_prefactor,
                     PREFACTOR_REFERENCE, rtol=1e-12)
 
 
@@ -151,6 +149,27 @@ def test_cosine_argmin_rejects_bad_bounds(lower, upper, match):
         cosine_argmin(lower, upper)
 
 
+def test_cosine_argmin_stays_inside_near_odd_multiples_of_pi():
+    """With ``lower`` on or one ulp above an odd multiple of pi, ``k pi`` can
+    round to just below ``lower``; the result stays in the interval and
+    is no worse than either endpoint."""
+    assert cosine_argmin(-4074.6456717059614, -4073.6456717059614) == -4074.6456717059614
+    rng = np.random.default_rng(17)
+    below = 0
+    for _ in range(20000):
+        k = 2 * int(rng.integers(-1592, 1592)) + 1  # |k pi| <= 1e4
+        lower = k * math.pi
+        if rng.random() < 0.5:
+            lower = math.nextafter(lower, math.inf)
+        upper = lower + float(rng.choice([0.0, rng.uniform(0.0, 1.0),
+                                          rng.uniform(0.0, 10.0)]))
+        below += math.ceil(lower / math.pi) * math.pi < lower
+        x = cosine_argmin(lower, upper)
+        assert lower <= x <= upper
+        assert math.cos(x) <= min(math.cos(lower), math.cos(upper))
+    assert below > 0  # the sweep reaches the case
+
+
 def test_cosine_argmin_matches_dense_grid():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -169,9 +188,9 @@ def test_cosine_term_reduces_single_coordinate():
     for _ in range(10):
         scenario = random_scenario(rng, n=4)
         plan = random_plan(rng, scenario.array.element_count)
-        coeffs = coupling_coefficients(scenario)
+        coeffs = (scenario.omega, scenario.alpha)
         omega, alpha = coeffs
-        pref = coupling_prefactor(scenario)
+        pref = scenario.rf.coupling_prefactor
         n = int(rng.integers(0, 4))
         term = _cosine_term(n, scenario.rf.carrier_frequency + plan.offsets, coeffs)
         w = abs(omega[n])
@@ -201,7 +220,7 @@ def test_update_frequency_beats_dense_scan():
     for _ in range(30):
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
-        coeffs = coupling_coefficients(scenario)
+        coeffs = (scenario.omega, scenario.alpha)
         omega, alpha = coeffs
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
@@ -232,7 +251,7 @@ def test_update_never_increases_g():
     for _ in range(25):
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
-        coeffs = coupling_coefficients(scenario)
+        coeffs = (scenario.omega, scenario.alpha)
         g_before = g_value(scenario, plan)
         n = int(rng.integers(0, scenario.array.element_count))
         rf = scenario.rf
@@ -250,7 +269,7 @@ def test_case_table_matches_generic_update():
     for _ in range(200):
         scenario = random_scenario(rng)
         plan = random_plan(rng, scenario.array.element_count)
-        coeffs = coupling_coefficients(scenario)
+        coeffs = (scenario.omega, scenario.alpha)
         omega, _ = coeffs
         rf = scenario.rf
         n = int(rng.integers(0, scenario.array.element_count))
@@ -267,7 +286,7 @@ def test_update_degenerate_coordinates():
     # equal Bob/Eve ranges on a shared bearing: omega = 0 everywhere, any
     # frequency is optimal and the update must leave the plan untouched
     scenario = half_wave_scenario(3, 80.0, 0.9, 80.0, 0.9)
-    coeffs = coupling_coefficients(scenario)
+    coeffs = (scenario.omega, scenario.alpha)
     assert_allclose(coeffs[0], 0.0, atol=1e-18)
     plan = FrequencyPlan(np.array([0.0, 1e6, 2e6]))
     rf = scenario.rf
@@ -279,7 +298,7 @@ def test_update_degenerate_coordinates():
     scenario2 = half_wave_scenario(3, 80.0, 0.9, 120.0, 1.4)
     rf2 = dataclasses.replace(scenario2.rf, max_offset=0.0)
     scenario2 = dataclasses.replace(scenario2, rf=rf2)
-    coeffs2 = coupling_coefficients(scenario2)
+    coeffs2 = (scenario2.omega, scenario2.alpha)
     plan2 = FrequencyPlan(np.zeros(3))
     for n in range(3):
         f_new = _best_frequency(n, rf2.carrier_frequency + plan2.offsets, coeffs2, rf2)
@@ -349,8 +368,8 @@ def test_optimize_single_element():
     # frequency at all
     scenario = half_wave_scenario(1, 90.0, 1.0, 130.0, 0.4)
     plan, trace = optimize_offsets(scenario)
-    _, alpha = coupling_coefficients(scenario)
-    expected = coupling_prefactor(scenario) * float(alpha[0]) ** 2
+    alpha = scenario.alpha
+    expected = scenario.rf.coupling_prefactor * float(alpha[0]) ** 2
     assert_allclose(trace.objective_history, expected, rtol=1e-12)
     assert trace.converged
     assert_allclose(g_value(scenario, plan), expected, rtol=1e-12)
@@ -455,7 +474,7 @@ def test_descent_bitwise_on_degenerate_coordinates():
         base = half_wave_scenario(n, 100.0, math.pi / 2, 100.0, 0.0)
         d = base.array.spacing
         scenario = dataclasses.replace(base, array=ArrayGeometry(n, -k * d, d))
-        omega, _ = coupling_coefficients(scenario)
+        omega = scenario.omega
         assert omega[k] == 0.0 and np.count_nonzero(omega) == n - 1
         start = random_plan(np.random.default_rng(5), n)
         for initial in (None, start):
@@ -484,8 +503,8 @@ def test_rejected_updates_counts_the_guard():
 
 
 def _grid_resolution(scenario, points):
-    omega, alpha = coupling_coefficients(scenario)
-    pref = coupling_prefactor(scenario)
+    omega, alpha = scenario.omega, scenario.alpha
+    pref = scenario.rf.coupling_prefactor
     step = scenario.rf.max_offset / (points - 1)
     total = float(np.sum(alpha))
     slopes = 2.0 * pref * alpha * np.abs(omega) * total

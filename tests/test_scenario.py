@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,101 @@ def test_wavelength_derived():
     rf = reference_rf()
     assert rf.wavelength * rf.carrier_frequency == rf.wave_speed
     assert_allclose(rf.wavelength, 0.12491352416666666, rtol=1e-15)
+
+
+def _rf_constants_in_python_floats(rf):
+    """Wavelength and prefactor K as Python-float expressions of the inputs."""
+    lam = rf.wave_speed / rf.carrier_frequency
+    return lam, lam**4 / ((4.0 * math.pi)**4 * rf.noise_power_bob * rf.noise_power_eve)
+
+
+def _coefficients_from_distances(scn):
+    r_b, r_e = scn.bob_distances, scn.eve_distances
+    return 2.0 * math.pi * (r_e - r_b) / scn.rf.wave_speed, 1.0 / (r_b * r_e)
+
+
+def _extreme_rf_params(rng, count):
+    """Valid RfParams with inputs log-uniform over hundreds of decades, plus
+    one whose K is subnormal."""
+    found = [RfParams(1e70, 0.0, 1e15, 1e15, 1.0)]
+    while len(found) < count:
+        c, f_c, f_m, n_b, n_e = 10.0 ** rng.uniform(-150.0, 150.0, 5)
+        try:
+            found.append(RfParams(f_c, f_m, n_b, n_e, c))
+        except ValueError:
+            pass
+    return found
+
+
+def test_stored_rf_constants_equal_the_float_expressions_bitwise():
+    rng = np.random.default_rng(2024)
+    rfs = [reference_rf()] + _extreme_rf_params(rng, 2000)
+    assert 0.0 < rfs[1].coupling_prefactor < 2.2250738585072014e-308
+    for rf in rfs:
+        lam, k = _rf_constants_in_python_floats(rf)
+        assert type(rf.wavelength) is float and type(rf.coupling_prefactor) is float
+        assert (rf.wavelength.hex(), rf.coupling_prefactor.hex()) == (lam.hex(), k.hex())
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def test_stored_coefficients_equal_the_float_expressions_bitwise():
+    """omega and alpha, on reference layouts and on layouts at extreme
+    scales that the scenario checks accept."""
+    rng = np.random.default_rng(2025)
+    scenarios = [random_scenario(rng, shared_bearing=bool(i % 2)) for i in range(100)]
+    rfs = _extreme_rf_params(rng, 400)
+    while len(scenarios) < 300:
+        n = int(rng.integers(1, 65))
+        try:
+            scenarios.append(Scenario(
+                rf=rfs[len(scenarios) % len(rfs)],
+                array=ArrayGeometry(n, float(rng.uniform(-1.0, 1.0)),
+                                    float(10.0 ** rng.uniform(-4.0, 3.0))),
+                bob=NodePlacement(float(10.0 ** rng.uniform(-3.0, 8.0)),
+                                  float(rng.uniform(0.0, math.pi))),
+                eve=NodePlacement(float(10.0 ** rng.uniform(-3.0, 8.0)),
+                                  float(rng.uniform(0.0, math.pi)))))
+        except ValueError:
+            pass
+    for scn in scenarios:
+        omega, alpha = _coefficients_from_distances(scn)
+        assert_array_equal(_bits(scn.omega), _bits(omega))
+        assert_array_equal(_bits(scn.alpha), _bits(alpha))
+
+
+def test_derived_fields_are_read_only_and_not_compared():
+    scn = half_wave_scenario(4, 100.0, 1.0, 120.0, 1.0)
+    for name in ("omega", "alpha"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(scn, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scn, name, np.zeros(4))
+    for name in ("wavelength", "coupling_prefactor"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scn.rf, name, 1.0)
+        with pytest.raises(TypeError):
+            RfParams(2.4e9, 3e6, 1e-13, 1e-13, **{name: 1.0})
+        assert name not in repr(scn.rf)
+    assert scn.rf == reference_rf() and hash(scn.rf) == hash(reference_rf())
+
+
+def test_replace_recomputes_the_derived_fields():
+    scn = half_wave_scenario(4, 100.0, 1.0, 120.0, 1.0)
+    rf = dataclasses.replace(scn.rf, carrier_frequency=1.2e9, noise_power_eve=1e-11,
+                             wave_speed=2e8)
+    assert (rf.wavelength, rf.coupling_prefactor) == _rf_constants_in_python_floats(rf)
+    assert rf.wavelength != scn.rf.wavelength
+    assert rf.coupling_prefactor != scn.rf.coupling_prefactor
+    for moved in (dataclasses.replace(scn, rf=rf),
+                  dataclasses.replace(scn, eve=NodePlacement(150.0, 2.0))):
+        omega, alpha = _coefficients_from_distances(moved)
+        assert_array_equal(_bits(moved.omega), _bits(omega))
+        assert_array_equal(_bits(moved.alpha), _bits(alpha))
+        assert not np.array_equal(moved.omega, scn.omega)
+    assert not np.array_equal(moved.alpha, scn.alpha)
 
 
 def _endfire(array):
