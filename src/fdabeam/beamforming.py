@@ -120,10 +120,11 @@ def stacked_channel_stats(h_bob: np.ndarray,
     return b, e, x
 
 
-def _check_inputs(nonnegative: tuple = (), **inputs) -> None:
+def _check_inputs(nonnegative: tuple = (), positive: tuple = (), **inputs) -> None:
     """ValueError naming the first of ``inputs`` (floats or arrays) that
     holds a NaN, then the first one named in ``nonnegative`` that holds a
-    negative value.  A Python float is checked without a numpy call."""
+    negative value, then the first one named in ``positive`` that holds a
+    value <= 0.  A Python float is checked without a numpy call."""
     for name, value in inputs.items():
         if value != value if isinstance(value, float) else np.isnan(value).any():
             raise ValueError(f"{name} is NaN")
@@ -131,6 +132,10 @@ def _check_inputs(nonnegative: tuple = (), **inputs) -> None:
         value = inputs[name]
         if value < 0.0 if isinstance(value, float) else np.any(np.less(value, 0.0)):
             raise ValueError(f"{name} must be non-negative")
+    for name in positive:
+        value = inputs[name]
+        if value <= 0.0 if isinstance(value, float) else np.any(np.less_equal(value, 0.0)):
+            raise ValueError(f"{name} must be positive")
 
 
 def _float_or_array(value):
@@ -170,9 +175,10 @@ def lambda1_closed_form(bob_gain: float, eve_gain: float, coupling: float,
     exactly when the channels are parallel and ``2^R E >= B``.  Since
     ``lambda1 <= B``, a non-finite entry can only come from ``2^R E``
     overflowing, which raises :class:`OverflowError` naming the first one.
-    A NaN input is a ValueError.
+    A NaN or negative input is a ValueError.
     """
-    _check_inputs(bob_gain=bob_gain, eve_gain=eve_gain, coupling=coupling, rate=rate)
+    _check_inputs(("bob_gain", "eve_gain", "coupling", "rate"),
+                  bob_gain=bob_gain, eve_gain=eve_gain, coupling=coupling, rate=rate)
     limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
     t = _exp2(rate)
     w1 = t * eve_gain - bob_gain
@@ -195,11 +201,11 @@ def lambda_delta_closed_form(bob_gain: float, eve_gain: float, coupling: float,
 
     Always >= 1; equals ``1 + power * B`` exactly for orthogonal channels
     and 1 for identical channels or zero power.  A non-finite entry raises
-    :class:`OverflowError` naming the budget of the first one.  A NaN input
-    or a negative power is a ValueError.
+    :class:`OverflowError` naming the budget of the first one.  A NaN or
+    negative input is a ValueError.
     """
-    _check_inputs(("power",), bob_gain=bob_gain, eve_gain=eve_gain,
-                  coupling=coupling, power=power)
+    _check_inputs(("bob_gain", "eve_gain", "coupling", "power"), bob_gain=bob_gain,
+                  eve_gain=eve_gain, coupling=coupling, power=power)
     limit = _cauchy_schwarz_limit(bob_gain, eve_gain, coupling)
     f1 = power * (limit - coupling) + bob_gain - eve_gain
     f2 = 4.0 * (1.0 + power * eve_gain) * np.maximum(limit - coupling, 0.0)
@@ -295,9 +301,10 @@ def max_rate_beamformer(pair: ChannelPair, budget: PowerBudget) -> RateMaxSoluti
 @_float_semantics
 def mrt_rate(bob_gain: float, power: float, coupling: float) -> float:
     """Secrecy rate of MRT at transmit power ``power`` given Bob's gain
-    ``B = ||h_b||^2`` and the coupling ``x = |h_e^H h_b|^2``.  A NaN input
-    or a negative power is a ValueError."""
-    _check_inputs(("power",), bob_gain=bob_gain, power=power, coupling=coupling)
+    ``B = ||h_b||^2`` and the coupling ``x = |h_e^H h_b|^2``.  A NaN input,
+    a negative power or coupling, or a gain B <= 0 is a ValueError."""
+    _check_inputs(("power", "coupling"), ("bob_gain",),
+                  bob_gain=bob_gain, power=power, coupling=coupling)
     val = np.log2((1.0 + power * bob_gain) / (1.0 + power * coupling / bob_gain))
     return _float_or_array(np.maximum(val, 0.0))
 
@@ -307,10 +314,11 @@ def mrt_required_power(bob_gain: float, rate: float, coupling: float) -> float:
     when it never does.
 
     Finite exactly when ``B^2 > 2^R x``; always an upper bound for the
-    optimal (eigenvector-based) minimum power.  A NaN input or a negative
-    rate is a ValueError.
+    optimal (eigenvector-based) minimum power.  A NaN input, a negative
+    rate or coupling, or a gain B <= 0 is a ValueError.
     """
-    _check_inputs(("rate",), bob_gain=bob_gain, rate=rate, coupling=coupling)
+    _check_inputs(("rate", "coupling"), ("bob_gain",),
+                  bob_gain=bob_gain, rate=rate, coupling=coupling)
     t = _exp2(rate)
     denom = np.asarray(bob_gain - t * coupling / bob_gain)
     power = np.divide(t - 1.0, denom, out=np.full(denom.shape, math.inf),

@@ -21,10 +21,22 @@ bit for bit those of that full-recompute form (``tests/helpers.py`` keeps it
 as the oracle).  A running sum would make the update O(1), but its ulp drift
 decides the outcome at the cancellation floor, where the reachable couplings
 are roundoff noise.
+
+A trial term is ``alpha_n * cmath.exp(1j * (omega_n f))`` on Python floats.
+Like numpy's scalar ``np.exp``, ``cmath.exp`` takes the libm cosine and sine
+of the phase times ``exp(0) = 1``, and both multiply by ``alpha_n`` as a
+complex product, so the terms have the same bits (``tests/test_coupling.py``
+checks 10^5 draws).  A coordinate's evaluation reads only the cached terms,
+its own frequency and the current coupling, and all of them change only when
+an update is accepted.  So a coordinate visited again with no update
+accepted since its last evaluation replays that outcome instead of
+recomputing it: nothing for an accepted or unchanged frequency, one more
+counted rejection for a rejected one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -109,10 +121,10 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     else:
         freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
 
-    omega, alpha, pref = scenario.omega, scenario.alpha, rf.coupling_prefactor
+    omega, pref = scenario.omega, rf.coupling_prefactor
     f_lo = rf.carrier_frequency
     f_hi = rf.carrier_frequency + rf.max_offset
-    om, fr = omega.tolist(), freqs.tolist()
+    om, al, fr = omega.tolist(), scenario.alpha.tolist(), freqs.tolist()
     # (|omega_n|, sign of omega_n, |omega_n| f_lo, |omega_n| f_hi) per
     # element, or None where every f in the box is optimal.
     steps = [None if w == 0.0 or rf.max_offset == 0.0
@@ -121,52 +133,80 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     # Per-element terms of the coupling sum at the current frequencies, and
     # their real and imaginary parts; entry n changes only when an update of
     # f_n is accepted.
-    terms = alpha * np.exp(1j * (omega * freqs))
+    terms = scenario.alpha * np.exp(1j * (omega * freqs))
     re, im = terms.real.tolist(), terms.imag.tolist()
-    history = [pref * kernels.coupling_power(terms)]
+    # Looked up per call, so that a wrapper installed on the kernels module
+    # sees every evaluation.
+    coupling_power = kernels.coupling_power
+    reduce, atan2, argmin, exp = np.add.reduce, math.atan2, cosine_argmin, cmath.exp
+    g = pref * coupling_power(terms)
+    history = [g]
+    append = history.append
+    # Replay bookkeeping: the number of accepted updates so far and, per
+    # element, that number as it stood after the element's last evaluation
+    # (-1 before the first) and whether that evaluation was rejected.
+    accepted = 0
+    seen = [-1] * n_elem
+    refused = [False] * n_elem
     rejected = 0
     converged = False
     outer = 0
+    # Rows 0 and 1 hold re and im without entry i, in index order: moving on
+    # to i + 1 writes entry i into the slot that held entry i + 1.
+    rest = np.empty((2, n_elem - 1))
+    rest_re, rest_im = rest[0], rest[1]
     while outer < max_outer and not converged:
         outer += 1
-        g_before = history[-1]
-        # Rows 0 and 1 hold re and im without entry i, in index order: moving
-        # on to i + 1 writes entry i into the slot that held entry i + 1.
-        rest = np.array([re[1:], im[1:]])
+        g_before = g
+        rest_re[:] = re[1:]
+        rest_im[:] = im[1:]
         for i, step in enumerate(steps):
             if i:
-                rest[0, i - 1] = re[i - 1]
-                rest[1, i - 1] = im[i - 1]
-            history.append(history[-1])
-            if step is None:
-                continue
-            # a + jb is the coupling sum over every other element, so the
-            # part that depends on f is hypot(a, b) cos(|omega_i| f - phase).
-            a, b = np.add.reduce(rest, axis=1).tolist()
-            if a == 0.0 and b == 0.0:
-                continue
-            w, sign, x_lo, x_hi = step
-            phase = sign * math.atan2(b, a)
-            x = cosine_argmin(x_lo - phase, x_hi - phase)
-            f_new = min(max((x + phase) / w, f_lo), f_hi)
-            # An unchanged frequency re-evaluates to the current value.
-            if f_new == fr[i]:
-                continue
-            kept = terms[i]
-            term = complex(alpha[i] * np.exp(1j * (om[i] * f_new)))
-            terms[i] = term
-            g_trial = pref * kernels.coupling_power(terms)
-            if g_trial > history[-1]:
-                # The exact 1-D update cannot increase the objective, so any
-                # recorded increase is evaluation noise at the cancellation
-                # floor; keep the previous frequency.
-                terms[i] = kept
-                rejected += 1
-            else:
-                fr[i] = f_new
-                re[i], im[i] = term.real, term.imag
-                history[-1] = g_trial
-        if g_before - history[-1] <= tol * g_before:
+                rest_re[i - 1] = re[i - 1]
+                rest_im[i - 1] = im[i - 1]
+            if seen[i] == accepted:
+                # No update was accepted since this coordinate's last
+                # evaluation, so its rest, frequency and g hold the same
+                # bits and the evaluation would repeat its outcome.
+                if refused[i]:
+                    rejected += 1
+            elif step is not None:
+                # a + jb is the coupling sum over every other element, so the
+                # part that depends on f is hypot(a, b) cos(|omega_i| f - phase).
+                a, b = reduce(rest, axis=1).tolist()
+                refusal = False
+                if a != 0.0 or b != 0.0:
+                    w, sign, x_lo, x_hi = step
+                    phase = sign * atan2(b, a)
+                    x = argmin(x_lo - phase, x_hi - phase)
+                    f_new = (x + phase) / w
+                    if f_new < f_lo:
+                        f_new = f_lo
+                    elif f_new > f_hi:
+                        f_new = f_hi
+                    # An unchanged frequency re-evaluates to the current value.
+                    if f_new != fr[i]:
+                        term = al[i] * exp(1j * (om[i] * f_new))
+                        terms[i] = term
+                        g_trial = pref * coupling_power(terms)
+                        if g_trial > g:
+                            # The exact 1-D update cannot increase the
+                            # objective, so any recorded increase is
+                            # evaluation noise at the cancellation floor;
+                            # keep the previous frequency.
+                            terms[i] = complex(re[i], im[i])
+                            rejected += 1
+                            refusal = True
+                        else:
+                            fr[i] = f_new
+                            re[i] = term.real
+                            im[i] = term.imag
+                            g = g_trial
+                            accepted += 1
+                seen[i] = accepted
+                refused[i] = refusal
+            append(g)
+        if g_before - g <= tol * g_before:
             converged = True
 
     # Every frequency is >= f_c, so no -0.0 offset can arise.

@@ -212,6 +212,51 @@ def test_closed_forms_name_nan_and_negative_inputs(fn, args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (mrt_required_power, (-2.0, 5.0, 0.5), "bob_gain must be positive"),
+    (mrt_required_power, (0.0, 5.0, 0.0), "bob_gain must be positive"),
+    (mrt_required_power, (2.0, 5.0, -0.5), "coupling must be non-negative"),
+    (mrt_required_power, (np.array([2.0, 0.0]), 5.0, 0.0), "bob_gain must be positive"),
+    (mrt_required_power, (np.array([2.0, 2.0]), 5.0, np.array([0.5, -0.5])),
+     "coupling must be non-negative"),
+    (mrt_rate, (-2.0, 1.0, 0.5), "bob_gain must be positive"),
+    (mrt_rate, (0.0, 1.0, 0.0), "bob_gain must be positive"),
+    (mrt_rate, (2.0, 1.0, -0.5), "coupling must be non-negative"),
+    (mrt_rate, (np.array([2.0, -2.0]), 1.0, 0.5), "bob_gain must be positive"),
+    (mrt_rate, (np.array([0.0, 2.0]), np.array([1.0, 1.0]), 0.0), "bob_gain must be positive"),
+    (lambda1_closed_form, (-2.0, 1.0, 0.5, 3.0), "bob_gain must be non-negative"),
+    (lambda1_closed_form, (2.0, -1.0, 0.5, 3.0), "eve_gain must be non-negative"),
+    (lambda1_closed_form, (2.0, 1.0, -0.5, 3.0), "coupling must be non-negative"),
+    (lambda1_closed_form, (2.0, 1.0, 0.5, -3.0), "rate must be non-negative"),
+    (lambda1_closed_form, (2.0, 1.0, 0.5, np.array([3.0, -3.0])), "rate must be non-negative"),
+    (lambda1_closed_form, (np.array([2.0, 2.0]), 1.0, np.array([-0.5, 0.5]), 3.0),
+     "coupling must be non-negative"),
+    (lambda_delta_closed_form, (-2.0, -1.0, 0.5, 1.0), "bob_gain must be non-negative"),
+    (lambda_delta_closed_form, (2.0, -1.0, 0.5, 1.0), "eve_gain must be non-negative"),
+    (lambda_delta_closed_form, (2.0, 1.0, -0.5, 1.0), "coupling must be non-negative"),
+    (lambda_delta_closed_form, (2.0, np.array([1.0, -1.0]), 0.5, 1.0),
+     "eve_gain must be non-negative"),
+    (lambda_delta_closed_form, (np.array([-2.0, 2.0]), 1.0, 0.5, np.array([1.0, 2.0])),
+     "bob_gain must be non-negative"),
+])
+def test_closed_forms_name_negative_gains_couplings_and_rates(fn, args, message):
+    """A negative gain, coupling or λ₁ rate, and a zero Bob gain in the MRT
+    forms (which divide by it), is a ValueError naming the input instead of
+    a result, a nan, a ZeroDivisionError or an OverflowError."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
+def test_closed_forms_accept_zero_gains_and_couplings():
+    """Zero gains and couplings stay valid where no division by them occurs."""
+    assert lambda1_closed_form(0.0, 1.0, 0.0, 1.0) == 0.0
+    assert lambda1_closed_form(2.0, 0.0, 0.0, 1.0) == 2.0
+    assert lambda_delta_closed_form(0.0, 0.0, 0.0, 1.0) == 1.0
+    assert mrt_rate(2.0, 1.0, 0.0) == math.log2(3.0)
+    assert mrt_required_power(2.0, 1.0, 0.0) == 0.5
+
+
 def test_closed_forms_accept_their_edge_values():
     """Zero power, zero rate and zero coupling stay valid inputs."""
     assert lambda_delta_closed_form(2.0, 1.0, 0.5, 0.0) == 1.0

@@ -1,5 +1,6 @@
 """Coupling factorization and the coordinate-descent offset optimizer."""
 
+import cmath
 import dataclasses
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fdabeam import kernels
 from fdabeam.coupling import (
     cosine_argmin,
     g_value,
@@ -15,6 +17,8 @@ from fdabeam.coupling import (
 from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
 from helpers import (
+    CARRIER,
+    MAX_OFFSET,
     _best_frequency,
     _cosine_term,
     coordinate_scan,
@@ -500,6 +504,93 @@ def test_rejected_updates_counts_the_guard():
     assert trace.outer_iterations == 50 and not trace.converged
     assert trace.rejected_updates > 0
     assert trace.rejected_updates == reference_descent(scenario)[1].rejected_updates
+
+
+# ---------------------------------------------------------------------------
+# the coordinate step's scalar term, replay and kernel lookup
+
+
+def test_cmath_trial_term_equals_numpy_scalar_term():
+    """A trial term ``alpha_i * cmath.exp(1j * (omega_i * f))`` on Python
+    floats has the bits of the numpy-scalar form ``alpha[i] * np.exp(...)``,
+    for both signs of omega, f at both box ends and inside, and phases up
+    to 1e4 rad in magnitude."""
+    rng = np.random.default_rng(1811)
+    count = 100_000
+    f_lo, f_hi = CARRIER, CARRIER + MAX_OFFSET
+    alpha = 10.0 ** rng.uniform(-12.0, 2.0, count)
+    magnitude = np.where(rng.random(count) < 0.5,
+                         rng.uniform(0.0, 1e4, count),
+                         10.0 ** rng.uniform(-9.0, 4.0, count))
+    phase = np.where(rng.random(count) < 0.5, -magnitude, magnitude)
+    which = rng.integers(0, 3, count)
+    freq = np.where(which == 0, f_lo,
+                    np.where(which == 1, f_hi, rng.uniform(f_lo, f_hi, count)))
+    omega = phase / freq
+    al, om, fr = alpha.tolist(), omega.tolist(), freq.tolist()
+    assert min(om) < 0.0 < max(om)
+    assert max(abs(w * f) for w, f in zip(om, fr)) > 0.99e4
+    numpy_terms = [complex(alpha[k] * np.exp(1j * (om[k] * fr[k]))) for k in range(count)]
+    cmath_terms = [al[k] * cmath.exp(1j * (om[k] * fr[k])) for k in range(count)]
+    assert np.array(cmath_terms).tobytes() == np.array(numpy_terms).tobytes()
+
+
+def _counting_kernel(monkeypatch):
+    """Replace ``kernels.coupling_power`` after import with a wrapper that
+    counts its calls, as perfbench's tracer does."""
+    calls = []
+    original = kernels.coupling_power
+
+    def wrapper(terms):
+        calls.append(len(terms))
+        return original(terms)
+
+    monkeypatch.setattr(kernels, "coupling_power", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("layout", DESCENT_LARGE_LAYOUTS[3:])
+def test_descent_calls_the_kernel_it_finds_at_call_time(monkeypatch, layout):
+    """A wrapper installed on the kernels module after import sees the
+    start's evaluation and one per trial.  On these layouts no update is
+    rejected and every accepted one lowers g, so the trials are the strict
+    decreases of the history."""
+    scenario = _descent_large_scenario(*layout)
+    calls = _counting_kernel(monkeypatch)
+    _, trace = optimize_offsets(scenario)
+    hist = np.array(trace.objective_history)
+    assert trace.rejected_updates == 0
+    assert len(calls) == 1 + np.count_nonzero(hist[1:] < hist[:-1])
+    assert set(calls) == {128}
+
+
+def test_replayed_rejection_counts_like_the_full_recompute(monkeypatch):
+    """A coordinate rejected in one sweep, with no update accepted before
+    its next visit, repeats the rejection without a kernel call and still
+    counts it.  Each evaluated trial is an accepted update (at most one per
+    strict decrease of g here) or an evaluated rejection, so fewer kernel
+    calls than 1 + decreases + rejections means some were replayed."""
+    scenario = _descent_large_scenario(*DESCENT_LARGE_LAYOUTS[2])
+    calls = _counting_kernel(monkeypatch)
+    got = optimize_offsets(scenario)
+    hist = np.array(got[1].objective_history)
+    decreases = np.count_nonzero(hist[1:] < hist[:-1])
+    assert len(calls) < 1 + decreases + got[1].rejected_updates
+    _assert_same_descent(got, reference_descent(scenario))
+
+
+def test_replay_keys_on_the_other_elements():
+    """A coordinate whose own frequency has not moved since its last
+    evaluation is evaluated again once another element moved.  Replaying
+    every element after its first evaluation would end each descent at its
+    second sweep; these need more."""
+    rng = np.random.default_rng(1812)
+    for n in (3, 8, 32):
+        scenario = random_scenario(rng, n=n)
+        initial = random_plan(rng, n)
+        got = optimize_offsets(scenario, initial=initial)
+        assert got[1].outer_iterations > 2
+        _assert_same_descent(got, reference_descent(scenario, initial=initial))
 
 
 def _grid_resolution(scenario, points):
