@@ -13,8 +13,9 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .beamforming import PowerBudget, SecrecyTarget
 from .experiments import TIME_HORIZON, ExperimentConfig
-from .scenario import ArrayGeometry, NodePlacement, RfParams, Scenario
+from .scenario import ArrayGeometry, NodePlacement, RfParams, Scenario, _check_times
 
 
 class ConfigError(ValueError):
@@ -111,69 +112,65 @@ class SolverOptions:
     initialization: str = "zero"
 
     def __post_init__(self):
+        # every command rejects a bad value, not only the one that reads it;
+        # load_scenario_config checks the time against the scenario's band
         if self.initialization not in ("zero", "linear"):
             raise ValueError("solver.initialization must be 'zero' or 'linear'")
+        if self.target_rate is not None:
+            SecrecyTarget(self.target_rate)
+        if self.power_budget is not None:
+            PowerBudget(self.power_budget)
 
 
-_SCENARIO_SCHEMA = {
-    "rf": {
+_NODE_KEYS = {"range": parse_length, "angle": parse_angle}
+
+_SCENARIO_SECTIONS = {
+    "rf": (RfParams, {
         "carrier_frequency": parse_frequency,
         "max_offset": parse_frequency,
         "noise_power_bob": parse_power,
         "noise_power_eve": parse_power,
         "wave_speed": float,
-    },
-    "array": {
+    }),
+    "array": (ArrayGeometry, {
         "element_count": int,
         "first_element_x": parse_length,
         "spacing": parse_length,
-    },
-    "bob": {"range": parse_length, "angle": parse_angle},
-    "eve": {"range": parse_length, "angle": parse_angle},
-    "solver": {
+    }),
+    "bob": (NodePlacement, _NODE_KEYS),
+    "eve": (NodePlacement, _NODE_KEYS),
+    "solver": (SolverOptions, {
         "target_rate": float,
         "power_budget": parse_power,
         "time": parse_time,
         "tolerance": float,
         "max_outer": int,
         "initialization": str,
-    },
+    }),
 }
+"""Each section's dataclass and its keys' parsers; the dataclass's fields
+without a default are the section's required keys."""
 
-_SCENARIO_SECTIONS = {"rf": RfParams, "array": ArrayGeometry, "bob": NodePlacement,
-                      "eve": NodePlacement, "solver": SolverOptions}
-"""Dataclass built from each section; its fields without a default are the
-section's required keys."""
+_EXPERIMENT_KEYS = {
+    "realizations": int,
+    "seed": int,
+    "antenna_counts": parse_int_list,
+    "target_rate": float,
+    "power_grid": parse_power_grid,
+    "baselines": parse_names,
+    "time_samples": int,
+    "time_horizon": parse_time,
+    "range_min": parse_length,
+    "range_max": parse_length,
+    "range_gap": parse_length,
+    "angle_min": parse_angle,
+    "angle_max": parse_angle,
+}
+"""[experiment] keys; the min/max pairs and time_samples/time_horizon each
+build one tuple field, every other key sets one ExperimentConfig field."""
 
-_KEY_OF_FIELD = {"range_m": "range", "angle_rad": "angle"}
+_FIELD_OF_KEY = {"range": "range_m", "angle": "angle_rad", "seed": "rng_seed"}
 """INI keys that differ from the name of the field they set."""
-
-_FIELD_OF_KEY = {key: name for name, key in _KEY_OF_FIELD.items()}
-
-_EXPERIMENT_SCHEMA = {
-    "experiment": {
-        "realizations": int,
-        "seed": int,
-        "antenna_counts": parse_int_list,
-        "target_rate": float,
-        "power_grid": parse_power_grid,
-        "baselines": parse_names,
-        "time_samples": int,
-        "time_horizon": parse_time,
-        "range_min": parse_length,
-        "range_max": parse_length,
-        "range_gap": parse_length,
-        "angle_min": parse_angle,
-        "angle_max": parse_angle,
-    },
-}
-
-_EXPERIMENT_FIELDS = {"realizations": "realizations", "seed": "rng_seed",
-                      "antenna_counts": "antenna_counts", "target_rate": "target_rate",
-                      "power_grid": "power_grid", "baselines": "baselines",
-                      "range_gap": "range_gap"}
-"""[experiment] keys that set one ExperimentConfig field as they are; the
-min/max pairs and time_samples/time_horizon each build one tuple field."""
 
 
 def _read_sections(path, overrides: tuple, schema: dict) -> dict:
@@ -215,7 +212,8 @@ def _section_kwargs(parsed: dict, sec: str, cls) -> dict:
                 and field.default_factory is MISSING and field.name not in kwargs):
             if sec not in parsed:
                 raise ConfigError(f"missing section [{sec}]")
-            key = _KEY_OF_FIELD.get(field.name, field.name)
+            key = next((k for k, name in _FIELD_OF_KEY.items() if name == field.name),
+                       field.name)
             raise ConfigError(f"missing key {key!r} in section [{sec}]")
     return kwargs
 
@@ -226,15 +224,18 @@ def load_scenario_config(path, overrides: tuple = ()) -> tuple[Scenario, SolverO
     Absent keys take the defaults of the dataclass their section builds,
     except ``array.spacing``, which defaults to half the carrier wavelength.
     """
-    parsed = _read_sections(path, overrides, _SCENARIO_SCHEMA)
+    parsed = _read_sections(path, overrides,
+                            {sec: keys for sec, (_, keys) in _SCENARIO_SECTIONS.items()})
     kwargs = {sec: _section_kwargs(parsed, sec, cls)
-              for sec, cls in _SCENARIO_SECTIONS.items()}
+              for sec, (cls, _) in _SCENARIO_SECTIONS.items()}
     try:
         rf = RfParams(**kwargs["rf"])
         array = ArrayGeometry(**{"spacing": rf.wavelength / 2.0, **kwargs["array"]})
         scenario = Scenario(rf=rf, array=array, bob=NodePlacement(**kwargs["bob"]),
                             eve=NodePlacement(**kwargs["eve"]))
-        return scenario, SolverOptions(**kwargs["solver"])
+        options = SolverOptions(**kwargs["solver"])
+        _check_times(rf, np.asarray(options.time))
+        return scenario, options
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -245,20 +246,22 @@ def load_experiment_config(path, overrides: tuple = ()) -> ExperimentConfig:
     Absent keys take ExperimentConfig's defaults; ``time_samples`` points
     spread evenly over [0, ``time_horizon``].
     """
-    exp = _read_sections(path, overrides, _EXPERIMENT_SCHEMA).get("experiment", {})
-    kwargs = {name: exp[key] for key, name in _EXPERIMENT_FIELDS.items() if key in exp}
+    parsed = _read_sections(path, overrides, {"experiment": _EXPERIMENT_KEYS})
+    exp = parsed.setdefault("experiment", {})
     lo, hi = ExperimentConfig.range_interval
-    kwargs["range_interval"] = (exp.get("range_min", lo), exp.get("range_max", hi))
+    range_interval = (exp.pop("range_min", lo), exp.pop("range_max", hi))
     lo, hi = ExperimentConfig.angle_interval
-    kwargs["angle_interval"] = (exp.get("angle_min", lo), exp.get("angle_max", hi))
-    count = exp.get("time_samples", len(ExperimentConfig.time_samples))
-    horizon = exp.get("time_horizon", TIME_HORIZON)
+    angle_interval = (exp.pop("angle_min", lo), exp.pop("angle_max", hi))
+    count = exp.pop("time_samples", len(ExperimentConfig.time_samples))
+    horizon = exp.pop("time_horizon", TIME_HORIZON)
     if count < 1:
         raise ConfigError("experiment.time_samples must be at least 1")
     if not math.isfinite(horizon):
         raise ConfigError("experiment.time_horizon must be finite")
-    kwargs["time_samples"] = tuple(float(t) for t in np.linspace(0.0, horizon, count))
+    times = tuple(float(t) for t in np.linspace(0.0, horizon, count))
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**_section_kwargs(parsed, "experiment", ExperimentConfig),
+                                range_interval=range_interval,
+                                angle_interval=angle_interval, time_samples=times)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

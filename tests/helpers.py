@@ -150,6 +150,35 @@ def mrt_beamformer(h_bob, budget):
 # brute-force oracles
 
 
+def dense_lambda1(pair, rate):
+    """Largest eigenvalue of ``h_b h_b^H - 2^R h_e h_e^H``, by numpy's dense
+    Hermitian eigensolver."""
+    h_b, h_e = pair.h_bob, pair.h_eve
+    z = np.outer(h_b, h_b.conj()) - 2.0**rate * np.outer(h_e, h_e.conj())
+    return float(np.linalg.eigvalsh(z)[-1])
+
+
+def dense_lambda_delta(pair, power):
+    """Dense whitened EVD, with one generalized Rayleigh quotient to polish.
+
+    The whitening step alone carries an eps * (1 + P E) error; evaluating
+    the quotient of the original pencil at the dense eigenvector removes it,
+    because the quotient is stationary there (second-order in the vector
+    error).
+    """
+    a = 1.0 / power
+    n = pair.h_bob.shape[0]
+    h_b, h_e = pair.h_bob, pair.h_eve
+    m = a * np.eye(n, dtype=complex) + np.outer(h_e, h_e.conj())
+    t = a * np.eye(n, dtype=complex) + np.outer(h_b, h_b.conj())
+    vals, vecs = np.linalg.eigh(m)
+    m_isqrt = (vecs * (vals**-0.5)) @ vecs.conj().T
+    _, dvecs = np.linalg.eigh(m_isqrt @ t @ m_isqrt)
+    u = m_isqrt @ dvecs[:, -1]
+    uu = a * float(np.vdot(u, u).real)
+    return (uu + abs(np.vdot(h_b, u)) ** 2) / (uu + abs(np.vdot(h_e, u)) ** 2)
+
+
 def coupling_power_row(alpha, omega, freqs):
     """``kernels.coupling_power`` of the terms at one frequency vector."""
     return kernels.coupling_power(alpha * np.exp(1j * (omega * freqs)))
@@ -216,6 +245,18 @@ def grid_oracle(scenario, points_per_axis):
     best = int(np.argmin(vals))
     return (FrequencyPlan(offsets[best]),
             scenario.rf.coupling_prefactor * float(vals[best]))
+
+
+def two_level_optimum(scenario):
+    """Minimum coupling over the 2^N plans whose every offset is 0 or
+    ``max_offset`` (N <= 12)."""
+    n = scenario.array.element_count
+    if n > 12:
+        raise ValueError("two-level oracle is limited to 12 elements")
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    vals = coupling_power_batch(scenario.alpha, scenario.omega,
+                                scenario.rf.carrier_frequency + bits * scenario.rf.max_offset)
+    return scenario.rf.coupling_prefactor * float(vals.min())
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ from helpers import (
     _best_frequency,
     _cosine_term,
     coordinate_scan,
+    dense_lambda1,
+    dense_lambda_delta,
     grid_oracle,
     power_lower_bound,
     random_pair,
@@ -46,33 +48,6 @@ from helpers import (
     random_scenario,
     update_frequency_case_table,
 )
-
-
-def _dense_lambda1(pair, rate):
-    h_b, h_e = pair.h_bob, pair.h_eve
-    z = np.outer(h_b, h_b.conj()) - 2.0**rate * np.outer(h_e, h_e.conj())
-    return float(np.linalg.eigvalsh(z)[-1])
-
-
-def _dense_lambda_delta(pair, power):
-    """Dense whitened EVD, with one generalized Rayleigh quotient to polish.
-
-    The whitening step alone carries an eps * (1 + P E) error; evaluating
-    the quotient of the original pencil at the dense eigenvector removes it,
-    because the quotient is stationary there (second-order in the vector
-    error).
-    """
-    a = 1.0 / power
-    n = pair.h_bob.shape[0]
-    h_b, h_e = pair.h_bob, pair.h_eve
-    m = a * np.eye(n, dtype=complex) + np.outer(h_e, h_e.conj())
-    t = a * np.eye(n, dtype=complex) + np.outer(h_b, h_b.conj())
-    vals, vecs = np.linalg.eigh(m)
-    m_isqrt = (vecs * (vals**-0.5)) @ vecs.conj().T
-    _, dvecs = np.linalg.eigh(m_isqrt @ t @ m_isqrt)
-    u = m_isqrt @ dvecs[:, -1]
-    uu = a * float(np.vdot(u, u).real)
-    return (uu + abs(np.vdot(h_b, u)) ** 2) / (uu + abs(np.vdot(h_e, u)) ** 2)
 
 
 def test_eigenvalue_closed_forms_match_dense_evd():
@@ -87,10 +62,10 @@ def test_eigenvalue_closed_forms_match_dense_evd():
         power = float(10.0 ** rng.uniform(-2.0, 1.0))
         b, e, x = channel_stats(pair)
         lam1 = lambda1_closed_form(b, e, x, rate)
-        d1 = _dense_lambda1(pair, rate)
+        d1 = dense_lambda1(pair, rate)
         worst1 = max(worst1, abs(lam1 - d1) / abs(d1))
         lamd = lambda_delta_closed_form(b, e, x, power)
-        dd = _dense_lambda_delta(pair, power)
+        dd = dense_lambda_delta(pair, power)
         worstd = max(worstd, abs(lamd - dd) / dd)
     elapsed = time.perf_counter() - t0
     assert worst1 <= 1e-9

@@ -38,6 +38,8 @@ from fdabeam.scenario import (
 )
 
 from helpers import (
+    dense_lambda1,
+    dense_lambda_delta,
     half_wave_scenario,
     mrt_beamformer,
     power_lower_bound,
@@ -73,23 +75,6 @@ def _orthogonal_pair(n=4, bob_gain=3.0, eve_gain=2.0):
     return ChannelPair(h_bob=h_b, h_eve=h_e)
 
 
-def _dense_lambda1(pair, rate):
-    h_b, h_e = pair.h_bob, pair.h_eve
-    z = np.outer(h_b, h_b.conj()) - 2.0**rate * np.outer(h_e, h_e.conj())
-    return float(np.linalg.eigvalsh(z)[-1])
-
-
-def _dense_lambda_delta(pair, power):
-    """Symmetric whitened eigenproblem, built with dense factorizations."""
-    a = 1.0 / power
-    n = pair.h_bob.shape[0]
-    m = a * np.eye(n, dtype=complex) + np.outer(pair.h_eve, pair.h_eve.conj())
-    t = a * np.eye(n, dtype=complex) + np.outer(pair.h_bob, pair.h_bob.conj())
-    vals, vecs = np.linalg.eigh(m)
-    m_isqrt = (vecs * (vals**-0.5)) @ vecs.conj().T
-    return float(np.linalg.eigvalsh(m_isqrt @ t @ m_isqrt)[-1])
-
-
 def test_channel_stats_frozen_values():
     b, e, x = channel_stats(_reference_pair())
     assert_allclose(b, B_REFERENCE, rtol=1e-12)
@@ -121,12 +106,12 @@ def test_lambda1_matches_dense_eigensolver():
         b, e, x = channel_stats(pair)
         lam = lambda1_closed_form(b, e, x, rate)
         assert lam >= 0.0
-        assert_allclose(lam, _dense_lambda1(pair, rate), rtol=1e-9)
+        assert_allclose(lam, dense_lambda1(pair, rate), rtol=1e-9)
 
 
 def test_lambda_delta_matches_dense_eigensolver():
-    """Powers span the 0.01-10 W operating range; beyond that the *oracle*
-    loses accuracy, since its whitening error grows like eps * (1 + P E)."""
+    """Powers span the 0.01-10 W operating range.  The oracle's whitening
+    error grows like eps * (1 + P E); one Rayleigh quotient polishes it."""
     rng = np.random.default_rng(103)
     for _ in range(100):
         pair = random_pair(rng, min_separation=1e-6)
@@ -134,7 +119,7 @@ def test_lambda_delta_matches_dense_eigensolver():
         b, e, x = channel_stats(pair)
         lam = lambda_delta_closed_form(b, e, x, power)
         assert lam >= 1.0
-        assert_allclose(lam, _dense_lambda_delta(pair, power), rtol=1e-9)
+        assert_allclose(lam, dense_lambda_delta(pair, power), rtol=1e-9)
 
 
 def test_orthogonal_channel_identities():
@@ -461,14 +446,14 @@ def test_min_power_matches_dense_bisection():
         lo = power_lower_bound(pair, target)
         hi = lo
         for _ in range(200):
-            if _dense_lambda_delta(pair, hi) >= threshold:
+            if dense_lambda_delta(pair, hi) >= threshold:
                 break
             hi *= 2.0
         else:
             pytest.fail("no feasible power found")
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if _dense_lambda_delta(pair, mid) >= threshold:
+            if dense_lambda_delta(pair, mid) >= threshold:
                 hi = mid
             else:
                 lo = mid

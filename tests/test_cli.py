@@ -200,6 +200,22 @@ def test_rf_requires_exactly_its_four_keys(tmp_path, key):
     assert str(info.value) == f"missing key {key!r} in section [rf]"
 
 
+@pytest.mark.parametrize("section", ["bob", "eve"])
+@pytest.mark.parametrize("key", ["range", "angle"])
+def test_missing_renamed_key_is_named_by_its_ini_key(tmp_path, section, key):
+    """``range`` and ``angle`` set ``range_m`` and ``angle_rad``; the error
+    names the INI key."""
+    lines = SCENARIO_INI.splitlines(keepends=True)
+    start = lines.index(f"[{section}]\n")
+    text = "".join(line for i, line in enumerate(lines)
+                   if not (start < i <= start + 2 and line.startswith(key)))
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_scenario_config(path)
+    assert str(info.value) == f"missing key {key!r} in section [{section}]"
+
+
 @pytest.mark.parametrize("key", ["wavelength", "coupling_prefactor"])
 def test_derived_rf_fields_are_unknown_keys(scenario_ini, key):
     with pytest.raises(ConfigError) as info:
@@ -531,6 +547,29 @@ def test_bad_values_exit_1_without_traceback(scenario_ini, experiment_ini, tmp_p
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", ["solve-power", "solve-rate", "optimize-offsets"])
+@pytest.mark.parametrize("override, message", [
+    ("solver.power_budget=nan W", "power budget must be finite and non-negative"),
+    ("solver.power_budget=-1 W", "power budget must be finite and non-negative"),
+    ("solver.target_rate=-3", "target rate must be finite and positive"),
+    ("solver.target_rate=nan", "target rate must be finite and positive"),
+    ("solver.time=1e9 s", "times must be finite and within ±{limit:.4g} s"),
+])
+def test_bad_solver_value_is_an_error_for_every_command(scenario_ini, tmp_path, capsys,
+                                                        command, override, message):
+    """A bad [solver] value fails every single-scenario command, also one
+    that does not read it, with the message of the command that does
+    (the time limit is about 3838 s where np.longdouble is x87 extended)."""
+    rf = load_scenario_config(scenario_ini)[0].rf
+    limit = 1e-6 / ((rf.carrier_frequency + rf.max_offset)
+                    * float(np.finfo(np.longdouble).eps))
+    code = main([command, "-c", str(scenario_ini), "-o", str(tmp_path / "o"),
+                 "--set", override])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message.format(limit=limit)}\n"
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["solve-power", "sweep-rate"])
