@@ -29,6 +29,7 @@ from .coupling import g_value, optimize_offsets
 from .experiments import (
     _fmt,
     _write_csv,
+    _write_text,
     linear_fda_plan,
     run_convergence_study,
     run_power_sweep,
@@ -176,7 +177,7 @@ def _cmd_sweep(args: argparse.Namespace, out: Path, which: str) -> int:
     print(f"wrote: {out / name}")
     if args.plot_script:
         script = out / f"plot_{name.removesuffix('.csv')}.py"
-        script.write_text(_plot_script(name, xlabel, ylabel, logy=(which == "power")))
+        _write_text(script, _plot_script(name, xlabel, ylabel, logy=(which == "power")))
         print(f"wrote: {script}")
     return 0
 
@@ -229,7 +230,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

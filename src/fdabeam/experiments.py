@@ -24,6 +24,7 @@ keeps the ``baselines`` schemes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -410,12 +411,32 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` over the bytes already there, then cut the
+    file to the end of ``text``.
+
+    The file is never truncated to zero on open: on ext4 (``auto_da_alloc``)
+    closing a file that was truncated to zero starts its writeback, and the
+    next truncation of that file waits for the I/O, so a command run again
+    into the same directory would stall on every output it rewrites.  An
+    existing output keeps its inode, mode and hard or symbolic links.
+    Callers build the whole text first, so a failure while formatting it
+    leaves the previous file untouched.
+    """
+    # the flags ``open`` computed, less O_TRUNC; 0o666 is its mode for a new file
+    with open(path, "w", newline="",
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _write_csv(path, header: list, rows) -> None:
-    """Write ``header`` and then ``rows`` to a new CSV file at ``path``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header`` and then ``rows`` as the CSV file at ``path``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -10,10 +10,14 @@ block.  Three more runs on that block cover a descent from a non-zero start
 (``solve-power`` with ``solver.initialization=linear``, which ends at
 interior offsets) and two failure paths: ``optimize-offsets`` with a
 coupling prefactor K past the float range (``rf.noise_power_bob``) and with
-channel gains past it (``bob.range``).  Each command runs in a fresh
-directory, on the package of the tree
-this file sits in, and the script prints one hash per CSV, per stdout and per
-stderr, plus the exit code.  Run it on two trees and compare:
+channel gains past it (``bob.range``).  Two last runs rewrite existing
+outputs: ``solve-power`` on the README block into a directory where a
+64-element solve left a longer ``trace.csv`` and ``solution.csv``, and
+``sweep-rate`` at the reference grid where a 31-point grid left a longer
+``rate_sweep.csv``.  Each command runs in a fresh directory (the rewrites
+after their first command), on the package of the tree this file sits in,
+and the script prints one hash per CSV, per stdout and per stderr, plus the
+exit code.  Run it on two trees and compare:
 
     python3 tests/fingerprint.py > before.txt   # in the parent's checkout
     python3 tests/fingerprint.py > after.txt    # in the change's checkout
@@ -40,18 +44,21 @@ def _readme_ini() -> str:
     return re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
 
 
-def _run(command: list, ini: str) -> tuple[int, dict]:
-    """Exit code and output bytes of ``fdabeam <command>`` on ``ini``."""
+def _run(command: list, ini: str, before: tuple = ()) -> tuple[int, dict]:
+    """Exit code and output bytes of ``fdabeam <command>`` on ``ini``, run
+    after the ``before`` commands (which must succeed) wrote into the same
+    output directory."""
     env = dict(os.environ)
     env.pop("FDABEAM_OUTPUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "config.ini").write_text(ini)
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdabeam.cli", *command,
-             "--config", "config.ini", "--output", "out"],
-            cwd=tmp, env=env, capture_output=True, check=False)
+        for i, args in enumerate((*before, command)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fdabeam.cli", *args,
+                 "--config", "config.ini", "--output", "out"],
+                cwd=tmp, env=env, capture_output=True, check=i < len(before))
         outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
         for path in sorted((Path(tmp) / "out").glob("*")):
             outputs[path.name] = path.read_bytes()
@@ -59,19 +66,26 @@ def _run(command: list, ini: str) -> tuple[int, dict]:
 
 
 def main() -> int:
-    runs = [(f"{name} -j {jobs}", [name, "-j", jobs], REFERENCE_EXPERIMENT)
+    runs = [(f"{name} -j {jobs}", [name, "-j", jobs], REFERENCE_EXPERIMENT, ())
             for name in ("sweep-power", "sweep-rate", "convergence")
             for jobs in ("1", "2")]
     runs.append(("convergence -j 1 large-N", ["convergence", "-j", "1"],
-                 LARGE_N_EXPERIMENT))
-    runs += [(name, [name], _readme_ini())
+                 LARGE_N_EXPERIMENT, ()))
+    runs += [(name, [name], _readme_ini(), ())
              for name in ("solve-power", "solve-rate", "optimize-offsets")]
-    runs += [(f"{name} --set {override}", [name, "--set", override], _readme_ini())
+    runs += [(f"{name} --set {override}", [name, "--set", override], _readme_ini(), ())
              for name, override in (("solve-power", "solver.initialization=linear"),
                                     ("optimize-offsets", "rf.noise_power_bob=1e-320 W"),
                                     ("optimize-offsets", "bob.range=1e-300 m"))]
-    for label, command, ini in runs:
-        code, outputs = _run(command, ini)
+    runs += [
+        ("solve-power over N=64 outputs", ["solve-power"], _readme_ini(),
+         (["solve-power", "--set", "array.element_count=64"],)),
+        ("sweep-rate -j 1 over a 31-point grid's output", ["sweep-rate", "-j", "1"],
+         REFERENCE_EXPERIMENT,
+         (["sweep-rate", "-j", "1", "--set", "experiment.power_grid=-10 dBW : 20 dBW : 31"],)),
+    ]
+    for label, command, ini, before in runs:
+        code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")
         for name, data in outputs.items():
             print(f"{label}: {name} {hashlib.sha256(data).hexdigest()}")

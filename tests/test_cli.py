@@ -602,6 +602,9 @@ def test_malformed_ini_exits_1(tmp_path, capsys, command, text):
     "experiment.time_samples=0",
     "experiment.baselines=",
     "experiment.baselines=proposed, proposed",
+    # counts past the address space: numpy's allocation fails at once
+    "experiment.power_grid=-10 dBW : 10 dBW : 1000000000000000",
+    "experiment.time_samples=1000000000000000",
 ])
 def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, override):
     code = main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
@@ -609,6 +612,7 @@ def test_non_finite_experiment_values_exit_1(experiment_ini, tmp_path, capsys, o
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -778,3 +782,123 @@ def test_parser_built_once_keeps_no_state(tmp_path, monkeypatch):
     assert main(command) == 1
     assert seen == [(["experiment.realizations=2"], 5), ([], None)]
     assert cli._build_parser() is cli._build_parser()
+
+
+# ---------------------------------------------------------------------------
+# output files: written over the old bytes and cut to length, never
+# truncated to zero on open
+
+_SWEEP = experiments.SweepResult(
+    axis=np.array([1.0, 2.0]), schemes=("proposed", "mrt"),
+    values={"proposed": np.array([[1.0, 2.0], [3.0, math.nan]]),
+            "mrt": np.array([[0.5, 0.25], [math.nan, math.nan]])})
+_CONVERGENCE = experiments.ConvergenceResult(
+    antenna_counts=(2, 4), mean_history={2: np.array([3.0, 1.0]), 4: np.array([5.0, 2.0, 1.5])},
+    outer_counts={})
+WRITERS = {
+    "sweep": lambda path: experiments.write_sweep_csv(_SWEEP, path),
+    "convergence": lambda path: experiments.write_convergence_csv(_CONVERGENCE, path),
+    "trace": lambda path: experiments.write_trace_csv([3.0, 2.0, 1.0], path),
+    "solution": lambda path: cli._write_solution_csv(path, np.array([0.0, 1.5e6]),
+                                                     np.array([1 + 2j, 3 - 4j])),
+    "offsets": lambda path: cli._write_solution_csv(path, np.array([0.0, 1.5e6]), None),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_rewritten_output_keeps_no_stale_tail(tmp_path, writer):
+    """Written over a longer file, an output holds exactly the bytes that a
+    fresh write gives."""
+    WRITERS[writer](tmp_path / "fresh.csv")
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"x" * 100_000)
+    WRITERS[writer](path)
+    assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_rewritten_sweep_and_plot_script_keep_no_stale_tail(experiment_ini, tmp_path):
+    """The same through the CLI for a sweep CSV and its plot script."""
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    names = ("rate_sweep.csv", "plot_rate_sweep.py")
+    old.mkdir()
+    for name in names:
+        (old / name).write_bytes(b"x" * 100_000)
+    for out in (fresh, old):
+        assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(out), "-j", "1",
+                     "--plot-script"]) == 0
+    for name in names:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_outputs_are_opened_without_o_trunc(experiment_ini, tmp_path, monkeypatch):
+    """Every writer, the plot script's included, opens its file through
+    ``os.open`` without ``O_TRUNC``, new or existing: ext4 starts writeback
+    of a file truncated to zero when it is closed, and the next truncation
+    waits for it."""
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(experiments.os, "open", spy)
+    for name, write in WRITERS.items():
+        write(tmp_path / name)
+        write(tmp_path / name)
+    for _ in range(2):
+        assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "run"),
+                     "-j", "1", "--plot-script"]) == 0
+    names = [name for name, _ in opened]
+    for name in [*WRITERS, "rate_sweep.csv", "plot_rate_sweep.py"]:
+        assert names.count(name) == 2
+    assert not [name for name, flags in opened if flags & os.O_TRUNC]
+
+
+def test_new_output_gets_the_mode_of_open(tmp_path):
+    """A new output is created with the mode ``open(path, "w")`` gives."""
+    with open(tmp_path / "by_open", "w"):
+        pass
+    experiments.write_trace_csv([1.0], tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").stat().st_mode == (tmp_path / "by_open").stat().st_mode
+
+
+def test_failed_formatting_leaves_the_previous_output(tmp_path):
+    """Rows are formatted before the file is opened, so rows that raise
+    part-way leave the previous output byte for byte."""
+    path = tmp_path / "trace.csv"
+    experiments.write_trace_csv([3.0, 2.0, 1.0], path)
+    before = path.read_bytes()
+
+    def history():
+        yield 0.5
+        raise RuntimeError("mid-way")
+
+    with pytest.raises(RuntimeError, match="mid-way"):
+        experiments.write_trace_csv(history(), path)
+    assert path.read_bytes() == before
+
+
+def test_linked_output_keeps_its_links(tmp_path):
+    """A symlinked output writes the link's target and stays a link; a hard
+    linked one keeps its inode, so every name reads the new bytes."""
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"x" * 100_000)
+    link = tmp_path / "trace.csv"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    experiments.write_trace_csv([3.0, 2.0, 1.0], link)
+    assert link.is_symlink()
+    assert target.stat().st_ino == inode
+    assert target.read_bytes() == hard.read_bytes() == b"iteration,g\r\n0,3\r\n1,2\r\n2,1\r\n"
+
+
+def test_output_path_that_is_a_directory_exits_1(scenario_ini, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "trace.csv").mkdir(parents=True)
+    code = main(["solve-power", "-c", str(scenario_ini), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
