@@ -10,20 +10,16 @@ from .beamforming import (
     PowerMinSolution,
     RateMaxSolution,
     SecrecyTarget,
-    channel_stats,
     lambda1_closed_form,
     lambda_delta_closed_form,
     max_rate_beamformer,
     min_power_beamformer,
     mrt_rate,
     mrt_required_power,
-    principal_eigvec_span2,
     secrecy_rate,
-    stacked_channel_stats,
 )
 from .coupling import (
     OptimizerTrace,
-    cosine_argmin,
     g_value,
     optimize_offsets,
 )

@@ -105,11 +105,11 @@ def _cmd_solve_power(args: argparse.Namespace, out: Path) -> int:
     pair = channel_pair(scenario, plan, opts.time)
     sol = min_power_beamformer(pair, SecrecyTarget(opts.target_rate))
     write_trace_csv(trace.objective_history, out / "trace.csv")
+    _write_solution_csv(out / "solution.csv", plan.offsets, sol.beamformer)
     if not sol.feasible:
         print(f"secrecy target infeasible (lambda1 = {sol.lambda1:.17g})",
               file=sys.stderr)
         return 2
-    _write_solution_csv(out / "solution.csv", plan.offsets, sol.beamformer)
     print(f"offsets: {' '.join(format_mhz(o) for o in plan.offsets)}")
     print(f"transmit_power: {sol.power:.17g} W ({format_dbm(sol.power)})")
     print(f"secrecy_rate_target: {opts.target_rate:.17g} bits")

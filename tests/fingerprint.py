@@ -10,14 +10,16 @@ block.  Three more runs on that block cover a descent from a non-zero start
 (``solve-power`` with ``solver.initialization=linear``, which ends at
 interior offsets) and two failure paths: ``optimize-offsets`` with a
 coupling prefactor K past the float range (``rf.noise_power_bob``) and with
-channel gains past it (``bob.range``).  Two last runs rewrite existing
+channel gains past it (``bob.range``).  Three last runs rewrite existing
 outputs: ``solve-power`` on the README block into a directory where a
-64-element solve left a longer ``trace.csv`` and ``solution.csv``, and
+64-element solve left a longer ``trace.csv`` and ``solution.csv``,
 ``sweep-rate`` at the reference grid where a 31-point grid left a longer
-``rate_sweep.csv``.  Each command runs in a fresh directory (the rewrites
-after their first command), on the package of the tree this file sits in,
-and the script prints one hash per CSV, per stdout and per stderr, plus the
-exit code.  Run it on two trees and compare:
+``rate_sweep.csv``, and an infeasible ``solve-power`` (Bob moved onto Eve's
+position, exit 2) over the README block's feasible outputs, whose
+``solution.csv`` it replaces.  Each command runs in a fresh directory (the
+rewrites after their first command), on the package of the tree this file
+sits in, and the script prints one hash per CSV, per stdout and per stderr,
+plus the exit code.  Run it on two trees and compare:
 
     python3 tests/fingerprint.py > before.txt   # in the parent's checkout
     python3 tests/fingerprint.py > after.txt    # in the change's checkout
@@ -83,6 +85,9 @@ def main() -> int:
         ("sweep-rate -j 1 over a 31-point grid's output", ["sweep-rate", "-j", "1"],
          REFERENCE_EXPERIMENT,
          (["sweep-rate", "-j", "1", "--set", "experiment.power_grid=-10 dBW : 20 dBW : 31"],)),
+        ("infeasible solve-power over README outputs",
+         ["solve-power", "--set", "bob.range=120 m", "--set", "bob.angle=100 deg"],
+         _readme_ini(), (["solve-power"],)),
     ]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)

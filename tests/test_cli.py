@@ -307,6 +307,24 @@ def test_solve_power_infeasible_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_infeasible_solve_power_rewrites_solution_csv(scenario_ini, tmp_path, capsys):
+    """An infeasible solve writes its own offsets with empty beamformer
+    columns over a feasible run's ``solution.csv``, never leaving it stale."""
+    out = tmp_path / "out"
+    assert main(["solve-power", "-c", str(scenario_ini), "-o", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["solve-power", "-c", str(scenario_ini), "-o", str(out),
+                 "--set", "bob.range=120 m", "--set", "bob.angle=100 deg"])
+    assert code == 2
+    assert "secrecy target infeasible (lambda1 = 0)\n" in capsys.readouterr().err
+    scenario, _ = load_scenario_config(scenario_ini, ["bob.range=120 m", "bob.angle=100 deg"])
+    plan, _ = optimize_offsets(scenario)
+    rows = [r.split(",") for r in (out / "solution.csv").read_text().splitlines()]
+    assert rows[0] == ["element", "offset_hz", "w_real", "w_imag"]
+    assert [float(r[1]) for r in rows[1:]] == plan.offsets.tolist()
+    assert [r[2:] for r in rows[1:]] == [["", ""]] * 4
+
+
 def test_solve_power_requires_target(scenario_ini, tmp_path, capsys):
     ini = SCENARIO_INI.replace("target_rate = 5\n", "")
     path = tmp_path / "no_target.ini"

@@ -3,18 +3,18 @@
 import types
 
 import fdabeam
+from fdabeam import beamforming, coupling
 
 PUBLIC_NAMES = {
     # scenario
     "SPEED_OF_LIGHT", "ArrayGeometry", "ChannelPair", "FrequencyPlan", "NodePlacement",
     "RfParams", "Scenario", "channel_pair",
     # coupling
-    "OptimizerTrace", "cosine_argmin", "g_value", "optimize_offsets",
+    "OptimizerTrace", "g_value", "optimize_offsets",
     # beamforming
     "PowerBudget", "PowerMinSolution", "RateMaxSolution", "SecrecyTarget",
-    "channel_stats", "lambda1_closed_form", "lambda_delta_closed_form",
-    "max_rate_beamformer", "min_power_beamformer", "mrt_rate", "mrt_required_power",
-    "principal_eigvec_span2", "secrecy_rate", "stacked_channel_stats",
+    "lambda1_closed_form", "lambda_delta_closed_form", "max_rate_beamformer",
+    "min_power_beamformer", "mrt_rate", "mrt_required_power", "secrecy_rate",
     # experiments
     "ConvergenceResult", "ExperimentConfig", "SweepResult", "linear_fda_plan",
     "phased_array_plan", "run_convergence_study", "run_power_sweep", "run_rate_sweep",
@@ -27,5 +27,14 @@ def test_public_names_are_exactly_the_listed_ones():
     means updating this list."""
     names = {name for name, value in vars(fdabeam).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 32
     assert names == PUBLIC_NAMES
+
+
+def test_internal_helpers_stay_in_their_modules():
+    """Four helpers left the package namespace but not their modules: the
+    tests call all four there, and the benchmark tracer wraps
+    ``principal_eigvec_span2`` and ``channel_stats`` in ``beamforming``."""
+    assert callable(coupling.cosine_argmin)
+    for name in ("principal_eigvec_span2", "stacked_channel_stats", "channel_stats"):
+        assert callable(getattr(beamforming, name))
