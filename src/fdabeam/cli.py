@@ -28,6 +28,7 @@ from .config import (
 from .coupling import g_value, optimize_offsets
 from .experiments import (
     _fmt,
+    _usable_cpus,
     _write_csv,
     _write_text,
     linear_fda_plan,
@@ -215,8 +216,8 @@ def _build_parser() -> _Parser:
                        help="override a config entry; repeatable")
         if name in ("sweep-power", "sweep-rate", "convergence"):
             p.add_argument("--seed", type=int, help="override the experiment seed")
-            p.add_argument("--workers", "-j", type=positive_int, default=os.cpu_count() or 1,
-                           help="worker processes (default: all cores)")
+            p.add_argument("--workers", "-j", type=positive_int, default=_usable_cpus(),
+                           help="worker processes (default: all CPUs this process may run on)")
         if name.startswith("sweep-"):
             p.add_argument("--plot-script", action="store_true",
                            help="also emit a matplotlib script next to the CSV")

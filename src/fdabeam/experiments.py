@@ -7,7 +7,9 @@ element at the origin.  Bob's range is drawn uniformly, Eve sits a fixed
 gap behind Bob on the same bearing, and the shared angle is drawn uniformly
 as well.  Per-realization RNG substreams derive from (seed, realization
 index), so results do not depend on how realizations are distributed over
-workers.
+workers.  Each substream is numpy's ``default_rng((seed, index))`` stream,
+computed by :class:`_Substream` on Python ints: a fresh worker would spend
+more time importing ``numpy.random`` than on its share of a small sweep.
 
 A power or rate sweep runs in two stages.  Each task (one realization)
 samples its layout and descends to the proposed plan (:func:`_draw`), and
@@ -26,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -179,9 +182,103 @@ def phased_array_plan(element_count: int) -> FrequencyPlan:
     return FrequencyPlan(np.zeros(element_count))
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_HASH_MULT_A = 0x931E8875  # SeedSequence's pool hash
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hash_keys(const: int, mult: int, count: int) -> tuple[list, int]:
+    """The (xor, multiply) pairs of ``count`` SeedSequence hash steps from
+    hash constant ``const``, and the constant after them."""
+    keys = []
+    for _ in range(count):
+        following = const * mult & _MASK32
+        keys.append((const, following))
+        const = following
+    return keys, const
+
+
+# The first 16 pool hashes of any entropy: one per pool word, then one per
+# ordered pair of distinct pool words.
+_POOL_KEYS, _TAIL_CONST = _hash_keys(0x43B0D7E5, _HASH_MULT_A, 16)
+_FILL_KEYS = _POOL_KEYS[:4]
+_MIX_STEPS = tuple((src, dst, *key) for (src, dst), key in zip(
+    [(src, dst) for src in range(4) for dst in range(4) if src != dst], _POOL_KEYS[4:]))
+_STATE_KEYS = tuple((i % 4, *key) for i, key in
+                    enumerate(_hash_keys(0x8B51F9DD, 0x58F38DED, 8)[0]))
+
+
+class _Substream:
+    """``numpy.random.default_rng(entropy)`` for a tuple of non-negative
+    integers, as far as :func:`sample_scenario` uses it: ``uniform(low,
+    high)`` returns the same floats, bit for bit, without importing
+    ``numpy.random``.
+
+    The entropy is split into 32-bit words and hashed into a 4-word pool as
+    ``SeedSequence`` does; the pool's first 8 output words seed ``PCG64``
+    (state, then increment, each a high and a low 64-bit word), and each
+    draw is one XSL-RR output scaled as ``Generator.uniform`` scales it.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, *entropy):
+        words = []
+        for value in entropy:
+            # numpy accepts any integer (Python or numpy) and rejects floats
+            # and negatives; a negative value would never shift down to 0.
+            value = operator.index(value)
+            if value < 0:
+                raise ValueError("substream entropy must be non-negative integers")
+            words.append(value & _MASK32)
+            while value := value >> 32:
+                words.append(value & _MASK32)
+        pool = []
+        for value, (xor, mult) in zip(words + [0] * 4, _FILL_KEYS):
+            value = (value ^ xor) * mult & _MASK32
+            pool.append(value ^ value >> 16)
+        for src, dst, xor, mult in _MIX_STEPS:
+            value = (pool[src] ^ xor) * mult & _MASK32
+            value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+            pool[dst] = value ^ value >> 16
+        const = _TAIL_CONST
+        for word in words[4:]:  # entropy past the pool mixes into every word
+            for dst in range(4):
+                value = word ^ const
+                const = const * _HASH_MULT_A & _MASK32
+                value = value * const & _MASK32
+                value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+                pool[dst] = value ^ value >> 16
+        out = []
+        for src, xor, mult in _STATE_KEYS:
+            value = (pool[src] ^ xor) * mult & _MASK32
+            out.append(value ^ value >> 16)
+        seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
+        inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _MASK128 | 1
+        self._inc = inc
+        # PCG64 seeding: state 0, one step, add the seed, one more step.
+        self._state = ((inc + seed) * _PCG64_MULT + inc) & _MASK128
+
+    def uniform(self, low: float, high: float) -> float:
+        low = float(low)
+        state = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        return low + (float(high) - low) * ((word >> 11) * 2.0**-53)
+
+
 def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
                     element_count: int) -> Scenario:
-    """Draw one random wiretap layout under the fixed RF template."""
+    """Draw one random wiretap layout under the fixed RF template.
+
+    ``rng`` is any object with ``uniform(low, high)``: a numpy
+    ``Generator``, or the sweeps' :class:`_Substream`.  Two draws, Bob's
+    range then the shared angle."""
     geom = ArrayGeometry(element_count=element_count, first_element_x=0.0,
                          spacing=_RF.wavelength / 2.0)
     r_b = rng.uniform(*config.range_interval)
@@ -195,8 +292,7 @@ def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
 def _draw(config: ExperimentConfig, n: int, index: int) -> tuple:
     """Realization ``index`` at ``n`` elements: its scenario from the
     (seed, index) substream, the optimized plan and the descent trace."""
-    rng = np.random.default_rng((config.rng_seed, index))
-    scenario = sample_scenario(rng, config, n)
+    scenario = sample_scenario(_Substream(config.rng_seed, index), config, n)
     return scenario, *optimize_offsets(scenario)
 
 
@@ -321,9 +417,18 @@ def _convergence_realization(config: ExperimentConfig, task: tuple) -> tuple:
     return trace.objective_history[::n], trace.outer_iterations
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it, ``os.cpu_count`` does not see that),
+    else the CPU count, and 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_tasks(fn, tasks: list, workers: int) -> list:
-    # At most one worker per task and per CPU: a fork pool starts them all.
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    # At most one worker per task and per usable CPU: a fork pool starts them all.
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

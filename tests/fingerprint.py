@@ -16,7 +16,11 @@ outputs: ``solve-power`` on the README block into a directory where a
 ``sweep-rate`` at the reference grid where a 31-point grid left a longer
 ``rate_sweep.csv``, and an infeasible ``solve-power`` (Bob moved onto Eve's
 position, exit 2) over the README block's feasible outputs, whose
-``solution.csv`` it replaces.  Each command runs in a fresh directory (the
+``solution.csv`` it replaces.  The last run, ``sweep-power -j 1`` at
+6 realizations and N = 2, 5 with ``--seed`` 2**128 + 1, draws from seeds of
+five 32-bit words, more than numpy's 4-word ``SeedSequence`` pool, so
+comparing it with a tree that drew through ``numpy.random`` checks the
+sweeps' own substream there.  Each command runs in a fresh directory (the
 rewrites after their first command), on the package of the tree this file
 sits in, and the script prints one hash per CSV, per stdout and per stderr,
 plus the exit code.  Run it on two trees and compare:
@@ -40,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_EXPERIMENT = "[experiment]\n"
 LARGE_N_EXPERIMENT = "[experiment]\nrealizations = 4\nantenna_counts = 9, 33, 130\n"
+WIDE_SEED_EXPERIMENT = "[experiment]\nrealizations = 6\nantenna_counts = 2, 5\n"
 
 
 def _readme_ini() -> str:
@@ -88,6 +93,8 @@ def main() -> int:
         ("infeasible solve-power over README outputs",
          ["solve-power", "--set", "bob.range=120 m", "--set", "bob.angle=100 deg"],
          _readme_ini(), (["solve-power"],)),
+        ("sweep-power -j 1 --seed 2**128 + 1",
+         ["sweep-power", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_EXPERIMENT, ()),
     ]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)

@@ -429,7 +429,28 @@ def test_bad_worker_counts_are_usage_errors(experiment_ini, tmp_path, capsys, va
 
 def test_workers_default_to_all_cores(experiment_ini):
     args = cli._build_parser().parse_args(["convergence", "-c", str(experiment_ini)])
-    assert args.workers == (os.cpu_count() or 1)
+    assert args.workers == experiments._usable_cpus() >= 1
+
+
+def test_workers_follow_cpu_affinity(experiment_ini, tmp_path, monkeypatch):
+    """Under a one-CPU affinity mask (``taskset -c 0``) the default is one
+    worker and no pool starts, whatever ``os.cpu_count`` says."""
+
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} started")
+
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    cli._build_parser.cache_clear()
+    try:
+        args = cli._build_parser().parse_args(["sweep-rate", "-c", str(experiment_ini)])
+        assert args.workers == 1
+        for jobs in ([], ["-j", "2"]):
+            assert main(["sweep-rate", "-c", str(experiment_ini),
+                         "-o", str(tmp_path / "o"), *jobs]) == 0
+    finally:
+        cli._build_parser.cache_clear()  # the next test builds it unpatched
 
 
 def test_sweep_rate_and_seed_override(experiment_ini, tmp_path):
@@ -724,7 +745,8 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
             return map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
     assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
     assert experiments._map_tasks(abs, list(range(-40, 0)), 10**6) == list(range(40, 0, -1))
     assert pools == [(2, 1), (3, 3)]  # chunk = tasks // (4 * capped workers)
@@ -732,9 +754,14 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
     assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
                  "-j", "1000000"]) == 0
     assert pools[2:] == [(3, 1)]
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)  # unknown: one
+    # Without an affinity mask the CPU count caps; an unknown count is one.
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
-    assert len(pools) == 3
+    assert pools[3:] == [(2, 1)]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
+    assert len(pools) == 4
 
 
 @pytest.mark.parametrize("overrides", [
@@ -781,6 +808,29 @@ def test_module_entry_point(scenario_ini, tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub" / "offsets.csv").exists()
+
+
+def test_commands_never_import_numpy_random(scenario_ini, experiment_ini, tmp_path):
+    """Every command, the sweeps at ``-j 1`` included, runs without loading
+    ``numpy.random``: a forked worker would otherwise import it on its first
+    task.  A fresh process, since any test may have imported it here."""
+    runs = [[name, "-c", str(scenario_ini)]
+            for name in ("solve-power", "solve-rate", "optimize-offsets")]
+    runs += [[name, "-c", str(experiment_ini), "-j", "1"]
+             for name in ("sweep-power", "sweep-rate", "convergence")]
+    script = (
+        "import sys\n"
+        "from fdabeam.cli import main\n"
+        f"codes = [main(argv + ['-o', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_parser_built_once_keeps_no_state(tmp_path, monkeypatch):

@@ -173,6 +173,56 @@ def test_sample_scenario_deterministic():
     assert a.bob.angle_rad == b.bob.angle_rad
 
 
+# ---------------------------------------------------------------------------
+# the sweeps' substream: numpy's default_rng((seed, index)) stream, bit for bit
+
+_DRAW_INTERVALS = [(50.0, 150.0), (0.0, math.pi), (2.5, 2.5), (-1e6, 3.0)]
+
+
+def _assert_same_draws(seed, index):
+    ours = experiments._Substream(seed, index)
+    theirs = np.random.default_rng((seed, index))
+    for lo, hi in _DRAW_INTERVALS:  # four draws, each from the advanced stream
+        value = ours.uniform(lo, hi)
+        assert type(value) is float
+        assert value == theirs.uniform(lo, hi), (seed, index, lo, hi)
+
+
+# 2**128 + 1 fills 5 entropy words, more than the 4-word pool holds.
+@pytest.mark.parametrize("seed", [0, 2**32 + 1, 2**64 + 1, 2**96 + 5, 2**128 + 1,
+                                  np.uint32(4_000_000_000), np.int64(2**40 + 3)])
+@pytest.mark.parametrize("index", [0, 1, 2**33])
+def test_substream_equals_default_rng(seed, index):
+    _assert_same_draws(seed, index)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_substream_equals_default_rng_at_benchmark_seeds(seed):
+    """perfbench derives call j's experiment seed as ``seed + (j << 32)``."""
+    for j in (0, 1, 7, 1000):
+        for index in (0, 3, 999):
+            _assert_same_draws(seed + (j << 32), index)
+
+
+def test_substream_equal_bounds_give_the_bound():
+    stream = experiments._Substream(3, 4)
+    assert [stream.uniform(7.25, 7.25) for _ in range(3)] == [7.25] * 3
+
+
+def test_substream_rejects_what_default_rng_rejects():
+    """A float is a TypeError and a negative word a ValueError, as in numpy;
+    without the check a negative value would never shift down to zero."""
+    with pytest.raises(TypeError):
+        experiments._Substream(1.0, 0)
+    with pytest.raises(TypeError):
+        np.random.default_rng((1.0, 0))
+    for entropy in [(-1, 0), (0, -1), (np.int64(-5), 2)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            experiments._Substream(*entropy)
+        with pytest.raises(ValueError):
+            np.random.default_rng(entropy)
+
+
 def test_power_sweep_orderings():
     config = _small_power_config()
     result = run_power_sweep(config)
