@@ -27,6 +27,7 @@ from .config import (
 )
 from .coupling import g_value, optimize_offsets
 from .experiments import (
+    _TASKS_PER_WORKER,
     _fmt,
     _usable_cpus,
     _write_csv,
@@ -217,7 +218,9 @@ def _build_parser() -> _Parser:
         if name in ("sweep-power", "sweep-rate", "convergence"):
             p.add_argument("--seed", type=int, help="override the experiment seed")
             p.add_argument("--workers", "-j", type=positive_int, default=_usable_cpus(),
-                           help="worker processes (default: all CPUs this process may run on)")
+                           help="most worker processes (default: all CPUs this process "
+                                "may run on); a sweep of fewer than "
+                                f"{2 * _TASKS_PER_WORKER} tasks runs in this process")
         if name.startswith("sweep-"):
             p.add_argument("--plot-script", action="store_true",
                            help="also emit a matplotlib script next to the CSV")

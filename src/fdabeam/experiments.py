@@ -21,6 +21,12 @@ all five schemes.  Every entry is computed as the per-realization pipeline
 computes it, so the results do not depend on the block size or on how the
 tasks are spread over workers.  :func:`_sweep` places the results and
 keeps the ``baselines`` schemes.
+
+The tasks run in a fork pool only when it pays: a worker count is an
+upper bound, and :func:`_map_tasks` starts a pool only when every worker
+gets at least :data:`_TASKS_PER_WORKER` tasks and a CPU of its own.  A
+smaller sweep, 100 realizations at one antenna count among them, runs in
+the calling process, where a pool's start costs more than it saves.
 """
 
 from __future__ import annotations
@@ -69,6 +75,21 @@ _BLOCK_ENTRIES = 1 << 16
 """Channel entries (realization, row, element) per receiver that the sweep
 stage synthesizes at once; bounds its memory at any N and realization
 count."""
+
+_TASKS_PER_WORKER = 200
+"""Tasks each pool worker must get before :func:`_map_tasks` starts a pool,
+so a sweep of fewer than ``2 * _TASKS_PER_WORKER`` tasks runs in the
+calling process.  400 tasks is the smallest count measured at which two
+workers tie or beat one on all three sweeps.  In-process ``cli.main``
+times in ms, ``-j 1`` / ``-j 2`` (medians of 41 alternating calls, 2 vCPUs;
+``sweep-rate`` at N = 2 with one task per realization, the other two at
+N = 2, 4, 6, 8 with one per realization and count)::
+
+    tasks          100     200     300     400     600     1000
+    sweep-rate    19/42   33/46   51/55   61/59   84/77   158/129
+    sweep-power   23/33   31/42   59/61   75/69  113/105  174/144
+    convergence   16/24   33/35   37/39   53/49   88/62   129/90
+"""
 
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
 _DEFAULT_TIME_SAMPLES = tuple(float(t) for t in np.linspace(0.0, TIME_HORIZON, 21))
@@ -427,8 +448,11 @@ def _usable_cpus() -> int:
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
-    # At most one worker per task and per usable CPU: a fork pool starts them all.
-    workers = min(workers, len(tasks), _usable_cpus())
+    """``fn`` of every task, in task order.  ``workers`` is an upper bound:
+    a fork pool starts only with two or more workers that each get
+    :data:`_TASKS_PER_WORKER` tasks and a usable CPU, else the tasks run in
+    this process."""
+    workers = min(workers, len(tasks) // _TASKS_PER_WORKER, _usable_cpus())
     if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -546,13 +570,20 @@ def _write_csv(path, header: list, rows) -> None:
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per (axis value, scheme) with mean, 5/95 percentiles and the
-    infeasible fraction; floats carry 17 significant digits."""
-    stats = {s: (result.mean(s), result.percentile(s, 5.0),
-                 result.percentile(s, 95.0), result.infeasible_fraction(s))
-             for s in result.schemes}
+    infeasible fraction; floats carry 17 significant digits.
+
+    The schemes' values are stacked in row order, so each statistic is one
+    call over all rows; a row's value is the one :class:`SweepResult`'s
+    per-scheme methods give, bit for bit."""
+    block = np.stack([result.values[s] for s in result.schemes], axis=1)
+    block = block.reshape(-1, block.shape[-1])  # row (axis i, scheme s) = i * S + s
+    stats = (_nanstat(np.mean, block),
+             _nanstat(partial(np.percentile, q=5.0), block),
+             _nanstat(partial(np.percentile, q=95.0), block),
+             np.mean(np.isnan(block), axis=1))
+    keys = ((_fmt(x), s) for x in result.axis for s in result.schemes)
     _write_csv(path, ["axis", "scheme", "mean_metric", "p05", "p95", "infeasible_fraction"],
-               ([_fmt(x), s, *(_fmt(col[i]) for col in stats[s])]
-                for i, x in enumerate(result.axis) for s in result.schemes))
+               ([*key, *map(_fmt, row)] for key, row in zip(keys, zip(*stats))))
 
 
 def write_convergence_csv(result: ConvergenceResult, path) -> None:

@@ -16,14 +16,17 @@ outputs: ``solve-power`` on the README block into a directory where a
 ``sweep-rate`` at the reference grid where a 31-point grid left a longer
 ``rate_sweep.csv``, and an infeasible ``solve-power`` (Bob moved onto Eve's
 position, exit 2) over the README block's feasible outputs, whose
-``solution.csv`` it replaces.  The last run, ``sweep-power -j 1`` at
+``solution.csv`` it replaces.  The next run, ``sweep-power -j 1`` at
 6 realizations and N = 2, 5 with ``--seed`` 2**128 + 1, draws from seeds of
 five 32-bit words, more than numpy's 4-word ``SeedSequence`` pool, so
 comparing it with a tree that drew through ``numpy.random`` checks the
-sweeps' own substream there.  Each command runs in a fresh directory (the
-rewrites after their first command), on the package of the tree this file
-sits in, and the script prints one hash per CSV, per stdout and per stderr,
-plus the exit code.  Run it on two trees and compare:
+sweeps' own substream there.  The last run, ``sweep-rate -j 2`` on the
+benchmark's ``sweep_rate_cli`` config (100 realizations, too few tasks for
+a pool), runs in the calling process, so comparing it with a tree that
+started a pool there checks that path.  Each command runs in a fresh
+directory (the rewrites after their first command), on the package of the
+tree this file sits in, and the script prints one hash per CSV, per stdout
+and per stderr, plus the exit code.  Run it on two trees and compare:
 
     python3 tests/fingerprint.py > before.txt   # in the parent's checkout
     python3 tests/fingerprint.py > after.txt    # in the change's checkout
@@ -45,6 +48,17 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_EXPERIMENT = "[experiment]\n"
 LARGE_N_EXPERIMENT = "[experiment]\nrealizations = 4\nantenna_counts = 9, 33, 130\n"
 WIDE_SEED_EXPERIMENT = "[experiment]\nrealizations = 6\nantenna_counts = 2, 5\n"
+# RATE_INI of perfbench/workloads.py at its 100 realizations.
+BENCH_RATE_EXPERIMENT = """\
+[experiment]
+realizations = 100
+antenna_counts = 2
+target_rate = 10
+power_grid = -10 dBW : 10 dBW : 21
+baselines = bound, proposed, linear, phased, mrt
+time_samples = 21
+time_horizon = 20 us
+"""
 
 
 def _readme_ini() -> str:
@@ -95,6 +109,8 @@ def main() -> int:
          _readme_ini(), (["solve-power"],)),
         ("sweep-power -j 1 --seed 2**128 + 1",
          ["sweep-power", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_EXPERIMENT, ()),
+        ("sweep-rate -j 2 at 100 realizations", ["sweep-rate", "-j", "2"],
+         BENCH_RATE_EXPERIMENT, ()),
     ]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)

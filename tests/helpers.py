@@ -1,6 +1,7 @@
 """Shared builders and brute-force oracles for randomized tests."""
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from fdabeam import (
     Scenario,
     channel_pair,
 )
-from fdabeam import kernels
+from fdabeam import experiments, kernels
 from fdabeam.beamforming import (
     channel_stats,
     lambda1_closed_form,
@@ -123,6 +124,27 @@ def zero_plan_descent(scenario, **options):
     start must equal this bit for bit."""
     zero = FrequencyPlan(np.zeros(scenario.array.element_count))
     return optimize_offsets(scenario, zero, **options)
+
+
+def pool_on_every_task_list(monkeypatch, tmp_path):
+    """Let ``experiments._map_tasks`` start a pool for any task list of two
+    or more (one task per worker suffices, on four usable CPUs whatever the
+    machine has) and log the process of every draw.  Returns a function
+    giving the ids of the processes other than this one that drew, so a
+    test can check that a pool really ran."""
+    monkeypatch.setattr(experiments, "_TASKS_PER_WORKER", 1)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    log = tmp_path / "draw_pids.txt"
+    draw = experiments._draw
+
+    def logged_draw(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "_draw", logged_draw)
+    return lambda: set(log.read_text().split()) - {str(os.getpid())}
 
 
 def rowwise_nanstat(fn, block):

@@ -42,6 +42,7 @@ from helpers import (
     dense_lambda1,
     dense_lambda_delta,
     grid_oracle,
+    pool_on_every_task_list,
     power_lower_bound,
     random_pair,
     random_plan,
@@ -312,22 +313,27 @@ def test_designs_time_invariant_over_pulse():
           f"samples in [0, 20 us], tol 1e-9")
 
 
-def test_sweep_csv_bytes_worker_invariant(tmp_path):
+def test_sweep_csv_bytes_worker_invariant(tmp_path, monkeypatch):
     """The exact CSV bytes of a sweep depend only on seed and config, not on
     how many worker processes produced them."""
+    pool_processes = pool_on_every_task_list(monkeypatch, tmp_path)
     pcfg = ExperimentConfig(realizations=8, rng_seed=5, antenna_counts=(2, 3))
-    blobs = []
+    blobs, seen = [], set()
     for workers in (1, 2, 3):
         path = tmp_path / f"power_{workers}.csv"
         write_sweep_csv(run_power_sweep(pcfg, workers=workers), path)
         blobs.append(path.read_bytes())
+        assert bool(pool_processes() - seen) == (workers > 1)  # a new pool ran
+        seen = pool_processes()
     assert blobs[0] == blobs[1] == blobs[2]
 
     rcfg = ExperimentConfig(realizations=6, rng_seed=5, antenna_counts=(3,))
     r1 = tmp_path / "rate_1.csv"
     r2 = tmp_path / "rate_2.csv"
     write_sweep_csv(run_rate_sweep(rcfg, workers=1), r1)
+    assert pool_processes() == seen
     write_sweep_csv(run_rate_sweep(rcfg, workers=2), r2)
+    assert pool_processes() - seen
     assert r1.read_bytes() == r2.read_bytes()
 
     again = tmp_path / "power_again.csv"

@@ -29,6 +29,9 @@ from fdabeam.config import (
 from fdabeam.coupling import g_value, optimize_offsets
 from fdabeam.experiments import linear_fda_plan, run_power_sweep, run_rate_sweep
 
+from fingerprint import BENCH_RATE_EXPERIMENT
+from helpers import pool_on_every_task_list
+
 SCENARIO_INI = """\
 [rf]
 carrier_frequency = 2.4 GHz
@@ -62,6 +65,10 @@ power_grid = -10 dBW : 10 dBW : 5
 baselines = bound, proposed, linear, phased, mrt
 time_samples = 3
 """
+
+
+def _no_pool(max_workers):
+    raise AssertionError(f"a pool of {max_workers} started")
 
 
 @pytest.fixture
@@ -434,14 +441,13 @@ def test_workers_default_to_all_cores(experiment_ini):
 
 def test_workers_follow_cpu_affinity(experiment_ini, tmp_path, monkeypatch):
     """Under a one-CPU affinity mask (``taskset -c 0``) the default is one
-    worker and no pool starts, whatever ``os.cpu_count`` says."""
-
-    def no_pool(max_workers):
-        raise AssertionError(f"a pool of {max_workers} started")
-
+    worker and no pool starts, whatever ``os.cpu_count`` says, even where
+    one task per worker would start one (as it does on two CPUs)."""
+    pool_processes = pool_on_every_task_list(monkeypatch, tmp_path)
+    real_pool = experiments.ProcessPoolExecutor
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _no_pool)
     cli._build_parser.cache_clear()
     try:
         args = cli._build_parser().parse_args(["sweep-rate", "-c", str(experiment_ini)])
@@ -451,6 +457,12 @@ def test_workers_follow_cpu_affinity(experiment_ini, tmp_path, monkeypatch):
                          "-o", str(tmp_path / "o"), *jobs]) == 0
     finally:
         cli._build_parser.cache_clear()  # the next test builds it unpatched
+    assert not pool_processes()
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", real_pool)
+    assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
+                 "-j", "2"]) == 0
+    assert pool_processes()
 
 
 def test_sweep_rate_and_seed_override(experiment_ini, tmp_path):
@@ -726,8 +738,9 @@ def test_rate_overflow_is_one_error_for_solve_and_sweep(scenario_ini, experiment
 
 
 def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch):
-    """A pool never gets more workers than tasks or CPUs, whatever ``-j``
-    asks for.  The stand-in pool maps serially, so no process starts."""
+    """A pool starts only when each of two or more workers gets
+    ``_TASKS_PER_WORKER`` tasks and a CPU, whatever ``-j`` asks for.  The
+    stand-in pool maps serially, so no process starts."""
     pools = []
 
     class SerialPool:
@@ -744,24 +757,54 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
             pools[-1] = (pools[-1], chunksize)
             return map(fn, tasks)
 
+    def mapped(count, workers=10**6):
+        tasks = list(range(-count, 0))
+        assert experiments._map_tasks(abs, tasks, workers) == [-t for t in tasks]
+
+    per = experiments._TASKS_PER_WORKER
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
-    assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
-    assert experiments._map_tasks(abs, list(range(-40, 0)), 10**6) == list(range(40, 0, -1))
-    assert pools == [(2, 1), (3, 3)]  # chunk = tasks // (4 * capped workers)
-    # The config's sweep-rate has 4 tasks, one per realization.
+    mapped(2 * per - 1)  # one worker's worth: in this process
+    assert pools == []
+    mapped(2 * per)
+    assert pools == [(2, per // 4)]  # chunk = tasks // (4 * workers)
+    # -j caps: two workers' worth of tasks per CPU, but -j 2 or -j 1.
+    mapped(6 * per, workers=2)
+    mapped(6 * per, workers=1)
+    assert pools[1:] == [(2, 6 * per // 8)]
+    # The affinity mask caps.
+    mapped(10 * per)
+    assert pools[2:] == [(3, 10 * per // 12)]
+    # The config's sweep-rate has 4 tasks, one per realization: no pool.
     assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
                  "-j", "1000000"]) == 0
-    assert pools[2:] == [(3, 1)]
+    assert len(pools) == 3
     # Without an affinity mask the CPU count caps; an unknown count is one.
     monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
-    assert pools[3:] == [(2, 1)]
+    mapped(10 * per)
+    assert pools[3:] == [(3, 10 * per // 12)]
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-    assert experiments._map_tasks(abs, [-1, -2], 10**6) == [1, 2]
+    mapped(10 * per)
     assert len(pools) == 4
+
+
+def test_benchmark_sized_rate_sweep_runs_in_process(tmp_path, monkeypatch):
+    """``sweep-rate`` at 100 realizations (perfbench's ``sweep_rate_cli``
+    config) starts no pool at ``-j 2`` on two CPUs, and writes the bytes
+    that ``-j 1`` writes."""
+    ini = tmp_path / "rate.ini"
+    ini.write_text(BENCH_RATE_EXPERIMENT)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _no_pool)
+    blobs = []
+    for jobs in ("1", "2"):
+        assert main(["sweep-rate", "-c", str(ini), "-o", str(tmp_path / jobs),
+                     "-j", jobs]) == 0
+        blobs.append((tmp_path / jobs / "rate_sweep.csv").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 @pytest.mark.parametrize("overrides", [

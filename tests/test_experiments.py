@@ -29,7 +29,7 @@ from fdabeam.experiments import (
 )
 from fdabeam.scenario import channel_pair
 
-from helpers import realization_sweep, rowwise_nanstat
+from helpers import pool_on_every_task_list, realization_sweep, rowwise_nanstat
 
 
 def _small_power_config(**overrides):
@@ -277,23 +277,29 @@ def test_sweeps_reproducible():
         assert np.array_equal(a.values[s], b.values[s], equal_nan=True)
 
 
-def test_sweep_worker_count_invariant():
+def test_sweep_worker_count_invariant(monkeypatch, tmp_path):
     """Realization substreams derive from (seed, index), so distributing
     work over processes cannot change any drawn number."""
+    pool_processes = pool_on_every_task_list(monkeypatch, tmp_path)
     config = _small_power_config(realizations=4, antenna_counts=(2,))
     serial = run_power_sweep(config, workers=1)
+    assert not pool_processes()
     parallel = run_power_sweep(config, workers=2)
+    assert pool_processes()
     for s in SCHEMES:
         assert np.array_equal(serial.values[s], parallel.values[s],
                               equal_nan=True)
 
 
-def test_convergence_worker_count_invariant():
+def test_convergence_worker_count_invariant(monkeypatch, tmp_path):
     """All antenna counts share one task list; distributing it over
     processes cannot change any per-count statistic."""
+    pool_processes = pool_on_every_task_list(monkeypatch, tmp_path)
     config = _small_power_config(realizations=3, antenna_counts=(2, 3, 4))
     serial = run_convergence_study(config, workers=1)
+    assert not pool_processes()
     parallel = run_convergence_study(config, workers=2)
+    assert pool_processes()
     for n in config.antenna_counts:
         assert_array_equal(serial.mean_history[n], parallel.mean_history[n])
         assert_array_equal(serial.outer_counts[n], parallel.outer_counts[n])
@@ -342,6 +348,33 @@ def test_write_sweep_csv_round_trip(tmp_path):
             assert float(row[2]) == result.mean(s)[i]
             assert float(row[3]) == result.percentile(s, 5.0)[i]
             assert float(row[5]) == result.infeasible_fraction(s)[i]
+
+
+@pytest.mark.parametrize("which", ["power", "rate"])
+def test_sweep_csv_stats_equal_per_scheme_methods_bitwise(tmp_path, which):
+    """``write_sweep_csv`` takes each statistic once over all schemes; every
+    row holds what ``SweepResult``'s per-scheme methods give, to the last bit
+    (17 significant digits round-trip a float).  At a 40 bit target the
+    power sweep has all-NaN rows and rows with a few feasible entries."""
+    if which == "power":
+        result = run_power_sweep(_small_power_config(
+            realizations=40, rng_seed=3, antenna_counts=(2, 8), target_rate=40.0))
+        fractions = np.concatenate([result.infeasible_fraction(s) for s in SCHEMES])
+        assert (fractions == 1.0).any() and ((0.0 < fractions) & (fractions < 1.0)).any()
+    else:
+        result = run_rate_sweep(_small_rate_config(realizations=40))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(result, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = []
+    for i, x in enumerate(result.axis):
+        for s in result.schemes:
+            stats = (result.mean(s), result.percentile(s, 5.0),
+                     result.percentile(s, 95.0), result.infeasible_fraction(s))
+            expected.append([format(x, ".17g"), s,
+                             *(format(float(col[i]), ".17g") for col in stats)])
+    assert rows == expected
 
 
 def test_write_sweep_csv_handles_nan(tmp_path):
