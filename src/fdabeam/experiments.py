@@ -11,21 +11,29 @@ workers.  Each substream is numpy's ``default_rng((seed, index))`` stream,
 computed by :class:`_Substream` on Python ints: a fresh worker would spend
 more time importing ``numpy.random`` than on its share of a small sweep.
 
-A power or rate sweep runs in two stages.  Each task (one realization)
-samples its layout and descends to the proposed plan (:func:`_draw`), and
-returns the element distances and the optimized offsets.  :func:`_sweep`
-then takes the realizations of one antenna count at a time, in blocks of
-bounded size: one channel synthesis over (R, K, N), one (B, E, x)
-reduction, and the closed forms and time re-checks on (R, K) arrays give
-all five schemes.  Every entry is computed as the per-realization pipeline
-computes it, so the results do not depend on the block size or on how the
-tasks are spread over workers.  :func:`_sweep` places the results and
-keeps the ``baselines`` schemes.
+Every sweep starts in the calling process.  :func:`_stacks` draws each
+realization index once, from its substream, and every antenna count shares
+that draw.  For each count it then computes Bob's and Eve's element
+distances, omega and alpha of all R layouts as (R, N) arrays, through the
+expressions and checks that a :class:`Scenario` runs (``scenario._layouts``,
+whose one-layout call a scenario makes), and raises the error of the first
+failing (count, index) task.  Each task, one (count, index) pair or one
+index, descends one realization (:func:`optimize_offsets`) on a scenario
+assembled from its stack's rows, which computes and checks nothing again.
+
+A power or rate sweep then takes the realizations of one antenna count at
+a time, in blocks of bounded size (:func:`_blocks`): the distances come
+from the stacks and the offsets from the tasks.  One channel synthesis
+over (R, K, N), one (B, E, x) reduction, and the closed forms and time
+re-checks on (R, K) arrays give all five schemes.  Every entry is computed
+as the per-realization pipeline computes it, so the results do not depend
+on the block size or on how the tasks are spread over workers.
+:func:`_sweep` places the results and keeps the ``baselines`` schemes.
 
 The tasks run in a fork pool only when it pays: a worker count is an
 upper bound, and :func:`_map_tasks` starts a pool only when every worker
 gets at least :data:`_TASKS_PER_WORKER` tasks and a CPU of its own.  A
-smaller sweep, 100 realizations at one antenna count among them, runs in
+smaller sweep, 1000 realizations at one antenna count among them, runs in
 the calling process, where a pool's start costs more than it saves.
 """
 
@@ -39,6 +47,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Protocol
 
 import numpy as np
 
@@ -59,6 +68,8 @@ from .scenario import (
     _channels,
     _check_times,
     _is_int,
+    _layouts,
+    _position,
 )
 
 CARRIER_FREQUENCY = 2.4e9
@@ -76,19 +87,25 @@ _BLOCK_ENTRIES = 1 << 16
 stage synthesizes at once; bounds its memory at any N and realization
 count."""
 
-_TASKS_PER_WORKER = 200
+_TASKS_PER_WORKER = 1000
 """Tasks each pool worker must get before :func:`_map_tasks` starts a pool,
 so a sweep of fewer than ``2 * _TASKS_PER_WORKER`` tasks runs in the
-calling process.  400 tasks is the smallest count measured at which two
-workers tie or beat one on all three sweeps.  In-process ``cli.main``
-times in ms, ``-j 1`` / ``-j 2`` (medians of 41 alternating calls, 2 vCPUs;
-``sweep-rate`` at N = 2 with one task per realization, the other two at
-N = 2, 4, 6, 8 with one per realization and count)::
+calling process.  2000 tasks is the smallest count measured at which two
+workers tie or beat one on all three sweeps; a task is one descent, and the
+draws, stacks and array stage run in the calling process either way.
+In-process ``cli.main`` times in ms, ``-j 1`` / ``-j 2`` (medians of 41
+alternating calls, 2 vCPUs; ``sweep-rate`` at N = 2 with one task per
+realization, the other two at N = 2, 4, 6, 8 with one per realization and
+count)::
 
-    tasks          100     200     300     400     600     1000
-    sweep-rate    19/42   33/46   51/55   61/59   84/77   158/129
-    sweep-power   23/33   31/42   59/61   75/69  113/105  174/144
-    convergence   16/24   33/35   37/39   53/49   88/62   129/90
+    tasks          300     400     600     1000     2000     4000
+    sweep-rate    25/47   50/58   68/75   99/107  173/178  404/350
+    sweep-power   31/55   56/61   79/82  121/118  264/231  387/363
+    convergence   27/31   32/36   46/44   78/69   181/124  283/215
+
+``-j 2`` won 25, 34 and 41 of the 41 pairs at 2000 tasks, and 13, 27 and
+30 at 1000; a second run gave 29, 35 and 39 at 2000, and 2, 0 and 29 at
+1000.
 """
 
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
@@ -293,57 +310,115 @@ class _Substream:
         return low + (float(high) - low) * ((word >> 11) * 2.0**-53)
 
 
-def sample_scenario(rng: np.random.Generator, config: ExperimentConfig,
+class _Uniform(Protocol):
+    """What :func:`sample_scenario` draws from."""
+
+    def uniform(self, low: float, high: float) -> float: ...
+
+
+def sample_scenario(rng: _Uniform, config: ExperimentConfig,
                     element_count: int) -> Scenario:
     """Draw one random wiretap layout under the fixed RF template.
 
-    ``rng`` is any object with ``uniform(low, high)``: a numpy
+    ``rng`` is any object with a ``uniform(low, high)`` method: a numpy
     ``Generator``, or the sweeps' :class:`_Substream`.  Two draws, Bob's
     range then the shared angle."""
-    geom = ArrayGeometry(element_count=element_count, first_element_x=0.0,
+    geom = _half_wave_array(element_count)
+    bob, eve = _placements(rng, config)
+    return Scenario(rf=_RF, array=geom, bob=bob, eve=eve)
+
+
+def _half_wave_array(element_count: int) -> ArrayGeometry:
+    return ArrayGeometry(element_count=element_count, first_element_x=0.0,
                          spacing=_RF.wavelength / 2.0)
+
+
+def _placements(rng: _Uniform, config: ExperimentConfig) -> tuple:
+    """Bob's and Eve's placements from two draws of ``rng``: Bob's range,
+    then the angle that Eve, ``range_gap`` farther out, shares."""
     r_b = rng.uniform(*config.range_interval)
     theta = rng.uniform(*config.angle_interval)
-    return Scenario(rf=_RF, array=geom,
-                    bob=NodePlacement(range_m=r_b, angle_rad=theta),
-                    eve=NodePlacement(range_m=r_b + config.range_gap,
-                                      angle_rad=theta))
+    return (NodePlacement(range_m=r_b, angle_rad=theta),
+            NodePlacement(range_m=r_b + config.range_gap, angle_rad=theta))
 
 
-def _draw(config: ExperimentConfig, n: int, index: int) -> tuple:
-    """Realization ``index`` at ``n`` elements: its scenario from the
-    (seed, index) substream, the optimized plan and the descent trace."""
-    scenario = sample_scenario(_Substream(config.rng_seed, index), config, n)
-    return scenario, *optimize_offsets(scenario)
+@dataclass(frozen=True)
+class _Stack:
+    """The layouts of every realization at one antenna count: the shared
+    array, each realization's (Bob, Eve) placements, and Bob's and Eve's
+    element distances, omega and alpha as read-only (R, N) arrays."""
+
+    array: ArrayGeometry
+    placements: list
+    bob_distances: np.ndarray
+    eve_distances: np.ndarray
+    omega: np.ndarray
+    alpha: np.ndarray
+
+    def scenario(self, index: int) -> Scenario:
+        """Realization ``index``'s scenario, assembled from its rows."""
+        return Scenario._assembled(_RF, self.array, *self.placements[index],
+                                   self.bob_distances[index], self.eve_distances[index],
+                                   self.omega[index], self.alpha[index])
 
 
-def _descended(config: ExperimentConfig, n: int, index: int) -> tuple:
-    """Bob's and Eve's (N,) element distances and the (N,) optimized offsets
-    of realization ``index`` at ``n`` elements: what the sweep stage needs."""
-    scenario, plan_star, _ = _draw(config, n, index)
-    return scenario.bob_distances, scenario.eve_distances, plan_star.offsets
+def _stacks(config: ExperimentConfig, counts) -> dict:
+    """The :class:`_Stack` of each antenna count in ``counts``, from one draw
+    per realization index that every count shares.
+
+    A realization draws its placements as :func:`sample_scenario` does, from
+    the (seed, index) substream, and they are checked as they are drawn.  The
+    layouts are then checked count by count, so the error raised is the one
+    of the first failing (count, index) task: a placement fails at every
+    count, after the layouts of the first count's earlier realizations.
+    """
+    placements, failed = [], None
+    for index in range(config.realizations):
+        try:
+            placements.append(_placements(_Substream(config.rng_seed, index), config))
+        except ValueError as exc:
+            failed = exc
+            break
+    draws = [(bob.range_m, bob.angle_rad, eve.range_m) for bob, eve in placements]
+    # contiguous (R, 1) columns, which numpy's math runs through the loops
+    # that it runs a scenario's scalars through
+    r_b, theta, r_e = np.array(draws, dtype=float).reshape(-1, 3).T.copy()[..., None]
+    bob, eve = _position(r_b, theta), _position(r_e, theta)
+    stacks = {}
+    for n in counts:
+        if n not in stacks:
+            array = _half_wave_array(n)
+            stacks[n] = _Stack(array, placements, *_layouts(_RF, array, bob, eve))
+        if failed is not None:
+            raise failed
+    return stacks
 
 
-def _power_realization(config: ExperimentConfig, task: tuple) -> tuple:
-    """Power task ``(n, index)`` up to and including the descent."""
-    return _descended(config, *task)
+def _power_realization(config: ExperimentConfig, task: tuple, *, stacks: dict) -> np.ndarray:
+    """Power task ``(n, index)``: the optimized offsets of that layout."""
+    n, index = task
+    return optimize_offsets(stacks[n].scenario(index))[0].offsets
 
 
-def _rate_realization(config: ExperimentConfig, index: int) -> tuple:
-    """Rate task ``index`` (at ``antenna_counts[0]`` elements) up to and
-    including the descent."""
-    return _descended(config, config.antenna_counts[0], index)
+def _rate_realization(config: ExperimentConfig, index: int, *, stacks: dict) -> np.ndarray:
+    """Rate task ``index``: the optimized offsets of that layout at
+    ``antenna_counts[0]`` elements."""
+    return optimize_offsets(stacks[config.antenna_counts[0]].scenario(index))[0].offsets
 
 
-def _blocks(results: list, reps: int, rows: int):
-    """(R, N) stacks of the bob distances, eve distances and offsets of the
-    task results, one antenna count (``reps`` results) at a time and at most
-    :data:`_BLOCK_ENTRIES` channel entries of ``rows`` rows each per block."""
-    for first in range(0, len(results), reps):
-        count = results[first:first + reps]
-        size = max(1, _BLOCK_ENTRIES // (rows * count[0][2].shape[0]))
+def _blocks(stacks: dict, counts: list, offsets: list, rows: int):
+    """(R, N) Bob distances, Eve distances and optimized offsets, one antenna
+    count of ``counts`` at a time (``offsets`` holds each count's
+    realizations in turn) and at most :data:`_BLOCK_ENTRIES` channel entries
+    of ``rows`` rows each per block."""
+    reps = len(offsets) // len(counts)
+    for first, n in zip(range(0, len(offsets), reps), counts):
+        stack = stacks[n]
+        size = max(1, _BLOCK_ENTRIES // (rows * n))
         for lo in range(0, reps, size):
-            yield tuple(np.array(a) for a in zip(*count[lo:lo + size]))
+            hi = lo + size
+            yield (stack.bob_distances[lo:hi], stack.eve_distances[lo:hi],
+                   np.array(offsets[first + lo:first + min(hi, reps)]))
 
 
 def _block_stats(bob: np.ndarray, eve: np.ndarray, offsets: np.ndarray,
@@ -432,9 +507,12 @@ def _fold_spreads(spread: dict, checks: dict) -> None:
         spread[scheme] = max(spread.get(scheme, 0.0), *found[scheme][1])
 
 
-def _convergence_realization(config: ExperimentConfig, task: tuple) -> tuple:
+def _convergence_realization(config: ExperimentConfig, task: tuple, *,
+                             stacks: dict) -> tuple:
+    """Convergence task ``(n, index)``: the descent's coupling after each sweep
+    and its sweep count."""
     n, index = task
-    _, _, trace = _draw(config, n, index)
+    _, trace = optimize_offsets(stacks[n].scenario(index))
     return trace.objective_history[::n], trace.outer_iterations
 
 
@@ -451,29 +529,55 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
     """``fn`` of every task, in task order.  ``workers`` is an upper bound:
     a fork pool starts only with two or more workers that each get
     :data:`_TASKS_PER_WORKER` tasks and a usable CPU, else the tasks run in
-    this process."""
+    this process.  A worker receives ``fn`` once, as it starts (through the
+    fork, not pickled), and only the tasks and results travel by pickle: a
+    sweep's ``fn`` carries the layout stacks of every realization, which
+    pickling with every chunk of tasks would send many times over."""
     workers = min(workers, len(tasks) // _TASKS_PER_WORKER, _usable_cpus())
     if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(fn,)) as pool:
         chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(_worker_task, tasks, chunksize=chunk))
 
 
-def _sweep(config: ExperimentConfig, realization, metrics, tasks: list,
+_worker_fn = None
+"""The task function of a pool worker, set as the worker starts; unset in
+the process that runs the sweep."""
+
+
+def _start_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _worker_task(task):
+    return _worker_fn(task)
+
+
+def _descents(config: ExperimentConfig, realization, counts: list, tasks: list,
+              workers: int) -> tuple[dict, list]:
+    """The :func:`_stacks` of ``counts``, and ``realization`` (a descent) of
+    every task on them."""
+    stacks = _stacks(config, counts)
+    return stacks, _map_tasks(partial(realization, config, stacks=stacks), tasks, workers)
+
+
+def _sweep(config: ExperimentConfig, realization, metrics, counts: list, tasks: list,
            axis: np.ndarray, workers: int) -> SweepResult:
-    """Run ``realization`` (draw and descent) on every task, then ``metrics``
-    on each block of :func:`_blocks`; place the metrics of all
-    :data:`SCHEMES` (a value, or one per power) and keep the
-    ``config.baselines`` ones, the only reader of that field.  Power task k
-    fills row ``k // realizations``; rate columns are the transpose.
+    """Run ``realization`` (a descent) on every task, then ``metrics`` on
+    each block of :func:`_blocks`; place the metrics of all :data:`SCHEMES`
+    (a value, or one per power) and keep the ``config.baselines`` ones, the
+    only reader of that field.  Power task k fills row ``k //
+    realizations``; rate columns are the transpose.
     """
-    results = _map_tasks(partial(realization, config), tasks, workers)
+    stacks, offsets = _descents(config, realization, counts, tasks, workers)
     reps = config.realizations
     times = config.time_samples or (0.0,)
     tables, spread = [], {}
-    for bob, eve, offsets in _blocks(results, reps, len(times) + 2):
-        table, checks = metrics(config, *_block_stats(bob, eve, offsets, times))
+    for bob, eve, plans in _blocks(stacks, counts, offsets, len(times) + 2):
+        table, checks = metrics(config, *_block_stats(bob, eve, plans, times))
         tables.append(table)
         if len(times) > 1:
             _fold_spreads(spread, checks)
@@ -497,7 +601,7 @@ def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     counts = list(config.antenna_counts)
     tasks = [(n, idx) for n in counts for idx in range(config.realizations)]
-    return _sweep(config, _power_realization, _power_metrics, tasks,
+    return _sweep(config, _power_realization, _power_metrics, counts, tasks,
                   np.array(counts, dtype=float), workers)
 
 
@@ -511,8 +615,8 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     :class:`OverflowError`.
     """
     grid = np.array(config.power_grid, dtype=float)
-    return _sweep(config, _rate_realization, _rate_metrics, list(range(config.realizations)),
-                  grid, workers)
+    return _sweep(config, _rate_realization, _rate_metrics, [config.antenna_counts[0]],
+                  list(range(config.realizations)), grid, workers)
 
 
 def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> ConvergenceResult:
@@ -520,7 +624,7 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
     counts = tuple(config.antenna_counts)
     reps = config.realizations
     tasks = [(n, idx) for n in counts for idx in range(reps)]
-    results = _map_tasks(partial(_convergence_realization, config), tasks, workers)
+    _, results = _descents(config, _convergence_realization, counts, tasks, workers)
     mean_history = {}
     outer_counts = {}
     for i, n in enumerate(counts):

@@ -9,7 +9,9 @@ on range as well as direction.
 :class:`RfParams` computes its wavelength and coupling prefactor K, and a
 :class:`Scenario` its element-to-receiver distances and coupling
 coefficients omega and alpha, once, at construction, beside the checks that
-bound them; channel synthesis and the offset descent read them.
+bound them; channel synthesis and the offset descent read them.  A
+scenario's arrays are the one-layout call of :func:`_layouts`, which the
+sweeps run on (R, N) stacks of layouts.
 """
 
 from __future__ import annotations
@@ -146,47 +148,84 @@ class Scenario:
     alpha: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rf, n = self.rf, self.array.element_count
-        # Rejects layouts where a channel gain, a coupling coefficient
-        # alpha_n or a coupling phase omega_n f may leave the float range
-        # before omega and alpha are computed.  Each receiver's nearest and
-        # farthest element distances bound all of them and their sums, so
-        # the check is a min and a max per receiver and float arithmetic
-        # that cannot raise: a sweep builds one scenario per realization.
-        amp = rf.wavelength / (4.0 * math.pi)  # a gain is (amp / r)^2 / noise power
-        extent = []
-        with np.errstate(all="ignore"):
-            x = self.array.first_element_x + self.array.spacing * np.arange(n)
-            for node, place, noise in (("bob", self.bob, rf.noise_power_bob),
-                                       ("eve", self.eve, rf.noise_power_eve)):
-                dist = np.hypot(x - place.range_m * np.cos(place.angle_rad),
-                                place.range_m * np.sin(place.angle_rad))
-                as_list = dist.tolist()  # Python min and max are faster at small N
-                lo, hi = min(as_list), max(as_list)
-                if not lo > 0.0:
-                    raise ValueError(f"{node} coincides with an array element")
-                far, near = amp / hi, amp / lo
-                if not (far * far / noise > 0.0 and n * near * near / noise < math.inf):
-                    raise ValueError(f"{node}'s channel gains (wavelength / (4 pi r))^2 / "
-                                     f"noise_power_{node} must be positive, and N times the "
-                                     "largest finite")
-                dist.flags.writeable = False
-                object.__setattr__(self, f"{node}_distances", dist)
-                extent.append((lo, hi))
-        (lo_b, hi_b), (lo_e, hi_e) = extent
-        # (sum alpha)^2 <= (N / (lo_b lo_e))^2 is finite below sqrt(max float).
-        if not (hi_b * hi_e < math.inf and n < _SQRT_FLOAT_MAX * lo_b * lo_e):
-            raise ValueError("coupling coefficients 1 / (r_bob r_eve) must be positive, "
-                             "and (N / (min r_bob min r_eve))^2 finite")
-        if not (_TWO_PI * max(hi_b, hi_e) / rf.wave_speed
-                * (rf.carrier_frequency + rf.max_offset) < math.inf):
-            raise ValueError("coupling phases 2 pi r (f_c + f_m) / wave_speed must be "
-                             "finite at every element distance r")
-        r_b, r_e = self.bob_distances, self.eve_distances
-        for name, value in (("omega", _TWO_PI * (r_e - r_b) / rf.wave_speed),
-                            ("alpha", 1.0 / (r_b * r_e))):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        arrays = _layouts(self.rf, self.array, _position(self.bob.range_m, self.bob.angle_rad),
+                          _position(self.eve.range_m, self.eve.angle_rad))
+        self.__dict__.update(zip(_DERIVED, arrays))  # frozen, so not through setattr
+
+    @classmethod
+    def _assembled(cls, rf, array, bob, eve, *arrays) -> Scenario:
+        """A scenario of parts that were checked already and its derived
+        arrays, in :data:`_DERIVED` order, as one layout of :func:`_layouts`
+        gives them; nothing is computed or checked again."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(("rf", "array", "bob", "eve", *_DERIVED),
+                                 (rf, array, bob, eve, *arrays)))
+        return self
+
+
+_DERIVED = ("bob_distances", "eve_distances", "omega", "alpha")
+"""The arrays a :class:`Scenario` derives at construction, in the order
+:func:`_layouts` returns them."""
+
+
+def _position(range_m, angle_rad) -> tuple:
+    """Cartesian (x, y) in m of receivers at polar (range, angle): scalars,
+    or arrays of any shape."""
+    return range_m * np.cos(angle_rad), range_m * np.sin(angle_rad)
+
+
+def _layouts(rf: RfParams, array: ArrayGeometry, bob: tuple, eve: tuple) -> tuple:
+    """Read-only element distances of Bob and Eve, omega and alpha of layouts
+    sharing ``rf`` and ``array``: (R, N) arrays for receivers at
+    :func:`_position` (x, y) pairs of (R, 1) arrays, and (N,) arrays for a
+    pair of scalars, the one-layout call that :class:`Scenario` makes.
+
+    Every layout is checked in order, and the first one whose channel gains,
+    coupling coefficients alpha_n or coupling phases omega_n f may leave the
+    float range raises its first failing check's ``ValueError``.  Each
+    receiver's nearest and farthest element distances bound all of them and
+    their sums, so a layout's check is a min and a max per receiver and
+    float arithmetic that cannot raise.
+    """
+    n = array.element_count
+    with np.errstate(all="ignore"):
+        x = array.first_element_x + array.spacing * np.arange(n)
+        r_b = np.hypot(x - bob[0], bob[1])
+        r_e = np.hypot(x - eve[0], eve[1])
+        arrays = (r_b, r_e, _TWO_PI * (r_e - r_b) / rf.wave_speed, 1.0 / (r_b * r_e))
+    # Python min and max are faster than numpy reductions at small N and R.
+    rows = r_b.tolist(), r_e.tolist()
+    for layout in zip(*rows) if r_b.ndim == 2 else (rows,):
+        _check_layout(rf, n, layout)
+    for value in arrays:
+        value.flags.writeable = False
+    return arrays
+
+
+def _check_layout(rf: RfParams, n: int, rows: tuple) -> None:
+    """Reject one layout of :func:`_layouts` from Bob's and Eve's element
+    distances (lists of N floats)."""
+    amp = rf.wavelength / (4.0 * math.pi)  # a gain is (amp / r)^2 / noise power
+    extent = []
+    for node, dist, noise in zip(("bob", "eve"), rows, (rf.noise_power_bob, rf.noise_power_eve)):
+        lo, hi = min(dist), max(dist)
+        if not lo > 0.0:
+            raise ValueError(f"{node} coincides with an array element")
+        far, near = amp / hi, amp / lo
+        if not (far * far / noise > 0.0 and n * near * near / noise < math.inf):
+            raise ValueError(f"{node}'s channel gains (wavelength / (4 pi r))^2 / "
+                             f"noise_power_{node} must be positive, and N times the "
+                             "largest finite")
+        extent.append((lo, hi))
+    (lo_b, hi_b), (lo_e, hi_e) = extent
+    # (sum alpha)^2 <= (N / (lo_b lo_e))^2 is finite below sqrt(max float).
+    if not (hi_b * hi_e < math.inf and n < _SQRT_FLOAT_MAX * lo_b * lo_e):
+        raise ValueError("coupling coefficients 1 / (r_bob r_eve) must be positive, "
+                         "and (N / (min r_bob min r_eve))^2 finite")
+    if not (_TWO_PI * max(hi_b, hi_e) / rf.wave_speed
+            * (rf.carrier_frequency + rf.max_offset) < math.inf):
+        raise ValueError("coupling phases 2 pi r (f_c + f_m) / wave_speed must be "
+                         "finite at every element distance r")
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,15 @@ position, exit 2) over the README block's feasible outputs, whose
 6 realizations and N = 2, 5 with ``--seed`` 2**128 + 1, draws from seeds of
 five 32-bit words, more than numpy's 4-word ``SeedSequence`` pool, so
 comparing it with a tree that drew through ``numpy.random`` checks the
-sweeps' own substream there.  The last run, ``sweep-rate -j 2`` on the
+sweeps' own substream there.  The next run, ``sweep-rate -j 2`` on the
 benchmark's ``sweep_rate_cli`` config (100 realizations, too few tasks for
 a pool), runs in the calling process, so comparing it with a tree that
-started a pool there checks that path.  Each command runs in a fresh
+started a pool there checks that path.  Three last runs, ``sweep-power``,
+``sweep-rate`` and ``convergence -j 1`` at 3 realizations and N = 1, 2
+with Bob drawn exactly half a wavelength out on the array axis, cover a
+layout check that fails at N = 2 only: the first and third exit 1 with the
+scenario's error on stderr and write no CSV, the second (N = 1) runs.
+Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
 and per stderr, plus the exit code.  Run it on two trees and compare:
@@ -58,6 +63,17 @@ power_grid = -10 dBW : 10 dBW : 21
 baselines = bound, proposed, linear, phased, mrt
 time_samples = 21
 time_horizon = 20 us
+"""
+
+# Bob exactly half a wavelength out on the array axis: on element 1 at N = 2.
+ON_ELEMENT_EXPERIMENT = """\
+[experiment]
+realizations = 3
+antenna_counts = 1, 2
+range_min = 0.06245676208333333 m
+range_max = 0.06245676208333333 m
+angle_min = 0 deg
+angle_max = 0 deg
 """
 
 
@@ -112,6 +128,8 @@ def main() -> int:
         ("sweep-rate -j 2 at 100 realizations", ["sweep-rate", "-j", "2"],
          BENCH_RATE_EXPERIMENT, ()),
     ]
+    runs += [(f"{name} -j 1 with Bob on element 1", [name, "-j", "1"], ON_ELEMENT_EXPERIMENT, ())
+             for name in ("sweep-power", "sweep-rate", "convergence")]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

@@ -29,9 +29,10 @@ from fdabeam.coupling import (
 )
 from fdabeam.experiments import (
     SCHEMES,
-    _draw,
+    _Substream,
     linear_fda_plan,
     phased_array_plan,
+    sample_scenario,
 )
 from fdabeam.scenario import _channels, _plan_offsets, _synthesize
 
@@ -129,21 +130,23 @@ def zero_plan_descent(scenario, **options):
 def pool_on_every_task_list(monkeypatch, tmp_path):
     """Let ``experiments._map_tasks`` start a pool for any task list of two
     or more (one task per worker suffices, on four usable CPUs whatever the
-    machine has) and log the process of every draw.  Returns a function
-    giving the ids of the processes other than this one that drew, so a
-    test can check that a pool really ran."""
+    machine has) and log the process of every descent the sweeps start
+    (``experiments.optimize_offsets``).  Returns a function giving the ids of
+    the processes other than this one that descended, so a test can check
+    that a pool really ran."""
     monkeypatch.setattr(experiments, "_TASKS_PER_WORKER", 1)
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    log = tmp_path / "draw_pids.txt"
-    draw = experiments._draw
+    log = tmp_path / "descent_pids.txt"
+    log.touch()
+    descend = experiments.optimize_offsets
 
-    def logged_draw(*args):
+    def logged_descent(*args, **kwargs):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return draw(*args)
+        return descend(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_draw", logged_draw)
+    monkeypatch.setattr(experiments, "optimize_offsets", logged_descent)
     return lambda: set(log.read_text().split()) - {str(os.getpid())}
 
 
@@ -454,8 +457,17 @@ def _spreads(times, checks):
     return spread
 
 
+def draw_realization(config, n, index):
+    """Realization ``index`` of a sweep at ``n`` elements, on its own: its
+    scenario from the (seed, index) substream through ``sample_scenario``,
+    the optimized plan and the descent trace.  The prologue of the
+    per-realization oracle below."""
+    scenario = sample_scenario(_Substream(config.rng_seed, index), config, n)
+    return scenario, *optimize_offsets(scenario)
+
+
 def _power_realization(config, n, index):
-    scenario, plan_star, _ = _draw(config, n, index)
+    scenario, plan_star, _ = draw_realization(config, n, index)
     rate = config.target_rate
     times = config.time_samples or (0.0,)
     b, e, x = plan_stats(scenario, plan_star, times)
@@ -474,7 +486,7 @@ def _power_realization(config, n, index):
 
 
 def _rate_realization(config, index):
-    scenario, plan_star, _ = _draw(config, config.antenna_counts[0], index)
+    scenario, plan_star, _ = draw_realization(config, config.antenna_counts[0], index)
     times = config.time_samples or (0.0,)
     b, e, x = plan_stats(scenario, plan_star, times)
     grid = np.array(config.power_grid, dtype=float)
@@ -516,3 +528,30 @@ def realization_sweep(config, which):
     values = {s: table[:, :, SCHEMES.index(s)].swapaxes(1, 2).reshape(-1, reps)
               for s in config.baselines}
     return values, {s: v for s, v in spread.items() if s in config.baselines}
+
+
+def realization_convergence(config):
+    """Per-realization form of ``run_convergence_study``: every (count,
+    index) draws and descends on its own through :func:`draw_realization`.
+    Returns the study's ``(mean_history, outer_counts)``."""
+    mean_history, outer_counts = {}, {}
+    for n in config.antenna_counts:
+        traces = [draw_realization(config, n, idx)[2] for idx in range(config.realizations)]
+        histories = [trace.objective_history[::n] for trace in traces]
+        depth = max(len(h) for h in histories)
+        padded = np.array([h + [h[-1]] * (depth - len(h)) for h in histories])
+        mean_history[n] = padded.mean(axis=0)
+        outer_counts[n] = np.array([trace.outer_iterations for trace in traces], dtype=float)
+    return mean_history, outer_counts
+
+
+def first_layout_error(config, counts):
+    """The message of the first (count, index) task, in the sweeps' task
+    order over ``counts``, whose draw fails, or None."""
+    for n in counts:
+        for idx in range(config.realizations):
+            try:
+                sample_scenario(_Substream(config.rng_seed, idx), config, n)
+            except ValueError as exc:
+                return str(exc)
+    return None

@@ -67,7 +67,7 @@ time_samples = 3
 """
 
 
-def _no_pool(max_workers):
+def _no_pool(max_workers, **pool_options):
     raise AssertionError(f"a pool of {max_workers} started")
 
 
@@ -737,6 +737,45 @@ def test_rate_overflow_is_one_error_for_solve_and_sweep(scenario_ini, experiment
     assert not list(tmp_path.rglob("*.csv"))
 
 
+ON_ELEMENT_EXPERIMENT = """\
+[experiment]
+realizations = 3
+antenna_counts = 1, 2
+range_min = 0.06245676208333333 m
+range_max = 0.06245676208333333 m
+angle_min = 0 deg
+angle_max = 0 deg
+"""
+
+
+@pytest.mark.parametrize("pool", [False, True])
+def test_layout_on_an_element_is_one_error_before_any_descent(tmp_path, capsys,
+                                                              monkeypatch, pool):
+    """Bob drawn exactly half a wavelength out on the array axis sits on
+    element 1, which N = 2 has and N = 1 does not.  ``sweep-power`` and
+    ``convergence`` print the scenario's error, write no CSV and start no
+    descent; ``sweep-rate`` (N = 1 only) runs.  With a pool allowed on every
+    task list the rate sweep's descents run in the pool."""
+    ini = tmp_path / "on_element.ini"
+    ini.write_text(ON_ELEMENT_EXPERIMENT)
+    jobs = "1"
+    if pool:
+        pool_processes = pool_on_every_task_list(monkeypatch, tmp_path)
+        jobs = "2"
+    for command in ("sweep-power", "convergence"):
+        assert main([command, "-c", str(ini), "-o", str(tmp_path / command),
+                     "-j", jobs]) == 1
+        assert capsys.readouterr().err == "error: bob coincides with an array element\n"
+    assert not list(tmp_path.rglob("*.csv"))
+    if pool:
+        assert not pool_processes()
+    assert main(["sweep-rate", "-c", str(ini), "-o", str(tmp_path / "rate"),
+                 "-j", jobs]) == 0
+    assert (tmp_path / "rate" / "rate_sweep.csv").exists()
+    if pool:
+        assert pool_processes()
+
+
 def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch):
     """A pool starts only when each of two or more workers gets
     ``_TASKS_PER_WORKER`` tasks and a CPU, whatever ``-j`` asks for.  The
@@ -744,8 +783,9 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
     pools = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             pools.append(max_workers)
+            initializer(*initargs)  # as each worker does when it starts
 
         def __enter__(self):
             return self
@@ -763,6 +803,7 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
 
     per = experiments._TASKS_PER_WORKER
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments, "_worker_fn", None)  # the stand-in sets it here
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     mapped(2 * per - 1)  # one worker's worth: in this process

@@ -14,7 +14,7 @@ from fdabeam.coupling import (
     g_value,
     optimize_offsets,
 )
-from fdabeam.experiments import ExperimentConfig, _draw
+from fdabeam.experiments import ExperimentConfig
 from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
 from helpers import (
@@ -24,6 +24,7 @@ from helpers import (
     _cosine_term,
     coordinate_scan,
     coupling_power_row,
+    draw_realization,
     grid_oracle,
     half_wave_scenario,
     random_plan,
@@ -662,7 +663,7 @@ def test_descent_matches_the_two_level_optimum_on_sweep_draws():
         config = ExperimentConfig(rng_seed=seed)
         for n in range(2, 13):
             for index in range(20):
-                scenario, plan, _ = _draw(config, n, index)
+                scenario, plan, _ = draw_realization(config, n, index)
                 final, best = g_value(scenario, plan), two_level_optimum(scenario)
                 assert final <= best * (1.0 + 1e-6)
                 if final > best * (1.0 + 1e-9):

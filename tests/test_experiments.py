@@ -29,7 +29,13 @@ from fdabeam.experiments import (
 )
 from fdabeam.scenario import channel_pair
 
-from helpers import pool_on_every_task_list, realization_sweep, rowwise_nanstat
+from helpers import (
+    first_layout_error,
+    pool_on_every_task_list,
+    realization_convergence,
+    realization_sweep,
+    rowwise_nanstat,
+)
 
 
 def _small_power_config(**overrides):
@@ -445,9 +451,11 @@ def test_mrt_recheck_only_where_mrt_is_feasible(monkeypatch):
     config = _small_power_config(target_rate=1.2)
     extra = len(config.time_samples) - 1
     feasible = 0
+    stacks = experiments._stacks(config, config.antenna_counts)
     for n in config.antenna_counts:
         for idx in range(config.realizations):
-            bob, eve, offsets = experiments._power_realization(config, (n, idx))
+            offsets = experiments._power_realization(config, (n, idx), stacks=stacks)
+            bob, eve = stacks[n].bob_distances[idx], stacks[n].eve_distances[idx]
             stats = experiments._block_stats(bob[None], eve[None], offsets[None],
                                              config.time_samples)
             calls.clear()
@@ -524,6 +532,100 @@ def test_sweeps_equal_per_realization_oracle(seed, workers):
             for s in SCHEMES:
                 assert_array_equal(result.values[s], values[s])
             assert list(result.time_spread.items()) == list(spread.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1 + (5 << 32)])
+def test_stack_rows_are_the_sampled_scenarios_bitwise(seed):
+    """Row ``index`` of a count's stack holds the bits that
+    ``sample_scenario`` derives for realization ``index``, also at large N,
+    and the scenario assembled from it equals that scenario, read-only."""
+    config = ExperimentConfig(realizations=25, rng_seed=seed)
+    counts = (1, 2, 3, 8, 33, 130)
+    stacks = experiments._stacks(config, counts)
+    assert list(stacks) == list(counts)
+    for n in counts:
+        for index in range(config.realizations):
+            expected = sample_scenario(experiments._Substream(seed, index), config, n)
+            got = stacks[n].scenario(index)
+            assert got == expected
+            for name in ("bob_distances", "eve_distances", "omega", "alpha"):
+                row, ref = getattr(got, name), getattr(expected, name)
+                assert row.shape == ref.shape == (n,)
+                assert row.tobytes() == ref.tobytes()
+                assert not row.flags.writeable
+
+
+# Bob exactly half a wavelength out on the array axis sits on element 1.
+_ON_ELEMENT = dict(range_interval=(0.06245676208333333,) * 2, angle_interval=(0.0, 0.0))
+# Bob's range to element 0 puts N times its largest gain past the float range
+# from N = 2 where it is below about 3.3e-150 m: at seed 0, in realization 2
+# only.
+_GAIN_EDGE = dict(range_interval=(3.0e-150, 3.5e-150))
+# Eve's range r_b + gap overflows in some realizations (NodePlacement's
+# "range_m must be finite"), and Bob's gains underflow in all of them.
+_OVERFLOW = dict(range_interval=(0.5e308, 1.5e308), range_gap=0.5e308)
+
+
+@pytest.mark.parametrize("geometry, counts, seeds", [
+    (_ON_ELEMENT, (1, 2), (0,)),
+    (_ON_ELEMENT, (2, 1), (0,)),
+    (_GAIN_EDGE, (2, 1), (0, 1)),
+    (_OVERFLOW, (2, 3), range(8)),
+])
+def test_layout_errors_are_the_first_failing_task_s(geometry, counts, seeds):
+    """Every sweep raises the error of the first (count, index) task, in
+    task order, whose ``sample_scenario`` fails, with its message, and runs
+    where none does.  A placement error (seeds 4 and 5 of the overflow case)
+    comes from realization 0 as the layout errors do."""
+    messages = set()
+    for seed in seeds:
+        config = ExperimentConfig(realizations=4, rng_seed=seed, antenna_counts=counts,
+                                  **geometry)
+        for run, run_counts in ((run_power_sweep, counts), (run_rate_sweep, counts[:1]),
+                                (run_convergence_study, counts)):
+            expected = first_layout_error(config, run_counts)
+            if expected is None:
+                run(config)
+                continue
+            messages.add(expected)
+            with pytest.raises(ValueError) as got:
+                run(config)
+            assert str(got.value) == expected
+    if geometry is _OVERFLOW:
+        assert len(messages) == 2 and "range_m must be finite" in messages
+
+
+def test_repeated_and_unordered_counts_equal_the_per_realization_oracle(monkeypatch):
+    """At antenna counts (8, 2, 2, 1) the power sweep and the convergence
+    study equal the per-realization oracles bit for bit, and each draws
+    every realization index once, for all counts: the repeated count reuses
+    the same draws."""
+    config = ExperimentConfig(realizations=5, rng_seed=3, antenna_counts=(8, 2, 2, 1),
+                              target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
+    values, spread = realization_sweep(config, "power")
+    mean_history, outer_counts = realization_convergence(config)
+    drawn = []
+
+    class LoggedSubstream(experiments._Substream):
+        def __init__(self, *entropy):
+            drawn.append(entropy)
+            super().__init__(*entropy)
+
+    monkeypatch.setattr(experiments, "_Substream", LoggedSubstream)
+    power = run_power_sweep(config)
+    assert drawn == [(3, index) for index in range(config.realizations)]
+    for s in SCHEMES:
+        assert_array_equal(power.values[s], values[s])
+        assert_array_equal(power.values[s][1], power.values[s][2])
+    assert list(power.time_spread.items()) == list(spread.items())
+    drawn.clear()
+    study = run_convergence_study(config)
+    assert drawn == [(3, index) for index in range(config.realizations)]
+    assert study.antenna_counts == config.antenna_counts
+    assert list(study.mean_history) == list(mean_history) == [8, 2, 1]
+    for n in mean_history:
+        assert study.mean_history[n].tobytes() == mean_history[n].tobytes()
+        assert_array_equal(study.outer_counts[n], outer_counts[n])
 
 
 @pytest.mark.parametrize("which", ["power", "rate"])
