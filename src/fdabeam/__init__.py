@@ -32,7 +32,6 @@ from .experiments import (
     run_convergence_study,
     run_power_sweep,
     run_rate_sweep,
-    sample_scenario,
     write_sweep_csv,
 )
 from .scenario import (

@@ -181,11 +181,11 @@ def _layouts(rf: RfParams, array: ArrayGeometry, bob: tuple, eve: tuple) -> tupl
     pair of scalars, the one-layout call that :class:`Scenario` makes.
 
     Every layout is checked in order, and the first one whose channel gains,
-    coupling coefficients alpha_n or coupling phases omega_n f may leave the
-    float range raises its first failing check's ``ValueError``.  Each
-    receiver's nearest and farthest element distances bound all of them and
-    their sums, so a layout's check is a min and a max per receiver and
-    float arithmetic that cannot raise.
+    their product over the two receivers, coupling coefficients alpha_n or
+    coupling phases omega_n f may leave the float range raises its first
+    failing check's ``ValueError``.  Each receiver's nearest and farthest
+    element distances bound all of them and their sums, so a layout's check
+    is a min and a max per receiver and float arithmetic that cannot raise.
     """
     n = array.element_count
     with np.errstate(all="ignore"):
@@ -212,12 +212,13 @@ def _check_layout(rf: RfParams, n: int, rows: tuple) -> None:
         if not lo > 0.0:
             raise ValueError(f"{node} coincides with an array element")
         far, near = amp / hi, amp / lo
-        if not (far * far / noise > 0.0 and n * near * near / noise < math.inf):
+        total = n * near * near / noise
+        if not (far * far / noise > 0.0 and total < math.inf):
             raise ValueError(f"{node}'s channel gains (wavelength / (4 pi r))^2 / "
                              f"noise_power_{node} must be positive, and N times the "
                              "largest finite")
-        extent.append((lo, hi))
-    (lo_b, hi_b), (lo_e, hi_e) = extent
+        extent.append((lo, hi, total))
+    (lo_b, hi_b, total_b), (lo_e, hi_e, total_e) = extent
     # (sum alpha)^2 <= (N / (lo_b lo_e))^2 is finite below sqrt(max float).
     if not (hi_b * hi_e < math.inf and n < _SQRT_FLOAT_MAX * lo_b * lo_e):
         raise ValueError("coupling coefficients 1 / (r_bob r_eve) must be positive, "
@@ -226,6 +227,11 @@ def _check_layout(rf: RfParams, n: int, rows: tuple) -> None:
             * (rf.carrier_frequency + rf.max_offset) < math.inf):
         raise ValueError("coupling phases 2 pi r (f_c + f_m) / wave_speed must be "
                          "finite at every element distance r")
+    # B E, and so |h_eve^H h_bob|^2 and K (sum alpha)^2 (Cauchy-Schwarz), is
+    # at most the product of the two receivers' N times largest gain.
+    if not total_b * total_e < math.inf:
+        raise ValueError("channel-gain product (N times bob's largest gain) (N times "
+                         "eve's largest gain) must be finite")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,11 @@ started a pool there checks that path.  Three last runs, ``sweep-power``,
 with Bob drawn exactly half a wavelength out on the array axis, cover a
 layout check that fails at N = 2 only: the first and third exit 1 with the
 scenario's error on stderr and write no CSV, the second (N = 1) runs.
+Six last runs put the product of Bob's and Eve's channel gains past the
+float range: the three sweeps at ``-j 1`` with Bob drawn 3e-150 m out
+(Eve 20 m behind him) at N = 1, and the three single-scenario commands on
+the README block with N = 1, Bob at 3e-150 m and Eve at 20 m on his
+bearing; each exits 1 with the scenario's error and writes no CSV.
 Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
@@ -75,6 +80,18 @@ range_max = 0.06245676208333333 m
 angle_min = 0 deg
 angle_max = 0 deg
 """
+
+# N = 1 and Bob 3e-150 m out: N times his gain is finite, its product with
+# Eve's (20 m farther out) is not.
+GAIN_PRODUCT_EXPERIMENT = """\
+[experiment]
+realizations = 2
+antenna_counts = 1
+range_min = 3e-150 m
+range_max = 3e-150 m
+"""
+GAIN_PRODUCT_SETS = ("array.element_count=1", "bob.range=3e-150 m", "eve.range=20 m",
+                     "eve.angle=60 deg")
 
 
 def _readme_ini() -> str:
@@ -130,6 +147,12 @@ def main() -> int:
     ]
     runs += [(f"{name} -j 1 with Bob on element 1", [name, "-j", "1"], ON_ELEMENT_EXPERIMENT, ())
              for name in ("sweep-power", "sweep-rate", "convergence")]
+    runs += [(f"{name} -j 1 past the gain-product bound", [name, "-j", "1"],
+              GAIN_PRODUCT_EXPERIMENT, ())
+             for name in ("sweep-power", "sweep-rate", "convergence")]
+    sets = [arg for override in GAIN_PRODUCT_SETS for arg in ("--set", override)]
+    runs += [(f"{name} past the gain-product bound", [name, *sets], _readme_ini(), ())
+             for name in ("solve-power", "solve-rate", "optimize-offsets")]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

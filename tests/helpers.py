@@ -157,6 +157,12 @@ def rowwise_nanstat(fn, block):
     return np.array([fn(good) if good.size else math.nan for good in rows], dtype=float)
 
 
+def scheme_mean(result, scheme):
+    """Mean of each axis value's feasible (non-NaN) realizations of
+    ``scheme`` in a ``SweepResult``, NaN where none is feasible."""
+    return rowwise_nanstat(np.mean, result.values[scheme])
+
+
 def power_lower_bound(pair, target):
     """Eavesdropper-free power floor ``(2^R - 1) / ||h_b||^2``."""
     b, _, _ = channel_stats(pair)

@@ -47,6 +47,7 @@ from helpers import (
     random_pair,
     random_plan,
     random_scenario,
+    scheme_mean,
     update_frequency_case_table,
 )
 
@@ -211,10 +212,10 @@ def test_power_sweep_scheme_ordering_and_array_gain():
     t0 = time.perf_counter()
     result = run_power_sweep(config, workers=1)
     elapsed = time.perf_counter() - t0
-    bound = result.mean("bound")
-    proposed = result.mean("proposed")
-    linear = result.mean("linear")
-    phased = result.mean("phased")
+    bound = scheme_mean(result, "bound")
+    proposed = scheme_mean(result, "proposed")
+    linear = scheme_mean(result, "linear")
+    phased = scheme_mean(result, "phased")
     assert np.all(bound <= proposed * (1.0 + 1e-12))
     assert np.all(proposed <= linear)
     assert np.all(linear <= phased)
@@ -233,12 +234,12 @@ def test_rate_sweep_monotone_and_ordered():
     config = ExperimentConfig(realizations=100, rng_seed=2, antenna_counts=(3,))
     result = run_rate_sweep(config, workers=1)
     for s in ("bound", "proposed", "linear", "phased", "mrt"):
-        assert np.all(np.diff(result.mean(s)) >= -1e-12), s
-    assert np.all(result.mean("bound") >= result.mean("proposed") - 1e-12)
-    assert np.all(result.mean("proposed") >= result.mean("linear") - 1e-12)
-    assert np.all(result.mean("linear") >= result.mean("phased") - 1e-12)
+        assert np.all(np.diff(scheme_mean(result, s)) >= -1e-12), s
+    assert np.all(scheme_mean(result, "bound") >= scheme_mean(result, "proposed") - 1e-12)
+    assert np.all(scheme_mean(result, "proposed") >= scheme_mean(result, "linear") - 1e-12)
+    assert np.all(scheme_mean(result, "linear") >= scheme_mean(result, "phased") - 1e-12)
     assert np.all(result.values["proposed"] >= result.values["mrt"] - 1e-9)
-    span = result.mean("proposed")
+    span = scheme_mean(result, "proposed")
     print(f"PASS rate sweep: monotone and ordered over "
           f"{10.0 * math.log10(result.axis[-1] / result.axis[0]):.0f} dB, "
           f"mean optimized rate {span[0]:.3g} -> {span[-1]:.3g} bits")

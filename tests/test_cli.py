@@ -1,5 +1,6 @@
 """Config parsing and the command-line front end."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from fdabeam.config import (
 from fdabeam.coupling import g_value, optimize_offsets
 from fdabeam.experiments import linear_fda_plan, run_power_sweep, run_rate_sweep
 
-from fingerprint import BENCH_RATE_EXPERIMENT
+from fingerprint import BENCH_RATE_EXPERIMENT, GAIN_PRODUCT_EXPERIMENT, GAIN_PRODUCT_SETS
 from helpers import pool_on_every_task_list
 
 SCENARIO_INI = """\
@@ -444,10 +445,10 @@ def test_workers_follow_cpu_affinity(experiment_ini, tmp_path, monkeypatch):
     worker and no pool starts, whatever ``os.cpu_count`` says, even where
     one task per worker would start one (as it does on two CPUs)."""
     pool_processes = pool_on_every_task_list(monkeypatch, tmp_path)
-    real_pool = experiments.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     cli._build_parser.cache_clear()
     try:
         args = cli._build_parser().parse_args(["sweep-rate", "-c", str(experiment_ini)])
@@ -459,7 +460,7 @@ def test_workers_follow_cpu_affinity(experiment_ini, tmp_path, monkeypatch):
         cli._build_parser.cache_clear()  # the next test builds it unpatched
     assert not pool_processes()
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", real_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", real_pool)
     assert main(["sweep-rate", "-c", str(experiment_ini), "-o", str(tmp_path / "o"),
                  "-j", "2"]) == 0
     assert pool_processes()
@@ -598,6 +599,29 @@ def test_bad_values_exit_1_without_traceback(scenario_ini, experiment_ini, tmp_p
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", ["solve-power", "solve-rate", "optimize-offsets",
+                                     "sweep-power", "sweep-rate", "convergence"])
+def test_channel_gain_product_past_the_float_range_is_one_error(scenario_ini, tmp_path,
+                                                                capsys, command):
+    """N = 1 with Bob 3e-150 m out and Eve at 20 m: each receiver's N times
+    largest gain is finite and their product, which bounds B E and every
+    coupling, is not.  Every command names that bound before any descent,
+    where it would otherwise overflow or print an infinite coupling."""
+    if command in ("sweep-power", "sweep-rate", "convergence"):
+        ini = tmp_path / "experiment.ini"
+        ini.write_text(GAIN_PRODUCT_EXPERIMENT)
+        extra = ["-j", "1"]
+    else:
+        ini = scenario_ini
+        extra = [arg for override in GAIN_PRODUCT_SETS for arg in ("--set", override)]
+    code = main([command, "-c", str(ini), "-o", str(tmp_path / "o"), *extra])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: channel-gain product (N times bob's largest gain) (N times eve's "
+        "largest gain) must be finite\n")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["solve-power", "solve-rate", "optimize-offsets"])
@@ -802,7 +826,7 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
         assert experiments._map_tasks(abs, tasks, workers) == [-t for t in tasks]
 
     per = experiments._TASKS_PER_WORKER
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments, "_worker_fn", None)  # the stand-in sets it here
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
@@ -829,6 +853,12 @@ def test_workers_capped_by_tasks_and_cpus(experiment_ini, tmp_path, monkeypatch)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     mapped(10 * per)
     assert len(pools) == 4
+    # -j 2 on two CPUs: two workers from two workers' worth of tasks on.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    mapped(2 * per - 1, workers=2)
+    mapped(2 * per, workers=2)
+    assert pools[4:] == [(2, per // 4)]
 
 
 def test_benchmark_sized_rate_sweep_runs_in_process(tmp_path, monkeypatch):
@@ -839,7 +869,7 @@ def test_benchmark_sized_rate_sweep_runs_in_process(tmp_path, monkeypatch):
     ini.write_text(BENCH_RATE_EXPERIMENT)
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     blobs = []
     for jobs in ("1", "2"):
         assert main(["sweep-rate", "-c", str(ini), "-o", str(tmp_path / jobs),
@@ -895,18 +925,22 @@ def test_module_entry_point(scenario_ini, tmp_path):
 
 
 def test_commands_never_import_numpy_random(scenario_ini, experiment_ini, tmp_path):
-    """Every command, the sweeps at ``-j 1`` included, runs without loading
-    ``numpy.random``: a forked worker would otherwise import it on its first
-    task.  A fresh process, since any test may have imported it here."""
+    """Every command, the sweeps at ``-j 1`` and a sweep too small for a
+    pool at ``-j 2`` included, runs without loading ``numpy.random``, which
+    would cost the process about 14 ms and 6 MB to import, or the process
+    pool's modules, which only a sweep that starts a pool needs.  A fresh
+    process, since any test may have imported them here."""
     runs = [[name, "-c", str(scenario_ini)]
             for name in ("solve-power", "solve-rate", "optimize-offsets")]
     runs += [[name, "-c", str(experiment_ini), "-j", "1"]
              for name in ("sweep-power", "sweep-rate", "convergence")]
+    runs.append(["sweep-power", "-c", str(experiment_ini), "-j", "2"])
+    modules = {"numpy.random", "concurrent.futures.process", "multiprocessing"}
     script = (
         "import sys\n"
         "from fdabeam.cli import main\n"
         f"codes = [main(argv + ['-o', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]\n"
-        "print(codes, 'numpy.random' in sys.modules)\n")
+        f"print(codes, sorted({modules!r} & set(sys.modules)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.dirname(os.path.dirname(cli.__file__)), env.get("PYTHONPATH"))
@@ -914,7 +948,7 @@ def test_commands_never_import_numpy_random(scenario_ini, experiment_ini, tmp_pa
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_parser_built_once_keeps_no_state(tmp_path, monkeypatch):

@@ -35,7 +35,17 @@ from helpers import (
     realization_convergence,
     realization_sweep,
     rowwise_nanstat,
+    scheme_mean,
 )
+
+
+P05 = partial(np.percentile, q=5.0)
+P95 = partial(np.percentile, q=95.0)
+
+
+def _infeasible_fraction(result, scheme):
+    """Share of NaN (infeasible) realizations of ``scheme`` per axis value."""
+    return np.mean(np.isnan(result.values[scheme]), axis=1)
 
 
 def _small_power_config(**overrides):
@@ -235,10 +245,10 @@ def test_power_sweep_orderings():
     assert_allclose(result.axis, [2.0, 4.0])
     for s in SCHEMES:
         assert result.values[s].shape == (2, config.realizations)
-    bound = result.mean("bound")
-    proposed = result.mean("proposed")
-    linear = result.mean("linear")
-    phased = result.mean("phased")
+    bound = scheme_mean(result, "bound")
+    proposed = scheme_mean(result, "proposed")
+    linear = scheme_mean(result, "linear")
+    phased = scheme_mean(result, "phased")
     # eavesdropper-free floor <= optimized <= heuristic offsets <= no offsets
     assert np.all(bound <= proposed * (1.0 + 1e-12))
     assert np.all(proposed <= linear)
@@ -254,7 +264,7 @@ def test_power_sweep_orderings():
 def test_power_sweep_more_antennas_help():
     config = _small_power_config(realizations=12)
     result = run_power_sweep(config)
-    gap = result.mean("proposed") - result.mean("bound")
+    gap = scheme_mean(result, "proposed") - scheme_mean(result, "bound")
     assert gap[1] < gap[0]
 
 
@@ -263,11 +273,11 @@ def test_rate_sweep_orderings():
     result = run_rate_sweep(config)
     assert result.values["proposed"].shape == (5, config.realizations)
     for s in ("bound", "proposed", "linear", "phased", "mrt"):
-        means = result.mean(s)
+        means = scheme_mean(result, s)
         assert np.all(np.diff(means) >= -1e-12), s
-    assert np.all(result.mean("bound") >= result.mean("proposed") - 1e-12)
-    assert np.all(result.mean("proposed") >= result.mean("linear") - 1e-12)
-    assert np.all(result.mean("linear") >= result.mean("phased") - 1e-12)
+    assert np.all(scheme_mean(result, "bound") >= scheme_mean(result, "proposed") - 1e-12)
+    assert np.all(scheme_mean(result, "proposed") >= scheme_mean(result, "linear") - 1e-12)
+    assert np.all(scheme_mean(result, "linear") >= scheme_mean(result, "phased") - 1e-12)
     # the eigensolver design dominates steering straight at Bob, realization
     # by realization (both evaluated on the optimized frequency plan)
     assert np.all(result.values["proposed"] >= result.values["mrt"] - 1e-9)
@@ -319,10 +329,10 @@ def test_single_element_always_infeasible():
     result = run_power_sweep(config)
     for s in ("proposed", "linear", "phased", "mrt"):
         assert np.all(np.isnan(result.values[s]))
-        assert_allclose(result.infeasible_fraction(s), 1.0)
-        assert math.isnan(result.mean(s)[0])
+        assert_allclose(_infeasible_fraction(result, s), 1.0)
+        assert math.isnan(scheme_mean(result, s)[0])
     assert np.all(np.isfinite(result.values["bound"]))
-    assert result.infeasible_fraction("bound")[0] == 0.0
+    assert _infeasible_fraction(result, "bound")[0] == 0.0
 
 
 def test_convergence_study():
@@ -351,21 +361,22 @@ def test_write_sweep_csv_round_trip(tmp_path):
     for i, x in enumerate(result.axis):
         for s in result.schemes:
             row = by_key[(format(x, ".17g"), s)]
-            assert float(row[2]) == result.mean(s)[i]
-            assert float(row[3]) == result.percentile(s, 5.0)[i]
-            assert float(row[5]) == result.infeasible_fraction(s)[i]
+            assert float(row[2]) == scheme_mean(result, s)[i]
+            assert float(row[3]) == rowwise_nanstat(P05, result.values[s])[i]
+            assert float(row[5]) == _infeasible_fraction(result, s)[i]
 
 
 @pytest.mark.parametrize("which", ["power", "rate"])
 def test_sweep_csv_stats_equal_per_scheme_methods_bitwise(tmp_path, which):
     """``write_sweep_csv`` takes each statistic once over all schemes; every
-    row holds what ``SweepResult``'s per-scheme methods give, to the last bit
-    (17 significant digits round-trip a float).  At a 40 bit target the
-    power sweep has all-NaN rows and rows with a few feasible entries."""
+    row holds that statistic of its own scheme's row alone
+    (``rowwise_nanstat``), to the last bit (17 significant digits
+    round-trip a float).  At a 40 bit target the power sweep has all-NaN
+    rows and rows with a few feasible entries."""
     if which == "power":
         result = run_power_sweep(_small_power_config(
             realizations=40, rng_seed=3, antenna_counts=(2, 8), target_rate=40.0))
-        fractions = np.concatenate([result.infeasible_fraction(s) for s in SCHEMES])
+        fractions = np.concatenate([_infeasible_fraction(result, s) for s in SCHEMES])
         assert (fractions == 1.0).any() and ((0.0 < fractions) & (fractions < 1.0)).any()
     else:
         result = run_rate_sweep(_small_rate_config(realizations=40))
@@ -376,8 +387,8 @@ def test_sweep_csv_stats_equal_per_scheme_methods_bitwise(tmp_path, which):
     expected = []
     for i, x in enumerate(result.axis):
         for s in result.schemes:
-            stats = (result.mean(s), result.percentile(s, 5.0),
-                     result.percentile(s, 95.0), result.infeasible_fraction(s))
+            stats = (scheme_mean(result, s), rowwise_nanstat(P05, result.values[s]),
+                     rowwise_nanstat(P95, result.values[s]), _infeasible_fraction(result, s))
             expected.append([format(x, ".17g"), s,
                              *(format(float(col[i]), ".17g") for col in stats)])
     assert rows == expected

@@ -3,7 +3,7 @@
 import types
 
 import fdabeam
-from fdabeam import beamforming, coupling
+from fdabeam import beamforming, coupling, experiments
 
 PUBLIC_NAMES = {
     # scenario
@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     # experiments
     "ConvergenceResult", "ExperimentConfig", "SweepResult", "linear_fda_plan",
     "phased_array_plan", "run_convergence_study", "run_power_sweep", "run_rate_sweep",
-    "sample_scenario", "write_sweep_csv",
+    "write_sweep_csv",
 }
 
 
@@ -27,14 +27,16 @@ def test_public_names_are_exactly_the_listed_ones():
     means updating this list."""
     names = {name for name, value in vars(fdabeam).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     assert names == PUBLIC_NAMES
 
 
 def test_internal_helpers_stay_in_their_modules():
-    """Four helpers left the package namespace but not their modules: the
-    tests call all four there, and the benchmark tracer wraps
-    ``principal_eigvec_span2`` and ``channel_stats`` in ``beamforming``."""
+    """Five helpers left the package namespace but not their modules: the
+    tests call all five there, and the benchmark tracer wraps
+    ``principal_eigvec_span2`` and ``channel_stats`` in ``beamforming`` and
+    ``sample_scenario`` in ``experiments``."""
     assert callable(coupling.cosine_argmin)
+    assert callable(experiments.sample_scenario)
     for name in ("principal_eigvec_span2", "stacked_channel_stats", "channel_stats"):
         assert callable(getattr(beamforming, name))

@@ -344,12 +344,17 @@ def _rf(carrier_frequency=2.4e9, max_offset=3e6, noise=1e-13, wave_speed=SPEED_O
     # omega_n (f_c + f_m) overflows at a 1e-200 m/s wave speed and a 1e108 Hz budget.
     (_rf(carrier_frequency=1e-199, max_offset=1e108, wave_speed=1e-200), ArrayGeometry(4),
      (100.0, 1.0), (120.0, 1.0), "coupling phases"),
+    # Bob's gain at 3e-150 m is about 1.1e308, finite; times Eve's at 20 m
+    # (about 2.5e6) it is not, and B E, x and K (sum alpha)^2 would overflow.
+    (_rf(), ArrayGeometry(1), (3e-150, math.pi / 3), (20.0, math.pi / 3),
+     "channel-gain product"),
 ], ids=["bob-near", "eve-far", "spacing", "positions-overflow", "first-element",
-        "alpha-zero", "alpha-sum-squared", "phase"])
+        "alpha-zero", "alpha-sum-squared", "phase", "gain-product"])
 def test_scenario_rejects_layouts_past_the_float_range(rf, array, bob, eve, message):
-    """Where a channel gain, a coupling coefficient or a coupling phase
-    leaves the float range, building the scenario raises a named error
-    instead of a solver dividing by zero or overflowing later."""
+    """Where a channel gain, the product of Bob's and Eve's, a coupling
+    coefficient or a coupling phase leaves the float range, building the
+    scenario raises a named error instead of a solver dividing by zero or
+    overflowing later."""
     with pytest.raises(ValueError, match=message):
         Scenario(rf=rf, array=array, bob=NodePlacement(*bob), eve=NodePlacement(*eve))
 
