@@ -108,15 +108,26 @@ def stacked_channel_stats(h_bob: np.ndarray,
     with (..., N, 1) columns, which equals ``np.vdot`` row by row bit for bit
     (strided rows included).  Phased-array power rests on ``B E - x``, which
     cancels, so that identity matters: a last-bit change in x moves that power
-    by up to ~1e-5 relative.  For the same reason x is ``abs(z) ** 2`` with
-    Python's complex ``abs``: ``np.abs`` rounds a third of the rows
-    differently.
+    by up to ~1e-5 relative.  For the same reason x keeps the bits of
+    Python's ``abs(z) ** 2``, which is the C library's ``hypot`` of the parts
+    and then its ``pow(., 2.0)``: ``np.hypot`` and ``np.float_power`` call
+    those two functions on every entry at once (only a NaN x may carry the
+    other sign bit).  ``np.abs`` rounds a third of the rows differently, and
+    squaring the magnitude by multiplication, which ``np.power`` does for an
+    exponent of 2, about one row in 1 000.  A finite z whose x overflows
+    raises :class:`OverflowError`, as ``abs(z) ** 2`` does.
     """
     col_bob = h_bob[..., :, None]
     b = (h_bob.conj()[..., None, :] @ col_bob)[..., 0, 0].real
     e = (h_eve.conj()[..., None, :] @ h_eve[..., :, None])[..., 0, 0].real
     z = (h_eve.conj()[..., None, :] @ col_bob)[..., 0, 0]
-    x = np.array([abs(v) ** 2 for v in z.ravel().tolist()]).reshape(z.shape)
+    # Only a finite result that rounds to inf raises the overflow flag, and
+    # an infinite part gives inf without it, as in Python.
+    try:
+        with np.errstate(over="raise"):
+            x = np.float_power(np.hypot(z.real, z.imag), 2.0)
+    except FloatingPointError:
+        raise OverflowError("x = |h_e^H h_b|^2 overflows") from None
     return b, e, x
 
 

@@ -8,9 +8,12 @@ gap behind Bob on the same bearing, and the shared angle is drawn uniformly
 as well.  Per-realization RNG substreams derive from (seed, realization
 index), so results do not depend on how realizations are distributed over
 workers.  Each substream is numpy's ``default_rng((seed, index))`` stream,
-computed by :class:`_Substream` on Python ints, so that no command pays
-for importing ``numpy.random`` (about 14 ms and 6 MB of peak RSS with
-numpy 2.4.6 on a 2-vCPU Xeon VM).
+computed without importing ``numpy.random`` (which would cost about 14 ms
+and 6 MB of peak RSS with numpy 2.4.6 on a 2-vCPU Xeon VM): by
+:class:`_Substream` on Python ints, one index at a time, in a sweep of
+fewer than :data:`_ARRAY_DRAWS` realizations, and by
+:func:`_substream_units` on uint64 arrays, all indices at once, from there
+on.  Both give the same floats bit for bit; only the time differs.
 
 Every sweep starts in the calling process.  :func:`_stacks` draws each
 realization index once, from its substream, and every antenna count shares
@@ -46,7 +49,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -105,6 +108,21 @@ count)::
 ``-j 2`` won 25, 34 and 41 of the 41 pairs at 2000 tasks, and 13, 27 and
 30 at 1000; a second run gave 29, 35 and 39 at 2000, and 2, 0 and 29 at
 1000.
+"""
+
+_ARRAY_DRAWS = 16
+"""Realizations from which :func:`_stacks` draws every substream at once
+(:func:`_substream_units`) instead of one :class:`_Substream` per index.
+The array form costs a fixed ~0.13 ms of numpy calls and the per-index one
+about 14 us per realization, so the two tie at about 12 realizations.
+Times in ms of drawing R realizations' placements (``_placements``
+included; medians of 41 alternating timings, 2 vCPUs, seeds ``1 + (j <<
+32)``), and the pairs of 41 that the array form won::
+
+    R            1      8     12     14     16     20     32    100   1000
+    per index  0.014  0.111  0.188  0.190  0.217  0.274  0.444  1.328  16.48
+    array      0.127  0.149  0.194  0.161  0.173  0.191  0.274  0.432   4.88
+    array won    0      1     24     39     39     41     40     41     41
 """
 
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
@@ -240,7 +258,34 @@ _STATE_KEYS = tuple((i % 4, *key) for i, key in
                     enumerate(_hash_keys(0x8B51F9DD, 0x58F38DED, 8)[0]))
 
 
-class _Substream:
+def _entropy_words(*entropy) -> list:
+    """The 32-bit words, low word first, into which ``SeedSequence`` splits
+    a tuple of non-negative integers."""
+    words = []
+    for value in entropy:
+        # numpy accepts any integer (Python or numpy) and rejects floats
+        # and negatives; a negative value would never shift down to 0.
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("substream entropy must be non-negative integers")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
+
+
+class _Units:
+    """A stream of unit floats, ``_unit()`` each: ``uniform(low, high)``
+    scales the next one as ``Generator.uniform`` does."""
+
+    __slots__ = ()
+
+    def uniform(self, low: float, high: float) -> float:
+        low = float(low)
+        return low + (float(high) - low) * self._unit()
+
+
+class _Substream(_Units):
     """``numpy.random.default_rng(entropy)`` for a tuple of non-negative
     integers, as far as :func:`_stacks` draws from it: ``uniform(low,
     high)`` returns the same floats, bit for bit, without importing
@@ -250,21 +295,14 @@ class _Substream:
     ``SeedSequence`` does; the pool's first 8 output words seed ``PCG64``
     (state, then increment, each a high and a low 64-bit word), and each
     draw is one XSL-RR output scaled as ``Generator.uniform`` scales it.
+    It is the reference of :func:`_substream_units`, which runs the same
+    steps on arrays over many indices.
     """
 
     __slots__ = ("_state", "_inc")
 
     def __init__(self, *entropy):
-        words = []
-        for value in entropy:
-            # numpy accepts any integer (Python or numpy) and rejects floats
-            # and negatives; a negative value would never shift down to 0.
-            value = operator.index(value)
-            if value < 0:
-                raise ValueError("substream entropy must be non-negative integers")
-            words.append(value & _MASK32)
-            while value := value >> 32:
-                words.append(value & _MASK32)
+        words = _entropy_words(*entropy)
         pool = []
         for value, (xor, mult) in zip(words + [0] * 4, _FILL_KEYS):
             value = (value ^ xor) * mult & _MASK32
@@ -291,13 +329,118 @@ class _Substream:
         # PCG64 seeding: state 0, one step, add the seed, one more step.
         self._state = ((inc + seed) * _PCG64_MULT + inc) & _MASK128
 
-    def uniform(self, low: float, high: float) -> float:
-        low = float(low)
+    def _unit(self) -> float:
         state = self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
         word = (state >> 64 ^ state) & _MASK64
         rot = state >> 122
         word = (word >> rot | word << (64 - rot)) & _MASK64
-        return low + (float(high) - low) * ((word >> 11) * 2.0**-53)
+        return (word >> 11) * 2.0**-53
+
+
+class _Drawn(_Units):
+    """One substream's unit floats, computed ahead by
+    :func:`_substream_units`."""
+
+    __slots__ = ("_unit",)
+
+    def __init__(self, units):
+        self._unit = iter(units).__next__
+
+
+_ARRAY_CHUNK = 1 << 12
+"""Indices that :func:`_substream_units` computes at once; bounds its
+(draws, 8, 4, indices) uint64 products at 1 MB per draw."""
+
+
+def _hashed(values, keys: list) -> np.ndarray:
+    """SeedSequence's hash of ``values`` (a uint64 array of 32-bit words, or
+    a Python int) under each (xor, multiply) pair of ``keys``, one row per
+    pair."""
+    xor, mult = np.array(keys, dtype=np.uint64).T[..., None]
+    values = (values ^ xor) * mult & _MASK32
+    return values ^ values >> 16
+
+
+def _mixed(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of ``hashed`` into the pool words ``pool``; the
+    uint64 difference wraps, and the mask keeps its low 32 bits."""
+    value = (_MIX_MULT_L * pool - _MIX_MULT_R * hashed) & _MASK32
+    return value ^ value >> 16
+
+
+@cache
+def _pcg_terms(draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's state at each of its first ``draws`` draws, as ``sum_w
+    out[w] * g[d, w] + s[d]`` modulo 2**128 over the 8 pool output words
+    ``out`` of :class:`_Substream`: ``g`` (draws, 8, 4) and ``s`` (draws, 4)
+    as 32-bit limbs, low limb first.
+
+    Seeding leaves the state at ``M seed + (1 + M) inc``, so draw d reads
+    ``M**(d + 2) seed + (1 + M + ... + M**(d + 2)) inc``; ``seed`` holds
+    words 2, 3, 0 and 1 and ``inc`` is twice words 6, 7, 4 and 5 plus one,
+    low limb first.  Cached: the 128-bit products take about 50 us."""
+    def limbs(value):
+        return [value >> 32 * j & _MASK32 for j in range(4)]
+
+    g, s = [], []
+    power, total = _PCG64_MULT, 1 + _PCG64_MULT
+    for _ in range(draws):
+        power = power * _PCG64_MULT & _MASK128
+        total = (total + power) & _MASK128
+        g.append([limbs((power if w < 4 else 2 * total) << 32 * ((w + 2) % 4) & _MASK128)
+                  for w in range(8)])
+        s.append(limbs(total))
+    return np.array(g, dtype=np.uint64), np.array(s, dtype=np.uint64)
+
+
+def _substream_units(seed, count: int, draws: int) -> np.ndarray:
+    """The first ``draws`` unit floats of ``default_rng((seed, index))`` for
+    every index below ``count``, as a (count, draws) array: row ``index``
+    is what ``draws`` calls of ``_Substream(seed, index)._unit()`` return,
+    bit for bit.
+
+    Each step of :class:`_Substream` runs on uint64 arrays of 32-bit words
+    over the indices.  The three mixes of one source pool word into the
+    other three are independent, so they run as one (3, R) operation, and
+    a word past the pool mixes into all four at once.  PCG64's 128-bit
+    states are sums of 32 by 32-bit products (:func:`_pcg_terms`) carried
+    across four 32-bit limbs.  Every operand is an array, so no
+    ``np.errstate`` is needed: uint64 array arithmetic wraps silently, where
+    numpy scalars would warn.  Every index must be one entropy word, as the
+    array form hashes it: ``count`` above 2**32 is a ``ValueError``.
+    """
+    if count > 1 << 32:
+        raise ValueError("array substreams take realization indices below 2**32")
+    words = _entropy_words(seed)
+    tail_keys = _hash_keys(_TAIL_CONST, _HASH_MULT_A, 4 * len(words[3:]))[0]
+    g, s = _pcg_terms(draws)
+    units = np.empty((count, draws))
+    for first in range(0, count, _ARRAY_CHUNK):
+        entropy = [*words, np.arange(first, min(first + _ARRAY_CHUNK, count), dtype=np.uint64)]
+        pool = np.zeros((4, entropy[-1].size), dtype=np.uint64)
+        for j, word in enumerate(entropy[:4]):
+            pool[j] = word
+        pool = _hashed(pool, _FILL_KEYS)
+        for src in range(4):
+            dst = [j for j in range(4) if j != src]
+            pool[dst] = _mixed(pool[dst], _hashed(pool[src], _POOL_KEYS[4 + 3 * src:7 + 3 * src]))
+        for t, word in enumerate(entropy[4:]):  # entropy past the pool
+            pool = _mixed(pool, _hashed(word, tail_keys[4 * t:4 * t + 4]))
+        out = _hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], [step[1:] for step in _STATE_KEYS])
+        # (draws, 8, 4, R) products of 32-bit words and limbs; each limb
+        # sums the low halves of its own and the high halves of the limb below
+        prod = out[:, None] * g[..., None]
+        state = (prod & _MASK32).sum(axis=1) + s[..., None]
+        state[:, 1:] += (prod[:, :, :3] >> 32).sum(axis=1)
+        for j in range(3):
+            state[:, j + 1] += state[:, j] >> 32
+        l0, l1, l2, l3 = (state & _MASK32).swapaxes(0, 1)
+        # XSL-RR: the high 64 bits xor the low 64, rotated right by the top 6
+        word = (l3 ^ l1) << 32 | l2 ^ l0
+        rot = l3 >> 26
+        word = word >> rot | word << (64 - rot & 63)
+        units[first:first + word.shape[1]] = ((word >> 11) * 2.0**-53).T
+    return units
 
 
 def sample_scenario(rng, config: ExperimentConfig, element_count: int) -> Scenario:
@@ -355,10 +498,15 @@ def _stacks(config: ExperimentConfig, counts) -> dict:
     of the first failing (count, index) task: a placement fails at every
     count, after the layouts of the first count's earlier realizations.
     """
+    count = config.realizations
+    if count < _ARRAY_DRAWS:
+        streams = (_Substream(config.rng_seed, index) for index in range(count))
+    else:  # the two draws of each realization's _placements
+        streams = map(_Drawn, _substream_units(config.rng_seed, count, 2).tolist())
     placements, failed = [], None
-    for index in range(config.realizations):
+    for rng in streams:
         try:
-            placements.append(_placements(_Substream(config.rng_seed, index), config))
+            placements.append(_placements(rng, config))
         except ValueError as exc:
             failed = exc
             break

@@ -245,7 +245,9 @@ class FrequencyPlan:
         arr = np.array(self.offsets, dtype=float, copy=True)
         if arr.ndim != 1:
             raise ValueError("offsets must be a 1-D array")
-        if not np.isfinite(arr).all() or (arr < 0).any():
+        # two reductions without temporaries; a NaN fails both comparisons
+        if not (np.minimum.reduce(arr, initial=0.0) >= 0.0
+                and np.maximum.reduce(arr, initial=0.0) < math.inf):
             raise ValueError("offsets must be finite and non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "offsets", arr)

@@ -20,7 +20,11 @@ position, exit 2) over the README block's feasible outputs, whose
 6 realizations and N = 2, 5 with ``--seed`` 2**128 + 1, draws from seeds of
 five 32-bit words, more than numpy's 4-word ``SeedSequence`` pool, so
 comparing it with a tree that drew through ``numpy.random`` checks the
-sweeps' own substream there.  The next run, ``sweep-rate -j 2`` on the
+sweeps' own substream there.  The next run, ``sweep-rate -j 1`` at
+32 realizations and N = 2 with the same seed, draws every substream at
+once on arrays (``experiments._ARRAY_DRAWS`` is 16), so the same
+comparison checks the array draws, their mixing of the fifth word
+included.  The next run, ``sweep-rate -j 2`` on the
 benchmark's ``sweep_rate_cli`` config (100 realizations, too few tasks for
 a pool), runs in the calling process, so comparing it with a tree that
 started a pool there checks that path.  Three last runs, ``sweep-power``,
@@ -58,6 +62,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_EXPERIMENT = "[experiment]\n"
 LARGE_N_EXPERIMENT = "[experiment]\nrealizations = 4\nantenna_counts = 9, 33, 130\n"
 WIDE_SEED_EXPERIMENT = "[experiment]\nrealizations = 6\nantenna_counts = 2, 5\n"
+WIDE_SEED_ARRAY_EXPERIMENT = "[experiment]\nrealizations = 32\nantenna_counts = 2\n"
 # RATE_INI of perfbench/workloads.py at its 100 realizations.
 BENCH_RATE_EXPERIMENT = """\
 [experiment]
@@ -142,6 +147,8 @@ def main() -> int:
          _readme_ini(), (["solve-power"],)),
         ("sweep-power -j 1 --seed 2**128 + 1",
          ["sweep-power", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_EXPERIMENT, ()),
+        ("sweep-rate -j 1 --seed 2**128 + 1 at 32 realizations",
+         ["sweep-rate", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_ARRAY_EXPERIMENT, ()),
         ("sweep-rate -j 2 at 100 realizations", ["sweep-rate", "-j", "2"],
          BENCH_RATE_EXPERIMENT, ()),
     ]

@@ -439,6 +439,18 @@ def vdot_stats(h_bob, h_eve):
     return b, e, x
 
 
+def abs_square_stats(h_bob, h_eve):
+    """``beamforming.stacked_channel_stats`` with x as a list of Python's
+    ``abs(z) ** 2``, one complex entry at a time; the package's array form
+    must equal it bit for bit, and overflow where it does."""
+    col_bob = h_bob[..., :, None]
+    b = (h_bob.conj()[..., None, :] @ col_bob)[..., 0, 0].real
+    e = (h_eve.conj()[..., None, :] @ h_eve[..., :, None])[..., 0, 0].real
+    z = (h_eve.conj()[..., None, :] @ col_bob)[..., 0, 0]
+    x = np.array([abs(v) ** 2 for v in z.ravel().tolist()]).reshape(z.shape)
+    return b, e, x
+
+
 def plan_stats(scenario, plan_star, times):
     """(B, E, x) of one sweep realization from one channel synthesis
     (``_channels`` of the scenario), row by row through :func:`vdot_stats`.

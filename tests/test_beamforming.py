@@ -38,6 +38,7 @@ from fdabeam.scenario import (
 )
 
 from helpers import (
+    abs_square_stats,
     dense_lambda1,
     dense_lambda_delta,
     half_wave_scenario,
@@ -328,6 +329,65 @@ def test_stacked_channel_stats_equal_channel_stats_bitwise():
     expect = np.array([vdot_stats(p.h_bob, p.h_eve) for p in pairs]).reshape(3, 4, 3)
     assert_array_equal(np.stack([b, e, x], axis=-1), expect)
     assert_array_equal(np.array([channel_stats(p) for p in pairs]).reshape(3, 4, 3), expect)
+
+
+_SPECIAL_PARTS = [0.0, -0.0, 5e-324, 2.5e-310, math.inf, -math.inf, math.nan]
+
+
+def test_stacked_channel_stats_x_equals_python_abs_squares_bitwise():
+    """x equals Python's ``abs(z) ** 2`` per entry on 2 * 10^5 entries whose
+    |z| spans 1e-150 to 1e150, and on every pair of zero, subnormal,
+    infinite, NaN and ordinary parts: bit for bit, and NaN where it is NaN
+    (Python's NaN is always positive, and ``hypot`` passes on the sign of a
+    NaN part).  With a one-element Bob channel of 1, z is the conjugate of
+    Eve's entry where both of its parts are finite; an infinite or NaN part
+    makes the other one NaN."""
+    rng = np.random.default_rng(26)
+    size = 200_000
+    h_eve = 10.0 ** rng.uniform(-150.0, 150.0, size) * np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+    parts = _SPECIAL_PARTS + [1.0, 1e150]
+    special = np.array([complex(re, im) for re in parts for im in parts])
+    h_eve[:special.size] = special
+    h_eve = h_eve[:, None]
+    h_bob = np.ones_like(h_eve)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the matmuls
+        got = stacked_channel_stats(h_bob, h_eve)
+        expect = abs_square_stats(h_bob, h_eve)
+    for value, ref in zip(got, expect):
+        assert value.shape == (size,)
+        nan = np.isnan(ref)
+        assert_array_equal(np.isnan(value), nan)
+        assert value[~nan].tobytes() == ref[~nan].tobytes()
+    x = got[2]
+    assert np.isinf(x).any() and np.isnan(x).any() and (x == 0.0).any()
+    assert x[special.size:].min() < 1e-290 and x[special.size:].max() > 1e290
+
+
+def test_stacked_channel_stats_x_on_mixed_stacks_equals_python_abs_squares():
+    """x equals the per-entry oracle on (R, K, N) stacks of random channels
+    whose scale spans 1e-75 to 1e75 per row."""
+    rng = np.random.default_rng(27)
+    shape = (50, 21, 8)
+    scale = 10.0 ** rng.uniform(-75.0, 75.0, shape[:2] + (1,))
+    h_bob, h_eve = (scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                    for _ in range(2))
+    for got, ref in zip(stacked_channel_stats(h_bob, h_eve), abs_square_stats(h_bob, h_eve)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("h_bob, h_eve", [
+    ([1e100], [1e100]),  # finite |z| = 1e200 whose square overflows
+    ([1.0], [1e300 + 1e300j]),  # finite parts whose |z| overflows
+])
+def test_stacked_channel_stats_overflow_raises_as_abs_squared_does(h_bob, h_eve):
+    h_bob, h_eve = np.array(h_bob, dtype=complex), np.array(h_eve, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # E overflows on the second pair
+        with pytest.raises(OverflowError):
+            abs_square_stats(h_bob, h_eve)
+        with pytest.raises(OverflowError, match="overflows"):
+            stacked_channel_stats(h_bob, h_eve)
+        with pytest.raises(OverflowError, match="overflows"):
+            channel_stats(ChannelPair(h_bob, h_eve))
 
 
 def _channel_stack(rng, realizations, rows, n):

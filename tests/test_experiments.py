@@ -239,6 +239,81 @@ def test_substream_rejects_what_default_rng_rejects():
             np.random.default_rng(entropy)
 
 
+# the array form of the same draws, from _ARRAY_DRAWS realizations on
+
+# test_substream_equals_default_rng's seeds, then perfbench's call seeds
+_WIDE_SEEDS = ([0, 2**32 + 1, 2**64 + 1, 2**96 + 5, 2**128 + 1, np.uint32(4_000_000_000),
+                np.int64(2**40 + 3)]
+               + [seed + (j << 32) for seed in (1, 5) for j in (0, 1, 7, 1000)])
+
+
+@pytest.mark.parametrize("count", [experiments._ARRAY_DRAWS - 1, experiments._ARRAY_DRAWS, 100])
+@pytest.mark.parametrize("seed", _WIDE_SEEDS)
+def test_array_draws_equal_default_rng_and_substream(seed, count):
+    """Row ``index`` of the array draws, scaled as a substream scales its
+    draws, gives ``default_rng((seed, index))``'s uniforms and those of
+    ``_Substream(seed, index)``, bit for bit and as Python floats, for
+    every index below ``count``; equal bounds give the bound."""
+    units = experiments._substream_units(seed, count, len(_DRAW_INTERVALS))
+    assert units.shape == (count, len(_DRAW_INTERVALS))
+    for index, row in enumerate(units.tolist()):
+        ours = experiments._Drawn(row)
+        theirs = np.random.default_rng((seed, index))
+        reference = experiments._Substream(seed, index)
+        for lo, hi in _DRAW_INTERVALS:
+            value = ours.uniform(lo, hi)
+            assert type(value) is float
+            assert value == theirs.uniform(lo, hi) == reference.uniform(lo, hi), \
+                (seed, index, lo, hi)
+            if lo == hi:
+                assert value == lo
+
+
+def test_array_draws_do_not_depend_on_the_chunk(monkeypatch):
+    """Indices computed in chunks of 7 give the draws of one chunk."""
+    whole = experiments._substream_units(2**128 + 1, 40, 3)
+    monkeypatch.setattr(experiments, "_ARRAY_CHUNK", 7)
+    assert experiments._substream_units(2**128 + 1, 40, 3).tobytes() == whole.tobytes()
+
+
+def test_array_draws_reject_indices_past_one_entropy_word():
+    """An index of 2**32 or more would be two entropy words, which the
+    array form does not hash: a count past 2**32 is refused before anything
+    is allocated."""
+    for count in (2**32 + 1, 2**40):
+        with pytest.raises(ValueError, match=r"indices below 2\*\*32"):
+            experiments._substream_units(0, count, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 + 1])
+def test_sweeps_on_array_draws_equal_per_realization_oracle(seed):
+    """At ``_ARRAY_DRAWS`` realizations and more, where the sweeps draw on
+    arrays, every sweep equals its per-realization oracle (one
+    ``_Substream`` per index) bit for bit."""
+    reps = experiments._ARRAY_DRAWS
+    times = (0.0, 7e-6, 20e-6)
+    config = ExperimentConfig(realizations=reps, rng_seed=seed, antenna_counts=(1, 2, 3),
+                              target_rate=1.2, time_samples=times)
+    result = run_power_sweep(config)
+    values, spread = realization_sweep(config, "power")
+    for s in SCHEMES:
+        assert_array_equal(result.values[s], values[s])
+    assert list(result.time_spread.items()) == list(spread.items())
+    config = ExperimentConfig(realizations=reps + 3, rng_seed=seed, antenna_counts=(2,),
+                              time_samples=times)
+    result = run_rate_sweep(config)
+    values, spread = realization_sweep(config, "rate")
+    for s in SCHEMES:
+        assert_array_equal(result.values[s], values[s])
+    assert list(result.time_spread.items()) == list(spread.items())
+    config = ExperimentConfig(realizations=reps, rng_seed=seed, antenna_counts=(3, 2))
+    study = run_convergence_study(config)
+    mean_history, outer_counts = realization_convergence(config)
+    for n in mean_history:
+        assert study.mean_history[n].tobytes() == mean_history[n].tobytes()
+        assert_array_equal(study.outer_counts[n], outer_counts[n])
+
+
 def test_power_sweep_orderings():
     config = _small_power_config()
     result = run_power_sweep(config)
@@ -610,33 +685,51 @@ def test_repeated_and_unordered_counts_equal_the_per_realization_oracle(monkeypa
     """At antenna counts (8, 2, 2, 1) the power sweep and the convergence
     study equal the per-realization oracles bit for bit, and each draws
     every realization index once, for all counts: the repeated count reuses
-    the same draws."""
-    config = ExperimentConfig(realizations=5, rng_seed=3, antenna_counts=(8, 2, 2, 1),
-                              target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
-    values, spread = realization_sweep(config, "power")
-    mean_history, outer_counts = realization_convergence(config)
-    drawn = []
+    the same draws.  At one realization below ``_ARRAY_DRAWS`` they build
+    one ``_Substream`` per index; at ``_ARRAY_DRAWS`` they make one array
+    call for all indices and build no ``_Substream``."""
+    drawn, arrays = [], []
 
     class LoggedSubstream(experiments._Substream):
         def __init__(self, *entropy):
             drawn.append(entropy)
             super().__init__(*entropy)
 
-    monkeypatch.setattr(experiments, "_Substream", LoggedSubstream)
-    power = run_power_sweep(config)
-    assert drawn == [(3, index) for index in range(config.realizations)]
-    for s in SCHEMES:
-        assert_array_equal(power.values[s], values[s])
-        assert_array_equal(power.values[s][1], power.values[s][2])
-    assert list(power.time_spread.items()) == list(spread.items())
-    drawn.clear()
-    study = run_convergence_study(config)
-    assert drawn == [(3, index) for index in range(config.realizations)]
-    assert study.antenna_counts == config.antenna_counts
-    assert list(study.mean_history) == list(mean_history) == [8, 2, 1]
-    for n in mean_history:
-        assert study.mean_history[n].tobytes() == mean_history[n].tobytes()
-        assert_array_equal(study.outer_counts[n], outer_counts[n])
+    array_units = experiments._substream_units
+
+    def logged_units(*args):
+        arrays.append(args)
+        return array_units(*args)
+
+    for reps in (experiments._ARRAY_DRAWS - 1, experiments._ARRAY_DRAWS):
+        config = ExperimentConfig(realizations=reps, rng_seed=3, antenna_counts=(8, 2, 2, 1),
+                                  target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
+        values, spread = realization_sweep(config, "power")
+        mean_history, outer_counts = realization_convergence(config)
+        if reps < experiments._ARRAY_DRAWS:
+            expected = [(3, index) for index in range(reps)], []
+        else:
+            expected = [], [(3, reps, 2)]
+        monkeypatch.setattr(experiments, "_Substream", LoggedSubstream)
+        monkeypatch.setattr(experiments, "_substream_units", logged_units)
+        power = run_power_sweep(config)
+        assert (drawn, arrays) == expected
+        for s in SCHEMES:
+            assert_array_equal(power.values[s], values[s])
+            assert_array_equal(power.values[s][1], power.values[s][2])
+        assert list(power.time_spread.items()) == list(spread.items())
+        drawn.clear()
+        arrays.clear()
+        study = run_convergence_study(config)
+        assert (drawn, arrays) == expected
+        assert study.antenna_counts == config.antenna_counts
+        assert list(study.mean_history) == list(mean_history) == [8, 2, 1]
+        for n in mean_history:
+            assert study.mean_history[n].tobytes() == mean_history[n].tobytes()
+            assert_array_equal(study.outer_counts[n], outer_counts[n])
+        drawn.clear()
+        arrays.clear()
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("which", ["power", "rate"])

@@ -189,14 +189,34 @@ def test_placement_validation():
         RfParams(2.4e9, 3e6, -1e-13, 1e-13)
 
 
-def test_frequency_plan_validation():
+_PLAN_CASES = {
+    # offsets -> the ValueError they raise, or None where they are a plan
+    "nan": ([0.0, math.nan], "finite and non-negative"),
+    "+inf": ([math.inf, 0.0], "finite and non-negative"),
+    "-inf": ([1e6, -math.inf], "finite and non-negative"),
+    "negative": ([-1.0, 0.0], "finite and non-negative"),
+    "tiny negative": ([3e6, -1e-300, 0.0], "finite and non-negative"),
+    "nan and negative": ([math.nan, -1.0], "finite and non-negative"),
+    "2-D": ([[0.0, 1.0]], "1-D array"),
+    "0-D": (0.0, "1-D array"),
+    "-0.0": ([-0.0], None),
+    "empty": ([], None),
+    "finite": ([0.0, 1e6, 1e300], None),
+}
+
+
+@pytest.mark.parametrize("offsets, message", _PLAN_CASES.values(), ids=_PLAN_CASES)
+def test_frequency_plan_validation(offsets, message):
+    """Offsets must be a 1-D array of finite, non-negative entries; an
+    accepted plan keeps their bits, -0.0 included, and is read-only."""
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            FrequencyPlan(np.array(offsets))
+        return
+    plan = FrequencyPlan(np.array(offsets))
+    assert plan.offsets.tobytes() == np.array(offsets, dtype=float).tobytes()
     with pytest.raises(ValueError):
-        FrequencyPlan(np.array([-1.0, 0.0]))
-    with pytest.raises(ValueError):
-        FrequencyPlan(np.array([[0.0, 1.0]]))
-    plan = FrequencyPlan(np.array([0.0, 1e6]))
-    with pytest.raises(ValueError):
-        plan.offsets[0] = 5.0  # frozen after construction
+        plan.offsets[...] = 5.0  # frozen after construction
 
 
 def test_channel_entry_is_real_at_aligned_time():
