@@ -14,7 +14,9 @@ one draw call, :func:`_substream_units`, returns every realization's unit
 floats as one array: computed on Python ints, one index at a time
 (:func:`_stream_units`), in a sweep of fewer than :data:`_ARRAY_DRAWS`
 realizations, and on uint64 arrays, all indices at once, from there on.
-Both give the same floats bit for bit; only the time differs.
+Both paths hash the seed through one ``SeedSequence`` implementation,
+:func:`_seed_words`, and differ only in how they step PCG64; they give the
+same floats bit for bit, and only the time differs.
 
 Every sweep starts in the calling process.  :func:`_stacks` draws each
 realization index once, scales its two unit floats to Bob's range and the
@@ -115,16 +117,18 @@ count)::
 _ARRAY_DRAWS = 16
 """Realizations from which :func:`_substream_units` computes every
 substream at once on arrays instead of one :func:`_stream_units` call per
-index.  The array form costs a fixed ~0.13 ms of numpy calls and the
-per-index one about 10 to 18 us per realization, so the two tie at about 12
+index.  The array form costs a fixed ~0.12 ms of numpy calls and the
+per-index one about 10 to 14 us per realization, so the two tie at about 11
 realizations.  Times in ms of ``_substream_units(seed, R, 2)`` on each path
 (medians of 41 alternating timings, 2 vCPUs, seeds ``1 + (j << 32)``), and
 the pairs of 41 that the array form won::
 
     R            1      8     12     14     16     20     32    100   1000
-    per index  0.017  0.101  0.166  0.166  0.185  0.222  0.364  1.032  17.91
-    array      0.134  0.140  0.152  0.135  0.131  0.133  0.145  0.172   1.13
-    array won    0      1     25     35     40     41     41     41     41
+    per index  0.014  0.092  0.136  0.156  0.179  0.219  0.341  1.064  10.12
+    array      0.120  0.125  0.128  0.127  0.128  0.127  0.128  0.147   0.75
+    array won    0      0     37     40     41     41     41     41     41
+
+A second round won 3 of 41 at R = 10, 15 at 11 and 39 at 16.
 """
 
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
@@ -276,19 +280,20 @@ def _entropy_words(*entropy) -> list:
     return words
 
 
-def _stream_units(seed, index, draws: int) -> list:
-    """The first ``draws`` unit floats of ``numpy.random.default_rng((seed,
-    index))`` for non-negative integers ``seed`` and ``index``, bit for bit,
-    on Python ints and without importing ``numpy.random``.
+def _seed_words(words: list) -> list:
+    """The 8 words of ``SeedSequence(entropy).generate_state(8, np.uint32)``
+    for the 32-bit entropy words ``words`` (:func:`_entropy_words`), the low
+    32 bits of each kept: a 4-word pool filled, mixed, mixed with each word
+    past the pool, and hashed out, as numpy does it.
 
-    The entropy is split into 32-bit words and hashed into a 4-word pool as
-    ``SeedSequence`` does; the pool's first 8 output words seed ``PCG64``
-    (state, then increment, each a high and a low 64-bit word), and each
-    float is one XSL-RR output scaled as ``Generator.random`` scales it.
-    :func:`_substream_units` runs it per index below :data:`_ARRAY_DRAWS`
-    and the same steps on arrays over all indices from there on.
+    Each word is a Python int or a uint64 array of words over realization
+    indices, and the same steps run on both: on arrays, every output word
+    is an array over those indices.  Every Python int that meets an array
+    (a word, a hash key, a mix multiplier or such a multiplier times a
+    word) is non-negative and below 2**64, so under NEP 50 promotion the
+    result stays a uint64 array and no numpy scalar arises; uint64 array
+    arithmetic wraps silently, so no ``np.errstate`` is needed.
     """
-    words = _entropy_words(seed, index)
     pool = []
     for value, (xor, mult) in zip(words + [0] * 4, _FILL_KEYS):
         value = (value ^ xor) * mult & _MASK32
@@ -309,6 +314,20 @@ def _stream_units(seed, index, draws: int) -> list:
     for src, xor, mult in _STATE_KEYS:
         value = (pool[src] ^ xor) * mult & _MASK32
         out.append(value ^ value >> 16)
+    return out
+
+
+def _stream_units(seed, index, draws: int) -> list:
+    """The first ``draws`` unit floats of ``numpy.random.default_rng((seed,
+    index))`` for non-negative integers ``seed`` and ``index``, bit for bit,
+    on Python ints and without importing ``numpy.random``.
+
+    The 8 words of :func:`_seed_words` seed ``PCG64`` (state, then
+    increment, each a high and a low 64-bit word), and each float is one
+    XSL-RR output scaled as ``Generator.random`` scales it.
+    :func:`_substream_units` calls it per index below :data:`_ARRAY_DRAWS`.
+    """
+    out = _seed_words(_entropy_words(seed, index))
     seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
     inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _MASK128 | 1
     # PCG64 seeding: state 0, one step, add the seed, one more step.
@@ -328,28 +347,13 @@ _ARRAY_CHUNK = 1 << 12
 (draws, 8, 4, indices) uint64 products at 1 MB per draw."""
 
 
-def _hashed(values, keys: list) -> np.ndarray:
-    """SeedSequence's hash of ``values`` (a uint64 array of 32-bit words, or
-    a Python int) under each (xor, multiply) pair of ``keys``, one row per
-    pair."""
-    xor, mult = np.array(keys, dtype=np.uint64).T[..., None]
-    values = (values ^ xor) * mult & _MASK32
-    return values ^ values >> 16
-
-
-def _mixed(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of ``hashed`` into the pool words ``pool``; the
-    uint64 difference wraps, and the mask keeps its low 32 bits."""
-    value = (_MIX_MULT_L * pool - _MIX_MULT_R * hashed) & _MASK32
-    return value ^ value >> 16
-
-
 @cache
 def _pcg_terms(draws: int) -> tuple[np.ndarray, np.ndarray]:
     """PCG64's state at each of its first ``draws`` draws, as ``sum_w
-    out[w] * g[d, w] + s[d]`` modulo 2**128 over the 8 pool output words
-    ``out`` of :func:`_stream_units`: ``g`` (draws, 8, 4) and ``s`` (draws, 4)
-    as 32-bit limbs, low limb first.
+    out[w] * g[d, w] + s[d]`` modulo 2**128 over the 8 words ``out`` of
+    :func:`_seed_words`: ``g`` (draws, 8, 4) and ``s`` (draws, 4) as 32-bit
+    limbs, low limb first.  :func:`_substream_units` runs it on arrays;
+    :func:`_stream_units` steps PCG64 on Python ints instead.
 
     Seeding leaves the state at ``M seed + (1 + M) inc``, so draw d reads
     ``M**(d + 2) seed + (1 + M + ... + M**(d + 2)) inc``; ``seed`` holds
@@ -375,16 +379,13 @@ def _substream_units(seed, count: int, draws: int) -> np.ndarray:
     sweeps' only draw.
 
     Below :data:`_ARRAY_DRAWS` indices each row is one
-    :func:`_stream_units` call.  From there on each step of
-    :func:`_stream_units` runs on uint64 arrays of 32-bit words over the
-    indices.  The three mixes of one source pool word into the
-    other three are independent, so they run as one (3, R) operation, and
-    a word past the pool mixes into all four at once.  PCG64's 128-bit
-    states are sums of 32 by 32-bit products (:func:`_pcg_terms`) carried
-    across four 32-bit limbs.  Every operand is an array, so no
-    ``np.errstate`` is needed: uint64 array arithmetic wraps silently, where
-    numpy scalars would warn.  Every index must be one entropy word, as the
-    array form hashes it: ``count`` above 2**32 is a ``ValueError``.
+    :func:`_stream_units` call.  From there on :func:`_seed_words` runs on
+    a uint64 array of the indices as the last entropy word, which gives its
+    8 words over all indices at once, and PCG64's 128-bit states are sums of
+    32 by 32-bit products (:func:`_pcg_terms`) carried across four 32-bit
+    limbs, every operand an array, so no ``np.errstate`` is needed there
+    either.  Every index must be one entropy word, as the array form hashes
+    it: ``count`` above 2**32 is a ``ValueError``.
     """
     if count > 1 << 32:
         raise ValueError("array substreams take realization indices below 2**32")
@@ -392,21 +393,11 @@ def _substream_units(seed, count: int, draws: int) -> np.ndarray:
         rows = [_stream_units(seed, index, draws) for index in range(count)]
         return np.array(rows, dtype=float).reshape(count, draws)
     words = _entropy_words(seed)
-    tail_keys = _hash_keys(_TAIL_CONST, _HASH_MULT_A, 4 * len(words[3:]))[0]
     g, s = _pcg_terms(draws)
     units = np.empty((count, draws))
     for first in range(0, count, _ARRAY_CHUNK):
-        entropy = [*words, np.arange(first, min(first + _ARRAY_CHUNK, count), dtype=np.uint64)]
-        pool = np.zeros((4, entropy[-1].size), dtype=np.uint64)
-        for j, word in enumerate(entropy[:4]):
-            pool[j] = word
-        pool = _hashed(pool, _FILL_KEYS)
-        for src in range(4):
-            dst = [j for j in range(4) if j != src]
-            pool[dst] = _mixed(pool[dst], _hashed(pool[src], _POOL_KEYS[4 + 3 * src:7 + 3 * src]))
-        for t, word in enumerate(entropy[4:]):  # entropy past the pool
-            pool = _mixed(pool, _hashed(word, tail_keys[4 * t:4 * t + 4]))
-        out = _hashed(pool[[0, 1, 2, 3, 0, 1, 2, 3]], [step[1:] for step in _STATE_KEYS])
+        index = np.arange(first, min(first + _ARRAY_CHUNK, count), dtype=np.uint64)
+        out = np.array(_seed_words([*words, index]))
         # (draws, 8, 4, R) products of 32-bit words and limbs; each limb
         # sums the low halves of its own and the high halves of the limb below
         prod = out[:, None] * g[..., None]

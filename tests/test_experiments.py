@@ -226,6 +226,39 @@ def test_substream_equals_default_rng_at_a_two_word_index(seed):
     assert experiments._stream_units(seed, 2**33, 4) == [theirs.random() for _ in range(4)]
 
 
+_SEED_WORD_SEEDS = [0, 2**96 + 5, 2**128 + 1, 2**160 + 3]  # 1, 4, 5 and 6 words
+
+
+@pytest.mark.parametrize("entropy", [(0,), (2**32 + 1,), (2**64 + 1,), (2**96 + 5,),
+                                     (2**128 + 1,), (2**160 + 3,)]
+                         + [(seed, 2**33 + 7) for seed in _SEED_WORD_SEEDS])
+def test_seed_words_equal_seed_sequence_state(entropy):
+    """``_seed_words`` on Python ints is numpy's ``SeedSequence`` state, for
+    entropy of 1 to 6 words and, with a two-word index, up to 8."""
+    words = experiments._entropy_words(*entropy)
+    out = experiments._seed_words(words)
+    assert all(type(word) is int for word in out)
+    assert out == np.random.SeedSequence(entropy).generate_state(8, np.uint32).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 1] + _SEED_WORD_SEEDS[1:])
+def test_seed_words_on_index_arrays_equal_seed_sequence_state(seed):
+    """With the index as a uint64 array, in the pool (seeds of 1 and 3
+    words) or past it (4 to 6 words), each output word is a uint64 array
+    whose column for an index is numpy's ``SeedSequence((seed, index))``
+    word."""
+    indices = [0, 1, 5, 2**31, 2**32 - 1]
+    out = experiments._seed_words([*experiments._entropy_words(seed),
+                                   np.array(indices, dtype=np.uint64)])
+    assert len(out) == 8
+    for word in out:
+        assert type(word) is np.ndarray and word.dtype == np.uint64
+        assert word.shape == (len(indices),)
+    for column, index in enumerate(indices):
+        theirs = np.random.SeedSequence((seed, index)).generate_state(8, np.uint32)
+        assert [int(word[column]) for word in out] == theirs.tolist(), (seed, index)
+
+
 @pytest.mark.parametrize("seed", [1, 5])
 def test_substream_equals_default_rng_at_benchmark_seeds(seed):
     """perfbench derives call j's experiment seed as ``seed + (j << 32)``."""
