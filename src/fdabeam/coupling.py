@@ -32,6 +32,12 @@ an update is accepted.  So a coordinate visited again with no update
 accepted since its last evaluation replays that outcome instead of
 recomputing it: nothing for an accepted or unchanged frequency, one more
 counted rejection for a rejected one.
+
+A descent without an initial plan starts every frequency at the Python float
+f_c, whose product with omega has the bits of omega times an array of f_c.
+It ends with one numpy clamp of the offsets into [0, f_m] and returns them
+as a read-only plan without copying or checking them again
+(``FrequencyPlan._bounded`` says why they need no check).
 """
 
 from __future__ import annotations
@@ -108,7 +114,11 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     objective never increases.  Stops once the relative decrease over a full
     sweep drops to ``tol`` or below, or after ``max_outer`` sweeps.
 
-    Returns the final plan together with an :class:`OptimizerTrace`.
+    The descent starts at ``initial`` (checked against the scenario's array
+    and offset budget) or, without one, at f_c on every element.  Returns
+    the final plan, whose read-only offsets are the end frequencies minus
+    f_c clamped into [0, f_m] (at ``max_outer=0``, the clamped start),
+    together with an :class:`OptimizerTrace`.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and non-negative")
@@ -116,15 +126,16 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         raise ValueError("max_outer must be a non-negative integer")
     rf = scenario.rf
     n_elem = scenario.array.element_count
-    if initial is None:
-        freqs = np.full(n_elem, rf.carrier_frequency)
-    else:
-        freqs = rf.carrier_frequency + _plan_offsets(scenario, [initial])[0]
-
-    omega, pref = scenario.omega, rf.coupling_prefactor
     f_lo = rf.carrier_frequency
     f_hi = rf.carrier_frequency + rf.max_offset
-    om, al, fr = omega.tolist(), scenario.alpha.tolist(), freqs.tolist()
+    if initial is None:
+        freqs, fr = f_lo, [f_lo] * n_elem
+    else:
+        freqs = f_lo + _plan_offsets(scenario, [initial])[0]
+        fr = freqs.tolist()
+
+    omega, pref = scenario.omega, rf.coupling_prefactor
+    om, al = omega.tolist(), scenario.alpha.tolist()
     # (|omega_n|, sign of omega_n, |omega_n| f_lo, |omega_n| f_hi) per
     # element, or None where every f in the box is optimal.
     steps = [None if w == 0.0 or rf.max_offset == 0.0
@@ -209,9 +220,9 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         if g_before - g <= tol * g_before:
             converged = True
 
-    # Every frequency is >= f_c, so no -0.0 offset can arise.
-    offsets = np.minimum(np.maximum(np.array(fr) - rf.carrier_frequency, 0.0),
-                         rf.max_offset)
+    # Every frequency is >= f_c, so no -0.0 offset can arise; the clamp
+    # bounds every offset, so the plan skips FrequencyPlan's checks.
+    offsets = np.minimum(np.maximum(np.array(fr) - f_lo, 0.0), rf.max_offset)
     trace = OptimizerTrace(objective_history=history, outer_iterations=outer,
                            converged=converged, rejected_updates=rejected)
-    return FrequencyPlan(offsets), trace
+    return FrequencyPlan._bounded(offsets), trace

@@ -212,14 +212,22 @@ class ConvergenceResult:
 def _nanstat(fn, block: np.ndarray) -> np.ndarray:
     """``fn`` of each row's non-NaN entries, NaN for an all-NaN row.  The
     entries are packed to the front in their order, so one ``fn(..., axis=1)``
-    call per distinct count gives each row's per-row value."""
+    call per distinct count gives each row's per-row value.  A statistic
+    with leading axes, such as ``np.percentile`` at a tuple of q, keeps them:
+    the result has shape ``(*lead, rows)``, and each row is partitioned once
+    for all its quantiles."""
     nan = np.isnan(block)
     packed = np.take_along_axis(block, np.argsort(nan, axis=1, kind="stable"), axis=1)
     counts = block.shape[1] - nan.sum(axis=1)
-    out = np.full(block.shape[0], math.nan)
+    out = None
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
-        out[rows] = fn(packed[rows, :k], axis=1)
+        value = fn(packed[rows, :k], axis=1)
+        if out is None:
+            out = np.full((*value.shape[:-1], len(block)), math.nan)
+        out[..., rows] = value
+    if out is None:  # every row is all-NaN: the leading axes of an empty call
+        out = np.full((*np.shape(fn(np.ones((0, 1)), axis=1))[:-1], len(block)), math.nan)
     return out
 
 
@@ -779,13 +787,13 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     infeasible fraction; floats carry 17 significant digits.
 
     The schemes' values are stacked in row order, so each statistic is one
-    call over all rows; a row's value is the statistic of that scheme's
-    non-NaN realizations at that axis value alone, bit for bit."""
+    call over all rows, and p05 and p95 one percentile call at both q; a
+    row's value is the statistic of that scheme's non-NaN realizations at
+    that axis value alone, bit for bit."""
     block = np.stack([result.values[s] for s in result.schemes], axis=1)
     block = block.reshape(-1, block.shape[-1])  # row (axis i, scheme s) = i * S + s
     stats = (_nanstat(np.mean, block),
-             _nanstat(partial(np.percentile, q=5.0), block),
-             _nanstat(partial(np.percentile, q=95.0), block),
+             *_nanstat(partial(np.percentile, q=(5.0, 95.0)), block),
              np.mean(np.isnan(block), axis=1))
     keys = ((_fmt(x), s) for x in result.axis for s in result.schemes)
     _write_csv(path, ["axis", "scheme", "mean_metric", "p05", "p95", "infeasible_fraction"],

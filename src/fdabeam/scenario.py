@@ -252,6 +252,23 @@ class FrequencyPlan:
         arr.flags.writeable = False
         object.__setattr__(self, "offsets", arr)
 
+    @classmethod
+    def _bounded(cls, offsets: np.ndarray) -> FrequencyPlan:
+        """A plan that takes ownership of ``offsets``, a new 1-D float64
+        array already within [0, f_m], and makes it read-only in place;
+        nothing is copied or checked again, as in :meth:`Scenario._assembled`.
+
+        :func:`fdabeam.coupling.optimize_offsets` returns its plan this way.
+        Each frequency it ends at is f_c, f_c plus an offset of a checked
+        initial plan, or an update ``f_new``, which is finite or ±inf
+        clamped into [f_c, f_c + f_m]; none is NaN.  Its one clamp of
+        ``frequency - f_c`` into [0, f_m] therefore leaves every offset
+        finite and within that box."""
+        offsets.flags.writeable = False
+        self = object.__new__(cls)
+        self.__dict__["offsets"] = offsets
+        return self
+
 
 @dataclass(frozen=True)
 class ChannelPair:

@@ -37,6 +37,10 @@ float range: the three sweeps at ``-j 1`` with Bob drawn 3e-150 m out
 (Eve 20 m behind him) at N = 1, and the three single-scenario commands on
 the README block with N = 1, Bob at 3e-150 m and Eve at 20 m on his
 bearing; each exits 1 with the scenario's error and writes no CSV.
+The last run, ``optimize-offsets`` on the README block with
+``solver.initialization=linear`` and ``solver.max_outer=0``, writes the
+clamped linear start as its plan: the descent's start from a plan and its
+exit, with no sweep in between.
 Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
@@ -160,6 +164,9 @@ def main() -> int:
     sets = [arg for override in GAIN_PRODUCT_SETS for arg in ("--set", override)]
     runs += [(f"{name} past the gain-product bound", [name, *sets], _readme_ini(), ())
              for name in ("solve-power", "solve-rate", "optimize-offsets")]
+    runs.append(("optimize-offsets from the linear start at max_outer=0",
+                 ["optimize-offsets", "--set", "solver.initialization=linear",
+                  "--set", "solver.max_outer=0"], _readme_ini(), ()))
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

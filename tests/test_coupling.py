@@ -510,6 +510,60 @@ def test_rejected_updates_counts_the_guard():
 
 
 # ---------------------------------------------------------------------------
+# the returned plan: built without FrequencyPlan's copy and checks
+
+
+def _assert_owned_bounded_plan(plan, scenario):
+    """The plan's offsets are a read-only (N,) float64 array within
+    [0, f_m] that ``FrequencyPlan`` accepts with the same bytes."""
+    offsets = plan.offsets
+    assert offsets.dtype == np.float64
+    assert offsets.shape == (scenario.array.element_count,)
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0] = 0.0
+    assert FrequencyPlan(offsets).offsets.tobytes() == offsets.tobytes()
+    assert offsets.min() >= 0.0 and offsets.max() <= scenario.rf.max_offset
+
+
+@pytest.mark.parametrize("layout", DESCENT_LARGE_LAYOUTS)
+def test_returned_plan_is_read_only_and_valid_on_descent_large_layouts(layout):
+    scenario = _descent_large_scenario(*layout)
+    _assert_owned_bounded_plan(optimize_offsets(scenario)[0], scenario)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_returned_plan_is_read_only_and_valid_on_sweep_layouts(seed):
+    config = ExperimentConfig(rng_seed=seed)
+    for n in range(2, 13):
+        for index in range(20):
+            scenario, plan, _ = draw_realization(config, n, index)
+            _assert_owned_bounded_plan(plan, scenario)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1.0 + 1e-12])
+@pytest.mark.parametrize("max_outer", [0, 1, 50])
+def test_returned_plan_from_an_initial_plan_is_clamped(scale, max_outer):
+    """From offsets at 0, at f_m and at f_m (1 + 1e-12), the tolerance that
+    the plan check allows, every returned offset lies in [0, f_m] and the
+    descent is the full-recompute one bit for bit; at ``max_outer=0`` the
+    plan is the clamped start, exactly f_m from past f_m."""
+    for scenario in (_reference_scenario(),
+                     _descent_large_scenario(*DESCENT_LARGE_LAYOUTS[4])):
+        n = scenario.array.element_count
+        initial = FrequencyPlan(np.full(n, scale * MAX_OFFSET))
+        got = optimize_offsets(scenario, initial=initial, max_outer=max_outer)
+        _assert_owned_bounded_plan(got[0], scenario)
+        _assert_same_descent(got, reference_descent(scenario, initial=initial,
+                                                    max_outer=max_outer))
+        if max_outer == 0:
+            start = np.clip(CARRIER + initial.offsets - CARRIER, 0.0, MAX_OFFSET)
+            assert got[0].offsets.tobytes() == start.tobytes()
+            if scale > 1.0:
+                assert (got[0].offsets == MAX_OFFSET).all()
+
+
+# ---------------------------------------------------------------------------
 # the coordinate step's scalar term, replay and kernel lookup
 
 

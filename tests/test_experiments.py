@@ -877,3 +877,12 @@ def test_nanstat_equals_per_row_form_bitwise():
             got = experiments._nanstat(fn, block)
             assert got.tobytes() == rowwise_nanstat(fn, block).tobytes()
             assert np.isnan(got[[1, 8]]).all() and not np.isnan(np.delete(got, [1, 8])).any()
+        # both quantiles from one call: row q of the result is the per-row form at q
+        got = experiments._nanstat(partial(np.percentile, q=(5.0, 95.0)), block)
+        assert got.shape == (2, len(counts))
+        for row, fn in zip(got, (P05, P95)):
+            assert row.tobytes() == rowwise_nanstat(fn, block).tobytes()
+        assert np.isnan(got[:, [1, 8]]).all() and not np.isnan(np.delete(got, [1, 8], 1)).any()
+    # every row all-NaN: the quantile axis stays, all NaN
+    got = experiments._nanstat(partial(np.percentile, q=(5.0, 95.0)), np.full((3, 4), math.nan))
+    assert got.shape == (2, 3) and np.isnan(got).all()
