@@ -320,6 +320,7 @@ def mrt_rate(bob_gain: float, power: float, coupling: float) -> float:
     return _float_or_array(np.maximum(val, 0.0))
 
 
+@_float_semantics
 def mrt_required_power(bob_gain: float, rate: float, coupling: float) -> float:
     """Power at which MRT meets the secrecy-rate target ``rate``, or inf
     when it never does.

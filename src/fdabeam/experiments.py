@@ -11,12 +11,9 @@ workers.  Each substream is numpy's ``default_rng((seed, index))`` stream,
 computed without importing ``numpy.random`` (which would cost about 14 ms
 and 6 MB of peak RSS with numpy 2.4.6 on a 2-vCPU Xeon VM).  The sweeps'
 one draw call, :func:`_substream_units`, returns every realization's unit
-floats as one array: computed on Python ints, one index at a time
-(:func:`_stream_units`), in a sweep of fewer than :data:`_ARRAY_DRAWS`
-realizations, and on uint64 arrays, all indices at once, from there on.
-Both paths hash the seed through one ``SeedSequence`` implementation,
-:func:`_seed_words`, and differ only in how they step PCG64; they give the
-same floats bit for bit, and only the time differs.
+floats as one array, all indices at once: numpy's ``SeedSequence`` hash
+(:func:`_seed_words`), then PCG64's states as one uint64 matmul
+(:func:`_pcg_terms`), one code path at every realization count.
 
 Every sweep starts in the calling process.  :func:`_stacks` draws each
 realization index once, scales its two unit floats to Bob's range and the
@@ -114,23 +111,6 @@ count)::
 1000.
 """
 
-_ARRAY_DRAWS = 16
-"""Realizations from which :func:`_substream_units` computes every
-substream at once on arrays instead of one :func:`_stream_units` call per
-index.  The array form costs a fixed ~0.12 ms of numpy calls and the
-per-index one about 10 to 14 us per realization, so the two tie at about 11
-realizations.  Times in ms of ``_substream_units(seed, R, 2)`` on each path
-(medians of 41 alternating timings, 2 vCPUs, seeds ``1 + (j << 32)``), and
-the pairs of 41 that the array form won::
-
-    R            1      8     12     14     16     20     32    100   1000
-    per index  0.014  0.092  0.136  0.156  0.179  0.219  0.341  1.064  10.12
-    array      0.120  0.125  0.128  0.127  0.128  0.127  0.128  0.147   0.75
-    array won    0      0     37     40     41     41     41     41     41
-
-A second round won 3 of 41 at R = 10, 15 at 11 and 39 at 16.
-"""
-
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
 _DEFAULT_TIME_SAMPLES = tuple(float(t) for t in np.linspace(0.0, TIME_HORIZON, 21))
 
@@ -152,8 +132,9 @@ class ExperimentConfig:
     baselines: tuple = SCHEMES
 
     def __post_init__(self):
-        if not _is_int(self.realizations) or self.realizations < 1:
-            raise ValueError("realizations must be an integer of at least 1")
+        # a realization index is one SeedSequence entropy word (_substream_units)
+        if not _is_int(self.realizations) or not 1 <= self.realizations <= 1 << 32:
+            raise ValueError("realizations must be an integer from 1 to 2**32")
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
         if not self.antenna_counts or not all(_is_int(n) and n >= 1
@@ -296,11 +277,14 @@ def _seed_words(words: list) -> list:
 
     Each word is a Python int or a uint64 array of words over realization
     indices, and the same steps run on both: on arrays, every output word
-    is an array over those indices.  Every Python int that meets an array
-    (a word, a hash key, a mix multiplier or such a multiplier times a
-    word) is non-negative and below 2**64, so under NEP 50 promotion the
-    result stays a uint64 array and no numpy scalar arises; uint64 array
-    arithmetic wraps silently, so no ``np.errstate`` is needed.
+    is an array over those indices.  :func:`_substream_units` passes its
+    index as the int 0 for a single realization, where the int steps cost a
+    fraction of the array calls, and as an array otherwise.  Every Python
+    int that meets an array (a word, a hash key, a mix multiplier or such a
+    multiplier times a word) is non-negative and below 2**64, so under
+    NEP 50 promotion the result stays a uint64 array and no numpy scalar
+    arises; uint64 array arithmetic wraps silently, so no ``np.errstate``
+    is needed.
     """
     pool = []
     for value, (xor, mult) in zip(words + [0] * 4, _FILL_KEYS):
@@ -325,59 +309,46 @@ def _seed_words(words: list) -> list:
     return out
 
 
-def _stream_units(seed, index, draws: int) -> list:
-    """The first ``draws`` unit floats of ``numpy.random.default_rng((seed,
-    index))`` for non-negative integers ``seed`` and ``index``, bit for bit,
-    on Python ints and without importing ``numpy.random``.
-
-    The 8 words of :func:`_seed_words` seed ``PCG64`` (state, then
-    increment, each a high and a low 64-bit word), and each float is one
-    XSL-RR output scaled as ``Generator.random`` scales it.
-    :func:`_substream_units` calls it per index below :data:`_ARRAY_DRAWS`.
-    """
-    out = _seed_words(_entropy_words(seed, index))
-    seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
-    inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _MASK128 | 1
-    # PCG64 seeding: state 0, one step, add the seed, one more step.
-    state = ((inc + seed) * _PCG64_MULT + inc) & _MASK128
-    units = []
-    for _ in range(draws):
-        state = (state * _PCG64_MULT + inc) & _MASK128
-        word = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        word = (word >> rot | word << (64 - rot)) & _MASK64
-        units.append((word >> 11) * 2.0**-53)
-    return units
-
-
 _ARRAY_CHUNK = 1 << 12
 """Indices that :func:`_substream_units` computes at once; bounds its
-(draws, 8, 4, indices) uint64 products at 1 MB per draw."""
+(16, indices) uint64 array of half-words at 512 kB."""
+
+_HALF_SHIFTS = np.array([[0], [16]], dtype=np.uint64)
+"""Shifts that split a (8, 1, indices) array of 32-bit words into its
+(8, 2, indices) 16-bit halves, low half first."""
 
 
 @cache
 def _pcg_terms(draws: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64's state at each of its first ``draws`` draws, as ``sum_w
-    out[w] * g[d, w] + s[d]`` modulo 2**128 over the 8 words ``out`` of
-    :func:`_seed_words`: ``g`` (draws, 8, 4) and ``s`` (draws, 4) as 32-bit
-    limbs, low limb first.  :func:`_substream_units` runs it on arrays;
-    :func:`_stream_units` steps PCG64 on Python ints instead.
+    """PCG64's state at each of its first ``draws`` draws, as ``sum_k
+    half[k] * c[d, k] + s[d]`` modulo 2**128 over the 16 half-words of the
+    8 words ``out`` of :func:`_seed_words` (half ``2 w + h`` is bits ``16
+    h`` to ``16 h + 15`` of ``out[w]``).  Each coefficient is given in four
+    parts, its low 64 bits, its bits 0-31, its bits 32-63 and its high 64
+    bits: ``g`` (draws, 4, 16) and ``s`` (draws, 4, 1).  The two 64-bit
+    halves of the state are only needed modulo 2**64, where uint64 wraps; a
+    half times a 32-bit part is below 2**48, so the 16 products of each of
+    those two parts sum exactly, which gives the carry from the low half
+    into the high one.  :func:`_substream_units`, the only PCG64 stepper,
+    runs it on arrays.
 
     Seeding leaves the state at ``M seed + (1 + M) inc``, so draw d reads
     ``M**(d + 2) seed + (1 + M + ... + M**(d + 2)) inc``; ``seed`` holds
     words 2, 3, 0 and 1 and ``inc`` is twice words 6, 7, 4 and 5 plus one,
-    low limb first.  Cached: the 128-bit products take about 50 us."""
-    def limbs(value):
-        return [value >> 32 * j & _MASK32 for j in range(4)]
+    low 32 bits first.  Cached: the 128-bit products take about 30 us at
+    two draws."""
+    def parts(value):
+        return [value & _MASK64, value & _MASK32, value >> 32 & _MASK32, value >> 64]
 
     g, s = [], []
     power, total = _PCG64_MULT, 1 + _PCG64_MULT
     for _ in range(draws):
         power = power * _PCG64_MULT & _MASK128
         total = (total + power) & _MASK128
-        g.append([limbs((power if w < 4 else 2 * total) << 32 * ((w + 2) % 4) & _MASK128)
-                  for w in range(8)])
-        s.append(limbs(total))
+        coefs = [((power if w < 4 else 2 * total) << 32 * ((w + 2) % 4) + 16 * h) & _MASK128
+                 for w in range(8) for h in range(2)]
+        g.append(list(zip(*map(parts, coefs))))
+        s.append([[part] for part in parts(total)])
     return np.array(g, dtype=np.uint64), np.array(s, dtype=np.uint64)
 
 
@@ -386,37 +357,34 @@ def _substream_units(seed, count: int, draws: int) -> np.ndarray:
     every index below ``count``, as a (count, draws) array, bit for bit: the
     sweeps' only draw.
 
-    Below :data:`_ARRAY_DRAWS` indices each row is one
-    :func:`_stream_units` call.  From there on :func:`_seed_words` runs on
-    a uint64 array of the indices as the last entropy word, which gives its
-    8 words over all indices at once, and PCG64's 128-bit states are sums of
-    32 by 32-bit products (:func:`_pcg_terms`) carried across four 32-bit
-    limbs, every operand an array, so no ``np.errstate`` is needed there
-    either.  Every index must be one entropy word, as the array form hashes
-    it: ``count`` above 2**32 is a ``ValueError``.
+    :func:`_seed_words` runs with the index as the last entropy word, a
+    Python int at one realization and a uint64 array of the indices
+    otherwise, which gives its 8 words over all indices at once.  One uint64
+    matmul of their 16-bit halves with :func:`_pcg_terms` then gives each
+    PCG64 state's two 64-bit halves, the high one short of the carry that
+    the two exact 32-bit sums of the low half supply; uint64 arrays wrap
+    silently, so no ``np.errstate`` is needed there either.  Every index
+    must be one entropy word, as this hash takes it: ``count`` above 2**32
+    is a ``ValueError``, which :class:`ExperimentConfig` raises before a
+    sweep gets here.
     """
     if count > 1 << 32:
         raise ValueError("array substreams take realization indices below 2**32")
-    if count < _ARRAY_DRAWS:
-        rows = [_stream_units(seed, index, draws) for index in range(count)]
-        return np.array(rows, dtype=float).reshape(count, draws)
     words = _entropy_words(seed)
     g, s = _pcg_terms(draws)
     units = np.empty((count, draws))
     for first in range(0, count, _ARRAY_CHUNK):
-        index = np.arange(first, min(first + _ARRAY_CHUNK, count), dtype=np.uint64)
-        out = np.array(_seed_words([*words, index]))
-        # (draws, 8, 4, R) products of 32-bit words and limbs; each limb
-        # sums the low halves of its own and the high halves of the limb below
-        prod = out[:, None] * g[..., None]
-        state = (prod & _MASK32).sum(axis=1) + s[..., None]
-        state[:, 1:] += (prod[:, :, :3] >> 32).sum(axis=1)
-        for j in range(3):
-            state[:, j + 1] += state[:, j] >> 32
-        l0, l1, l2, l3 = (state & _MASK32).swapaxes(0, 1)
+        index = (np.arange(first, min(first + _ARRAY_CHUNK, count), dtype=np.uint64)
+                 if count > 1 else 0)
+        out = np.array(_seed_words([*words, index]), dtype=np.uint64).reshape(8, 1, -1)
+        # (draws, 4, R): the halves modulo 2**64, and sums below 2**53 of the
+        # low half's bits 0-31 and 32-63
+        low, lo0, lo1, high = (g @ (out >> _HALF_SHIFTS & 0xFFFF).reshape(16, -1)
+                               + s).swapaxes(0, 1)
+        high += ((lo0 >> 32) + lo1) >> 32
         # XSL-RR: the high 64 bits xor the low 64, rotated right by the top 6
-        word = (l3 ^ l1) << 32 | l2 ^ l0
-        rot = l3 >> 26
+        word = high ^ low
+        rot = high >> 58
         word = word >> rot | word << (64 - rot & 63)
         units[first:first + word.shape[1]] = ((word >> 11) * 2.0**-53).T
     return units

@@ -20,14 +20,15 @@ position, exit 2) over the README block's feasible outputs, whose
 6 realizations and N = 2, 5 with ``--seed`` 2**128 + 1, draws from seeds of
 five 32-bit words, more than numpy's 4-word ``SeedSequence`` pool, so
 comparing it with a tree that drew through ``numpy.random`` checks the
-sweeps' per-index draws there.  The next run, ``sweep-rate -j 1`` at
-32 realizations and N = 2 with the same seed, draws every substream at
-once on arrays (``experiments._ARRAY_DRAWS`` is 16), so the same
-comparison checks the array draws, their mixing of the fifth word
-included.  The next run, ``sweep-rate -j 2`` on the
-benchmark's ``sweep_rate_cli`` config (100 realizations, too few tasks for
-a pool), runs in the calling process, so comparing it with a tree that
-started a pool there checks that path.  Three runs, ``sweep-power``,
+sweeps' draws there.  The next run, ``sweep-rate -j 1`` at 32 realizations
+and N = 2 with the same seed, does the same at more realizations.  The
+next run, ``convergence -j 1`` at one realization and N = 32, 128 (the
+shape of perfbench's ``descent_large``) with the same seed, hashes its one
+index as a Python int, not an array, so the same comparison checks the
+draw at one realization, its mixing of the fifth word included.  The next
+run, ``sweep-rate -j 2`` on the benchmark's ``sweep_rate_cli`` config
+(100 realizations, too few tasks for a pool), runs in the calling process,
+so comparing it with a tree that started a pool there checks that path.  Three runs, ``sweep-power``,
 ``sweep-rate`` and ``convergence -j 1`` at 3 realizations and N = 1, 2
 with Bob drawn exactly half a wavelength out on the array axis, cover a
 layout check that fails at N = 2 only: the first and third exit 1 with the
@@ -67,6 +68,7 @@ REFERENCE_EXPERIMENT = "[experiment]\n"
 LARGE_N_EXPERIMENT = "[experiment]\nrealizations = 4\nantenna_counts = 9, 33, 130\n"
 WIDE_SEED_EXPERIMENT = "[experiment]\nrealizations = 6\nantenna_counts = 2, 5\n"
 WIDE_SEED_ARRAY_EXPERIMENT = "[experiment]\nrealizations = 32\nantenna_counts = 2\n"
+WIDE_SEED_ONE_EXPERIMENT = "[experiment]\nrealizations = 1\nantenna_counts = 32, 128\n"
 # RATE_INI of perfbench/workloads.py at its 100 realizations.
 BENCH_RATE_EXPERIMENT = """\
 [experiment]
@@ -153,6 +155,8 @@ def main() -> int:
          ["sweep-power", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_EXPERIMENT, ()),
         ("sweep-rate -j 1 --seed 2**128 + 1 at 32 realizations",
          ["sweep-rate", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_ARRAY_EXPERIMENT, ()),
+        ("convergence -j 1 --seed 2**128 + 1 at 1 realization",
+         ["convergence", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_ONE_EXPERIMENT, ()),
         ("sweep-rate -j 2 at 100 realizations", ["sweep-rate", "-j", "2"],
          BENCH_RATE_EXPERIMENT, ()),
     ]

@@ -294,6 +294,20 @@ def test_closed_forms_on_arrays_equal_scalar_calls():
     assert np.isinf(mrt_required_power(b, 40.0, x)[:-1]).all()
 
 
+@pytest.mark.parametrize("bob_gain, rate, coupling", [
+    ([1.0, 2.0], 2000.0, [0.0, 0.5]),  # 2^R overflows, and inf * 0 is nan
+    ([1e-200], 10.0, [1e200]),         # 2^R x / B overflows
+])
+def test_mrt_required_power_on_arrays_warns_no_more_than_on_floats(bob_gain, rate,
+                                                                   coupling):
+    """Where a float overflows, array entries equal the scalar calls'
+    Python floats, with no numpy warning (an error under this suite)."""
+    scalars = [mrt_required_power(b, rate, x) for b, x in zip(bob_gain, coupling)]
+    assert scalars == [math.inf] * len(bob_gain)
+    assert_array_equal(mrt_required_power(np.array(bob_gain), rate, np.array(coupling)),
+                       scalars)
+
+
 def test_closed_forms_broadcast_over_power_grid():
     rng = np.random.default_rng(137)
     b, e, x = _random_stats(rng, count=5)

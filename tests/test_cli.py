@@ -577,6 +577,17 @@ def test_negative_seed_is_named(experiment_ini, tmp_path, capsys, args):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["sweep-power", "sweep-rate", "convergence"])
+def test_realizations_past_2_to_the_32_are_named(experiment_ini, tmp_path, capsys, command):
+    """Rejected at config time by name, before a sweep builds its task list
+    of that many entries."""
+    code = main([command, "-c", str(experiment_ini), "-o", str(tmp_path / "o"), "-j", "1",
+                 "--set", "experiment.realizations=4294967297"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: realizations must be an integer from 1 to 2**32\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("command, override", [
     ("solve-power", "solver.target_rate=2000"),     # 2^R overflows: lambda1 = nan
     ("solve-power", "solver.target_rate=500"),      # lambda1 = inf

@@ -97,6 +97,9 @@ def test_config_rejects_empty_or_repeated_baselines(baselines):
 @pytest.mark.parametrize("field, value, message", [
     ("realizations", 2.0, "realizations must be an integer"),
     ("realizations", True, "realizations must be an integer"),
+    ("realizations", 0, r"realizations must be an integer from 1 to 2\*\*32"),
+    ("realizations", 2**32 + 1, r"realizations must be an integer from 1 to 2\*\*32"),
+    ("realizations", np.int64(2**40), r"realizations must be an integer from 1 to 2\*\*32"),
     ("antenna_counts", (2, 4.0), "antenna_counts must be positive integers"),
     ("rng_seed", -1, "rng_seed must be a non-negative integer"),
     ("rng_seed", 1.0, "rng_seed must be a non-negative integer"),
@@ -104,6 +107,13 @@ def test_config_rejects_empty_or_repeated_baselines(baselines):
 def test_config_rejects_non_integer_counts_and_seeds(field, value, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**{field: value})
+
+
+def test_config_takes_up_to_2_to_the_32_realizations():
+    """A realization index is one 32-bit entropy word of the substream
+    hash; past 2**32 realizations the config refuses, before any sweep
+    builds its task list."""
+    assert ExperimentConfig(realizations=2**32).realizations == 2**32
 
 
 def test_config_accepts_numpy_integers():
@@ -197,8 +207,8 @@ _SEEDS = [0, 2**32 + 1, 2**64 + 1, 2**96 + 5, 2**128 + 1, np.uint32(4_000_000_00
           np.int64(2**40 + 3)]
 # _SEEDS, then perfbench's call seeds
 _WIDE_SEEDS = _SEEDS + [seed + (j << 32) for seed in (1, 5) for j in (0, 1, 7, 1000)]
-# one per-index row, the most per-index rows, then the array form
-_COUNTS = [1, experiments._ARRAY_DRAWS - 1, experiments._ARRAY_DRAWS, 100]
+# one realization (an int index in the hash), counts around 16 and a larger one
+_COUNTS = [1, 15, 16, 100]
 _DRAW_INTERVALS = [(50.0, 150.0), (0.0, math.pi), (2.5, 2.5), (-1e6, 3.0)]
 
 
@@ -219,11 +229,24 @@ def test_substream_equals_default_rng(seed, count):
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
-def test_substream_equals_default_rng_at_a_two_word_index(seed):
-    """An index of 2**32 or more is two entropy words, past what a sweep
-    draws; the per-index function takes it as numpy does."""
-    theirs = np.random.default_rng((seed, 2**33))
-    assert experiments._stream_units(seed, 2**33, 4) == [theirs.random() for _ in range(4)]
+def test_substream_hashes_an_int_index_at_one_realization(seed, monkeypatch):
+    """At one realization ``_seed_words`` gets the index as the Python int
+    0, at two as a uint64 array of both indices, and both give numpy's
+    rows; a two-word index, past what a sweep draws, hashes as numpy's."""
+    seen, seed_words = [], experiments._seed_words
+
+    def logged_seed_words(words):
+        seen.append(words[-1])
+        return seed_words(words)
+
+    monkeypatch.setattr(experiments, "_seed_words", logged_seed_words)
+    _assert_rows_equal_default_rng(seed, 1, [0])
+    _assert_rows_equal_default_rng(seed, 2, [0, 1])
+    one, two = seen
+    assert type(one) is int and one == 0
+    assert type(two) is np.ndarray and two.dtype == np.uint64 and two.tolist() == [0, 1]
+    out = seed_words(experiments._entropy_words(seed, 2**33))
+    assert out == np.random.SeedSequence((seed, 2**33)).generate_state(8, np.uint32).tolist()
 
 
 _SEED_WORD_SEEDS = [0, 2**96 + 5, 2**128 + 1, 2**160 + 3]  # 1, 4, 5 and 6 words
@@ -312,11 +335,11 @@ def test_substream_equal_bounds_give_the_bound(ranges, angles, count):
 
 def test_substream_rejects_what_default_rng_rejects():
     """A float seed is a TypeError and a negative seed or index a
-    ValueError, as in numpy, on both sides of ``_ARRAY_DRAWS``; without the
+    ValueError, as in numpy, at one realization and at 16; without the
     check a negative value would never shift down to zero."""
     with pytest.raises(TypeError):
         np.random.default_rng((1.0, 0))
-    for count in (1, experiments._ARRAY_DRAWS):
+    for count in (1, 16):
         with pytest.raises(TypeError):
             experiments._substream_units(1.0, count, 2)
         for seed in (-1, np.int64(-5)):
@@ -325,7 +348,7 @@ def test_substream_rejects_what_default_rng_rejects():
             with pytest.raises(ValueError):
                 np.random.default_rng((seed, 0))
     with pytest.raises(ValueError, match="non-negative"):
-        experiments._stream_units(0, -1, 2)
+        experiments._entropy_words(0, -1)
     with pytest.raises(ValueError):
         np.random.default_rng((0, -1))
 
@@ -348,10 +371,10 @@ def test_array_draws_reject_indices_past_one_entropy_word():
 
 @pytest.mark.parametrize("seed", [0, 2**128 + 1])
 def test_sweeps_on_array_draws_equal_per_realization_oracle(seed):
-    """At ``_ARRAY_DRAWS`` realizations and more, where the sweeps draw on
-    arrays, every sweep equals its per-realization oracle (numpy's own
-    ``default_rng((seed, index))`` per index) bit for bit."""
-    reps = experiments._ARRAY_DRAWS
+    """At 16 and 19 realizations every sweep equals its per-realization
+    oracle (numpy's own ``default_rng((seed, index))`` per index) bit for
+    bit."""
+    reps = 16
     times = (0.0, 7e-6, 20e-6)
     config = ExperimentConfig(realizations=reps, rng_seed=seed, antenna_counts=(1, 2, 3),
                               target_rate=1.2, time_samples=times)
@@ -681,13 +704,13 @@ def test_sweeps_equal_per_realization_oracle(seed, workers):
             assert list(result.time_spread.items()) == list(spread.items())
 
 
-@pytest.mark.parametrize("reps", [experiments._ARRAY_DRAWS - 1, 25])
+@pytest.mark.parametrize("reps", [15, 25])
 @pytest.mark.parametrize("seed", [0, 1, 7, 1 + (5 << 32)])
 def test_stack_rows_are_the_sampled_scenarios_bitwise(seed, reps):
     """Row ``index`` of a count's stack holds the bits that
     ``sample_scenario`` derives for realization ``index`` on numpy's
-    ``default_rng((seed, index))``, on either draw path and also at large N,
-    and the scenario assembled from it equals that scenario, read-only."""
+    ``default_rng((seed, index))``, also at large N, and the scenario
+    assembled from it equals that scenario, read-only."""
     config = ExperimentConfig(realizations=reps, rng_seed=seed)
     counts = (1, 2, 3, 8, 33, 130)
     stacks = experiments._stacks(config, counts)
@@ -749,47 +772,34 @@ def test_repeated_and_unordered_counts_equal_the_per_realization_oracle(monkeypa
     study equal the per-realization oracles bit for bit, and each draws
     every realization index once, for all counts: the repeated count reuses
     the same draws.  Each makes one ``_substream_units`` call for all
-    indices: at one realization below ``_ARRAY_DRAWS`` it runs the per-index
-    function once per index, at ``_ARRAY_DRAWS`` not at all."""
-    drawn, arrays = [], []
-    stream_units, array_units = experiments._stream_units, experiments._substream_units
-
-    def logged_stream(*args):
-        drawn.append(args)
-        return stream_units(*args)
+    indices, at 15 realizations and at 16."""
+    drawn, substream_units = [], experiments._substream_units
 
     def logged_units(*args):
-        arrays.append(args)
-        return array_units(*args)
+        drawn.append(args)
+        return substream_units(*args)
 
-    for reps in (experiments._ARRAY_DRAWS - 1, experiments._ARRAY_DRAWS):
+    for reps in (15, 16):
         config = ExperimentConfig(realizations=reps, rng_seed=3, antenna_counts=(8, 2, 2, 1),
                                   target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
         values, spread = realization_sweep(config, "power")
         mean_history, outer_counts = realization_convergence(config)
-        if reps < experiments._ARRAY_DRAWS:
-            expected = [(3, index, 2) for index in range(reps)], [(3, reps, 2)]
-        else:
-            expected = [], [(3, reps, 2)]
-        monkeypatch.setattr(experiments, "_stream_units", logged_stream)
         monkeypatch.setattr(experiments, "_substream_units", logged_units)
         power = run_power_sweep(config)
-        assert (drawn, arrays) == expected
+        assert drawn == [(3, reps, 2)]
         for s in SCHEMES:
             assert_array_equal(power.values[s], values[s])
             assert_array_equal(power.values[s][1], power.values[s][2])
         assert list(power.time_spread.items()) == list(spread.items())
         drawn.clear()
-        arrays.clear()
         study = run_convergence_study(config)
-        assert (drawn, arrays) == expected
+        assert drawn == [(3, reps, 2)]
         assert study.antenna_counts == config.antenna_counts
         assert list(study.mean_history) == list(mean_history) == [8, 2, 1]
         for n in mean_history:
             assert study.mean_history[n].tobytes() == mean_history[n].tobytes()
             assert_array_equal(study.outer_counts[n], outer_counts[n])
         drawn.clear()
-        arrays.clear()
         monkeypatch.undo()
 
 
