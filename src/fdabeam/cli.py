@@ -51,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_output(args: argparse.Namespace) -> Path:
+    """The output directory, created if missing.  Handlers call this once
+    their config has loaded, so a refused config leaves no directory."""
     path = Path(args.output or os.environ.get(OUTPUT_DIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -89,21 +91,23 @@ def _plot_script(csv_name: str, xlabel: str, ylabel: str, logy: bool) -> str:
 
 
 def _load_and_descend(args: argparse.Namespace, required: str | None = None):
-    """Load the scenario config, check that ``solver.<required>`` is set, and
-    run the offset descent; returns (scenario, options, plan, trace)."""
+    """Load the scenario config, check that ``solver.<required>`` is set,
+    create the output directory and run the offset descent; returns
+    (scenario, options, plan, trace, output directory)."""
     scenario, opts = load_scenario_config(args.config, args.overrides)
     if required is not None and getattr(opts, required) is None:
         raise ConfigError(f"solver.{required} is required for {args.command}")
+    out = _resolve_output(args)
     initial = None
     if opts.initialization == "linear":
         initial = linear_fda_plan(scenario.array.element_count, scenario.rf.max_offset)
     plan, trace = optimize_offsets(scenario, initial=initial, tol=opts.tolerance,
                                    max_outer=opts.max_outer)
-    return scenario, opts, plan, trace
+    return scenario, opts, plan, trace, out
 
 
-def _cmd_solve_power(args: argparse.Namespace, out: Path) -> int:
-    scenario, opts, plan, trace = _load_and_descend(args, "target_rate")
+def _cmd_solve_power(args: argparse.Namespace) -> int:
+    scenario, opts, plan, trace, out = _load_and_descend(args, "target_rate")
     pair = channel_pair(scenario, plan, opts.time)
     sol = min_power_beamformer(pair, SecrecyTarget(opts.target_rate))
     write_trace_csv(trace.objective_history, out / "trace.csv")
@@ -123,8 +127,8 @@ def _cmd_solve_power(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def _cmd_solve_rate(args: argparse.Namespace, out: Path) -> int:
-    scenario, opts, plan, trace = _load_and_descend(args, "power_budget")
+def _cmd_solve_rate(args: argparse.Namespace) -> int:
+    scenario, opts, plan, trace, out = _load_and_descend(args, "power_budget")
     pair = channel_pair(scenario, plan, opts.time)
     sol = max_rate_beamformer(pair, PowerBudget(opts.power_budget))
     write_trace_csv(trace.objective_history, out / "trace.csv")
@@ -138,8 +142,8 @@ def _cmd_solve_rate(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def _cmd_optimize_offsets(args: argparse.Namespace, out: Path) -> int:
-    scenario, _, plan, trace = _load_and_descend(args)
+def _cmd_optimize_offsets(args: argparse.Namespace) -> int:
+    scenario, _, plan, trace, out = _load_and_descend(args)
     write_trace_csv(trace.objective_history, out / "trace.csv")
     _write_solution_csv(out / "offsets.csv", plan.offsets, None)
     print(f"offsets: {' '.join(format_mhz(o) for o in plan.offsets)}")
@@ -165,8 +169,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _cmd_sweep(args: argparse.Namespace, out: Path, which: str) -> int:
+def _cmd_sweep(args: argparse.Namespace, which: str) -> int:
     config = _experiment_config(args)
+    out = _resolve_output(args)
     if which == "power":
         result = run_power_sweep(config, workers=args.workers)
         name, xlabel, ylabel = "power_sweep.csv", "array elements", "mean power (W)"
@@ -184,8 +189,9 @@ def _cmd_sweep(args: argparse.Namespace, out: Path, which: str) -> int:
     return 0
 
 
-def _cmd_convergence(args: argparse.Namespace, out: Path) -> int:
+def _cmd_convergence(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
+    out = _resolve_output(args)
     result = run_convergence_study(config, workers=args.workers)
     write_convergence_csv(result, out / "convergence.csv")
     for n in result.antenna_counts:
@@ -230,7 +236,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args, _resolve_output(args))
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

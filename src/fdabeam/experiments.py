@@ -26,13 +26,15 @@ failing (count, index) task.  Each task, one (count, index) pair or one
 index, descends one realization (:func:`optimize_offsets`) on a scenario
 assembled from its stack's rows, which computes and checks nothing again.
 
-A power or rate sweep then takes the realizations of one antenna count at
-a time, in blocks of bounded size (:func:`_blocks`): the distances come
-from the stacks and the offsets from the tasks.  One channel synthesis
-over (R, K, N), one (B, E, x) reduction, and the closed forms and time
-re-checks on (R, K) arrays give all five schemes.  Every entry is computed
-as the per-realization pipeline computes it, so the results do not depend
-on the block size or on how the tasks are spread over workers.
+A power or rate sweep then takes its task rows in order, in blocks of
+bounded size (:func:`_blocks`) that may span several antenna counts or
+hold part of one: the distances come from the stacks and the offsets from
+the tasks.  Each count in a block gets one channel synthesis over
+(R, K, N) and one (B, E, x) reduction; one call of the closed forms and
+time re-checks on the block's (R, K) rows then gives all five schemes.
+Every entry is computed as the per-realization pipeline computes it, so
+the results do not depend on the block size or on how the tasks are
+spread over workers.
 :func:`_sweep` places the results and keeps the ``baselines`` schemes.
 
 The tasks run in a fork pool only when it pays: a worker count is an
@@ -86,9 +88,10 @@ _RF = RfParams(carrier_frequency=CARRIER_FREQUENCY, max_offset=MAX_OFFSET,
                noise_power_bob=NOISE_POWER, noise_power_eve=NOISE_POWER)
 
 _BLOCK_ENTRIES = 1 << 16
-"""Channel entries (realization, row, element) per receiver that the sweep
-stage synthesizes at once; bounds its memory at any N and realization
-count."""
+"""Channel entries (realization, row, element) per receiver in one block of
+the sweep stage, summed over the antenna counts it spans; bounds its memory
+at any N and realization count.  A block holds more only where one
+realization alone does."""
 
 _TASKS_PER_WORKER = 1000
 """Tasks each pool worker must get before :func:`_map_tasks` starts a pool,
@@ -489,18 +492,27 @@ def _rate_realization(config: ExperimentConfig, index: int, *, stacks: dict) -> 
 
 
 def _blocks(stacks: dict, counts: list, offsets: list, rows: int):
-    """(R, N) Bob distances, Eve distances and optimized offsets, one antenna
-    count of ``counts`` at a time (``offsets`` holds each count's
-    realizations in turn) and at most :data:`_BLOCK_ENTRIES` channel entries
-    of ``rows`` rows each per block."""
+    """Blocks of consecutive task rows, each a list of (R, N) Bob distances,
+    Eve distances and optimized offsets, one piece per antenna count in it
+    (``offsets`` holds each count of ``counts`` in turn, one row per
+    realization).  A block holds at most :data:`_BLOCK_ENTRIES` channel
+    entries of ``rows`` rows each, or one realization where that alone
+    exceeds them, so it may span several counts or hold part of one."""
     reps = len(offsets) // len(counts)
+    block, room = [], _BLOCK_ENTRIES
     for first, n in zip(range(0, len(offsets), reps), counts):
-        stack = stacks[n]
-        size = max(1, _BLOCK_ENTRIES // (rows * n))
-        for lo in range(0, reps, size):
-            hi = lo + size
-            yield (stack.bob_distances[lo:hi], stack.eve_distances[lo:hi],
-                   np.array(offsets[first + lo:first + min(hi, reps)]))
+        stack, entries = stacks[n], rows * n
+        lo = 0
+        while lo < reps:
+            if block and room < entries:
+                yield block
+                block, room = [], _BLOCK_ENTRIES
+            hi = min(reps, lo + max(1, room // entries))
+            block.append((stack.bob_distances[lo:hi], stack.eve_distances[lo:hi],
+                          np.array(offsets[first + lo:first + hi])))
+            room -= (hi - lo) * entries
+            lo = hi
+    yield block
 
 
 def _block_stats(bob: np.ndarray, eve: np.ndarray, offsets: np.ndarray,
@@ -641,19 +653,22 @@ def _worker_task(task):
 
 def _sweep(config: ExperimentConfig, realization, metrics, counts: list, tasks: list,
            axis: np.ndarray, workers: int) -> SweepResult:
-    """Run ``realization`` (a descent) on every task, then ``metrics`` on
-    each block of :func:`_blocks`; place the metrics of all :data:`SCHEMES`
-    (a value, or one per power) and keep the ``config.baselines`` ones, the
-    only reader of that field.  Power task k fills row ``k //
-    realizations``; rate columns are the transpose.
+    """Run ``realization`` (a descent) on every task; then, for each block of
+    :func:`_blocks`, :func:`_block_stats` once per antenna count in it and
+    ``metrics`` and :func:`_fold_spreads` once on their rows in task order.
+    Place the metrics of all :data:`SCHEMES` (a value, or one per power) and
+    keep the ``config.baselines`` ones, the only reader of that field.
+    Power task k fills row ``k // realizations``; rate columns are the
+    transpose.
     """
     stacks = _stacks(config, counts)
     offsets = _map_tasks(partial(realization, config, stacks=stacks), tasks, workers)
     reps = config.realizations
     times = config.time_samples or (0.0,)
     tables, spread = [], {}
-    for bob, eve, plans in _blocks(stacks, counts, offsets, len(times) + 2):
-        table, checks = metrics(config, *_block_stats(bob, eve, plans, times))
+    for block in _blocks(stacks, counts, offsets, len(times) + 2):
+        stats = [_block_stats(bob, eve, plans, times) for bob, eve, plans in block]
+        table, checks = metrics(config, *map(np.concatenate, zip(*stats)))
         tables.append(table)
         if len(times) > 1:
             _fold_spreads(spread, checks)
@@ -671,9 +686,9 @@ def run_power_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Required transmit power versus antenna count for every scheme.
 
     One task per (count, realization) draws and descends; the closed forms
-    then run on all realizations of a count at once.  The MRT time re-check
-    runs only where MRT is feasible.  A 2^R E so large that lambda1
-    overflows raises :class:`OverflowError`.
+    then run on whole blocks of task rows, several counts at once.  The MRT
+    time re-check runs only where MRT is feasible.  A 2^R E so large that
+    lambda1 overflows raises :class:`OverflowError`.
     """
     counts = list(config.antenna_counts)
     tasks = [(n, idx) for n in counts for idx in range(config.realizations)]

@@ -28,7 +28,13 @@ index as a Python int, not an array, so the same comparison checks the
 draw at one realization, its mixing of the fifth word included.  The next
 run, ``sweep-rate -j 2`` on the benchmark's ``sweep_rate_cli`` config
 (100 realizations, too few tasks for a pool), runs in the calling process,
-so comparing it with a tree that started a pool there checks that path.  Three runs, ``sweep-power``,
+so comparing it with a tree that started a pool there checks that path.
+The next run, ``sweep-power -j 1`` at 300 realizations and N = 2, 8 (21
+time samples, so 23 N channel entries per realization and receiver),
+packs its task rows into two blocks at the default ``_BLOCK_ENTRIES`` of
+65 536: the first holds all 300 realizations at N = 2 and 281 at N = 8,
+the second the last 19 at N = 8, so one block spans both counts and
+N = 8 splits across the two.  Three runs, ``sweep-power``,
 ``sweep-rate`` and ``convergence -j 1`` at 3 realizations and N = 1, 2
 with Bob drawn exactly half a wavelength out on the array axis, cover a
 layout check that fails at N = 2 only: the first and third exit 1 with the
@@ -80,6 +86,9 @@ baselines = bound, proposed, linear, phased, mrt
 time_samples = 21
 time_horizon = 20 us
 """
+
+# 300 x 23 x (2 + 8) channel entries: two blocks, the first spanning both counts.
+PACKED_EXPERIMENT = "[experiment]\nrealizations = 300\nantenna_counts = 2, 8\n"
 
 # Bob exactly half a wavelength out on the array axis: on element 1 at N = 2.
 ON_ELEMENT_EXPERIMENT = """\
@@ -159,6 +168,8 @@ def main() -> int:
          ["convergence", "-j", "1", "--seed", str(2**128 + 1)], WIDE_SEED_ONE_EXPERIMENT, ()),
         ("sweep-rate -j 2 at 100 realizations", ["sweep-rate", "-j", "2"],
          BENCH_RATE_EXPERIMENT, ()),
+        ("sweep-power -j 1 at 300 realizations and N = 2, 8", ["sweep-power", "-j", "1"],
+         PACKED_EXPERIMENT, ()),
     ]
     runs += [(f"{name} -j 1 with Bob on element 1", [name, "-j", "1"], ON_ELEMENT_EXPERIMENT, ())
              for name in ("sweep-power", "sweep-rate", "convergence")]

@@ -1118,3 +1118,40 @@ def test_output_path_that_is_a_directory_exits_1(scenario_ini, tmp_path, capsys)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, override, written", [
+    ("solve-power", "solver.target_rate=-3", ["solution.csv", "trace.csv"]),
+    ("solve-rate", "solver.target_rate=-3", ["solution.csv", "trace.csv"]),
+    ("optimize-offsets", "solver.target_rate=-3", ["offsets.csv", "trace.csv"]),
+    ("sweep-power", "experiment.seed=-3", ["power_sweep.csv"]),
+    ("sweep-rate", "experiment.seed=-3", ["rate_sweep.csv"]),
+    ("convergence", "experiment.seed=-3", ["convergence.csv"]),
+])
+def test_output_directory_is_made_once_the_config_loads(scenario_ini, experiment_ini,
+                                                        tmp_path, capsys, command, override,
+                                                        written):
+    """A command that a config check refuses (exit 1) makes no output
+    directory, not even its missing parents; one that runs makes them."""
+    sweep = command in ("sweep-power", "sweep-rate", "convergence")
+    args = ["-c", str(experiment_ini if sweep else scenario_ini),
+            *(["-j", "1"] if sweep else [])]
+    refused = tmp_path / "refused"
+    assert main([command, *args, "-o", str(refused / "out"), "--set", override]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not refused.exists()
+    made = tmp_path / "made" / "out"
+    assert main([command, *args, "-o", str(made)]) == 0
+    assert sorted(p.name for p in made.iterdir()) == written
+
+
+def test_infeasible_solve_power_makes_its_directory_and_solution(scenario_ini, tmp_path,
+                                                                 capsys):
+    """An infeasible solve (exit 2) passed every config check: it makes the
+    output directory and writes ``solution.csv`` and ``trace.csv`` there."""
+    out = tmp_path / "new" / "out"
+    code = main(["solve-power", "-c", str(scenario_ini), "-o", str(out),
+                 "--set", "bob.range=120 m", "--set", "bob.angle=100 deg"])
+    assert code == 2
+    assert "infeasible" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["solution.csv", "trace.csv"]

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fdabeam import experiments
 from fdabeam.beamforming import channel_stats
+from fdabeam.config import load_experiment_config
 from fdabeam.coupling import optimize_offsets
 from fdabeam.experiments import (
     CARRIER_FREQUENCY,
@@ -29,6 +30,7 @@ from fdabeam.experiments import (
 )
 from fdabeam.scenario import channel_pair
 
+from fingerprint import PACKED_EXPERIMENT
 from helpers import (
     first_layout_error,
     pool_on_every_task_list,
@@ -803,20 +805,130 @@ def test_repeated_and_unordered_counts_equal_the_per_realization_oracle(monkeypa
         monkeypatch.undo()
 
 
+def _logged_blocks(monkeypatch, which: str) -> list:
+    """The blocks that a power or rate sweep hands to its metrics: for each
+    metrics call, the (bob, eve, offsets) pieces of the ``_block_stats``
+    calls since the previous one, after checking that the metrics get
+    their rows."""
+    blocks, pending = [], []
+    block_stats, name = experiments._block_stats, f"_{which}_metrics"
+    metrics = getattr(experiments, name)
+
+    def logged_stats(bob, eve, offsets, times):
+        pending.append((bob, eve, offsets))
+        return block_stats(bob, eve, offsets, times)
+
+    def logged_metrics(config, b, e, x):
+        assert len(b) == sum(len(offsets) for *_, offsets in pending)
+        blocks.append(pending[:])
+        pending.clear()
+        return metrics(config, b, e, x)
+
+    monkeypatch.setattr(experiments, "_block_stats", logged_stats)
+    monkeypatch.setattr(experiments, name, logged_metrics)
+    return blocks
+
+
+def _layout(blocks) -> list:
+    """(N, realizations) of each block's pieces."""
+    return [[(offsets.shape[1], len(offsets)) for *_, offsets in block] for block in blocks]
+
+
+_BLOCKED = ExperimentConfig(realizations=7, rng_seed=3, antenna_counts=(2, 5),
+                            target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
+"""7 realizations at N = 2 and 5 and 3 time samples: 5 rows, so 10 and 25
+channel entries per realization, 245 for the power sweep's 14 tasks."""
+
+# (power, rate) layouts of _BLOCKED's blocks at each _BLOCK_ENTRIES
+_PACKINGS = {
+    1: ([[(2, 1)]] * 7 + [[(5, 1)]] * 7, [[(2, 1)]] * 7),
+    50: ([[(2, 5)], [(2, 2), (5, 1)], [(5, 2)], [(5, 2)], [(5, 2)]], [[(2, 5)], [(2, 2)]]),
+    75: ([[(2, 7)], [(5, 3)], [(5, 3)], [(5, 1)]], [[(2, 7)]]),
+    100: ([[(2, 7), (5, 1)], [(5, 4)], [(5, 2)]], [[(2, 7)]]),
+    245: ([[(2, 7), (5, 7)]], [[(2, 7)]]),
+    experiments._BLOCK_ENTRIES: ([[(2, 7), (5, 7)]], [[(2, 7)]]),
+}
+
+
+@pytest.mark.parametrize("entries", sorted(_PACKINGS))
+@pytest.mark.parametrize("which", ["power", "rate"])
+def test_sweep_blocks_pack_task_rows_in_order(monkeypatch, which, entries):
+    """Each block handed to the metrics holds at most ``_BLOCK_ENTRIES``
+    channel entries per receiver, summed over its pieces, unless it is one
+    realization; a block may span both counts and a count may split across
+    blocks.  The pieces hold every task's distances and optimized offsets
+    once, in task order."""
+    monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+    blocks = _logged_blocks(monkeypatch, which)
+    run = run_power_sweep if which == "power" else run_rate_sweep
+    run(_BLOCKED)
+    assert _layout(blocks) == _PACKINGS[entries][which == "rate"]
+    rows = len(_BLOCKED.time_samples) + 2
+    for block in blocks:
+        realizations = sum(len(offsets) for *_, offsets in block)
+        entries_in = sum(offsets.size * rows for *_, offsets in block)
+        assert entries_in <= entries or realizations == 1
+    counts = _BLOCKED.antenna_counts if which == "power" else _BLOCKED.antenna_counts[:1]
+    stacks = experiments._stacks(_BLOCKED, counts)
+    pieces = [row for block in blocks for piece in block for row in zip(*piece)]
+    tasks = [(n, idx) for n in counts for idx in range(_BLOCKED.realizations)]
+    assert len(pieces) == len(tasks)
+    for (n, idx), (bob, eve, offsets) in zip(tasks, pieces):
+        expected = (experiments._power_realization(_BLOCKED, (n, idx), stacks=stacks)
+                    if which == "power" else
+                    experiments._rate_realization(_BLOCKED, idx, stacks=stacks))
+        assert bob.tobytes() == stacks[n].bob_distances[idx].tobytes()
+        assert eve.tobytes() == stacks[n].eve_distances[idx].tobytes()
+        assert offsets.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("which", ["power", "rate"])
 def test_sweep_blocks_do_not_change_results(monkeypatch, which):
-    """Splitting a count's realizations into blocks, down to one realization
-    per block, changes no value, spread or spread key order."""
-    config = ExperimentConfig(realizations=7, rng_seed=3, antenna_counts=(2, 5),
-                              target_rate=1.2, time_samples=(0.0, 7e-6, 20e-6))
+    """Cutting the task rows into blocks changes no value, spread or spread
+    key order, bit for bit: at one realization per block, where one block
+    spans both counts (50 and 100 entries) and where a count splits across
+    blocks (50 and 75; the rate sweep's one count at 50)."""
     run = run_power_sweep if which == "power" else run_rate_sweep
-    whole = run(config)
-    for entries in (1, 3 * 5 * 5):
+    whole = run(_BLOCKED)
+    for entries in (1, 50, 3 * 5 * 5, 100):
         monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
-        blocked = run(config)
+        blocked = run(_BLOCKED)
         for s in SCHEMES:
-            assert_array_equal(blocked.values[s], whole.values[s])
-        assert list(blocked.time_spread.items()) == list(whole.time_spread.items())
+            assert blocked.values[s].tobytes() == whole.values[s].tobytes()
+        assert list(blocked.time_spread) == list(whole.time_spread)
+        assert [v.hex() for v in blocked.time_spread.values()] == \
+            [v.hex() for v in whole.time_spread.values()]
+
+
+def test_benchmark_sized_power_sweep_makes_one_metrics_call(monkeypatch):
+    """At the benchmark's ``sweep_power`` shape (12 realizations at the
+    default counts and time samples: 5 520 channel entries) one power sweep
+    makes one ``_block_stats`` call per count, then one ``_power_metrics``
+    and one ``_fold_spreads`` call."""
+    calls = []
+    for name in ("_block_stats", "_power_metrics", "_fold_spreads"):
+        def counted(*args, _name=name, _fn=getattr(experiments, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    config = ExperimentConfig(realizations=12, rng_seed=1)
+    run_power_sweep(config)
+    assert calls == ["_block_stats"] * len(config.antenna_counts) + [
+        "_power_metrics", "_fold_spreads"]
+
+
+def test_fingerprint_packed_sweep_spans_and_splits(tmp_path):
+    """The fingerprint's packed ``sweep-power`` run, at the default
+    ``_BLOCK_ENTRIES``, has one block that spans both its counts and a
+    count that splits across two blocks, as its docstring states."""
+    path = tmp_path / "experiment.ini"
+    path.write_text(PACKED_EXPERIMENT)
+    config = load_experiment_config(path)
+    counts = list(config.antenna_counts)
+    offsets = [np.zeros(n) for n in counts for _ in range(config.realizations)]
+    blocks = experiments._blocks(experiments._stacks(config, counts), counts, offsets,
+                                 len(config.time_samples) + 2)
+    assert _layout(blocks) == [[(2, 300), (8, 281)], [(8, 19)]]
 
 
 @pytest.mark.parametrize("which, override, message", [
