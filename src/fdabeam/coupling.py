@@ -11,16 +11,22 @@ coordinate descent where each 1-D subproblem has a closed-form solution.
 The descent caches one array of per-element terms ``alpha_n exp(j phi_n)``
 with ``phi_n = omega_n f_n`` and rewrites entry n only when an update of f_n
 is accepted; their real and imaginary parts, ``alpha_n cos(phi_n)`` and
-``alpha_n sin(phi_n)`` bit for bit, are kept as Python floats.  A (2, N - 1)
-buffer holds the real and imaginary parts of every element but the current
-one, and each coordinate sums both rows with one numpy reduce over the last
-axis; each re-evaluation (``kernels.coupling_power``) sums all N terms.  Both
-sums run in index order with numpy's pairwise sum, exactly as recomputing
-every phase per update would; offsets and objective values are therefore
-bit for bit those of that full-recompute form (``tests/helpers.py`` keeps it
-as the oracle).  A running sum would make the update O(1), but its ulp drift
-decides the outcome at the cancellation floor, where the reachable couplings
-are roundoff noise.
+``alpha_n sin(phi_n)`` bit for bit, are kept as Python floats.  Each
+coordinate needs both parts summed in index order over every element but
+its own (its rest), and each re-evaluation (``kernels.coupling_power``)
+sums all N terms.  numpy sums a row with its pairwise sum, which below 8
+values is a plain left-to-right loop from +0.0 and from 8 values on adds
+into eight interleaved partial sums.  So at N <= 8, where a rest holds at
+most 7 values, the descent adds the other elements' Python floats in index
+order onto 0.0.  Starting at 0.0, not at the first value, is what numpy
+does: it turns a lone -0.0 into +0.0 and gives the empty rest at N = 1 the
+value 0.0.  From N = 9 on, a (2, N - 1) buffer holds the real and imaginary
+parts of the rest, and one numpy reduce over its last axis sums both rows.
+Either way the sums are those of recomputing every phase per update, so
+offsets and objective values are bit for bit those of that full-recompute
+form (``tests/helpers.py`` keeps it as the oracle).  A running sum would
+make the update O(1), but its ulp drift decides the outcome at the
+cancellation floor, where the reachable couplings are roundoff noise.
 
 A trial term is ``alpha_n * cmath.exp(1j * (omega_n f))`` on Python floats.
 Like numpy's scalar ``np.exp``, ``cmath.exp`` takes the libm cosine and sine
@@ -50,6 +56,9 @@ import numpy as np
 
 from . import kernels
 from .scenario import FrequencyPlan, Scenario, _is_int, _plan_offsets
+
+# Largest N whose rests (N - 1 values) numpy sums left to right from +0.0.
+_SERIAL_REST_MAX_N = 8
 
 
 @dataclass
@@ -162,17 +171,23 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     rejected = 0
     converged = False
     outer = 0
-    # Rows 0 and 1 hold re and im without entry i, in index order: moving on
-    # to i + 1 writes entry i into the slot that held entry i + 1.
-    rest = np.empty((2, n_elem - 1))
-    rest_re, rest_im = rest[0], rest[1]
+    if n_elem <= _SERIAL_REST_MAX_N:
+        # Per element, the indices of every other element in index order.
+        others = [[j for j in range(n_elem) if j != i] for i in range(n_elem)]
+        rest = None
+    else:
+        # Rows 0 and 1 hold re and im without entry i, in index order: moving
+        # on to i + 1 writes entry i into the slot that held entry i + 1.
+        rest = np.empty((2, n_elem - 1))
+        rest_re, rest_im = rest[0], rest[1]
     while outer < max_outer and not converged:
         outer += 1
         g_before = g
-        rest_re[:] = re[1:]
-        rest_im[:] = im[1:]
+        if rest is not None:
+            rest_re[:] = re[1:]
+            rest_im[:] = im[1:]
         for i, step in enumerate(steps):
-            if i:
+            if i and rest is not None:
                 rest_re[i - 1] = re[i - 1]
                 rest_im[i - 1] = im[i - 1]
             if seen[i] == accepted:
@@ -184,7 +199,13 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
             elif step is not None:
                 # a + jb is the coupling sum over every other element, so the
                 # part that depends on f is hypot(a, b) cos(|omega_i| f - phase).
-                a, b = reduce(rest, axis=1).tolist()
+                if rest is None:
+                    a = b = 0.0
+                    for j in others[i]:
+                        a += re[j]
+                        b += im[j]
+                else:
+                    a, b = reduce(rest, axis=1).tolist()
                 refusal = False
                 if a != 0.0 or b != 0.0:
                     w, sign, x_lo, x_hi = step

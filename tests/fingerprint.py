@@ -44,10 +44,15 @@ float range: the three sweeps at ``-j 1`` with Bob drawn 3e-150 m out
 (Eve 20 m behind him) at N = 1, and the three single-scenario commands on
 the README block with N = 1, Bob at 3e-150 m and Eve at 20 m on his
 bearing; each exits 1 with the scenario's error and writes no CSV.
-The last run, ``optimize-offsets`` on the README block with
+The next run, ``optimize-offsets`` on the README block with
 ``solver.initialization=linear`` and ``solver.max_outer=0``, writes the
 clamped linear start as its plan: the descent's start from a plan and its
-exit, with no sweep in between.
+exit, with no sweep in between.  The last two runs, ``optimize-offsets`` on
+the README block at ``array.element_count=8`` and ``=9``, put a descent on
+each side of N = 9, where its rest sums switch from Python floats to a numpy
+reduce; Bob and Eve sit on separated bearings there, so the descents take
+11 and 9 sweeps, and their ``trace.csv`` (90 and 83 lines) carries every
+coupling value to 17 digits.
 Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
@@ -182,6 +187,9 @@ def main() -> int:
     runs.append(("optimize-offsets from the linear start at max_outer=0",
                  ["optimize-offsets", "--set", "solver.initialization=linear",
                   "--set", "solver.max_outer=0"], _readme_ini(), ()))
+    runs += [(f"optimize-offsets at N = {n}",
+              ["optimize-offsets", "--set", f"array.element_count={n}"], _readme_ini(), ())
+             for n in (8, 9)]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

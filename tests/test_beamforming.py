@@ -1,7 +1,9 @@
 """Closed-form secrecy beamformers against dense linear-algebra oracles."""
 
+import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from helpers import (
     abs_square_stats,
     dense_lambda1,
     dense_lambda_delta,
+    draw_realization,
     half_wave_scenario,
     mrt_beamformer,
     power_lower_bound,
@@ -716,6 +719,51 @@ def test_max_rate_orthogonal_equals_mrt():
     sol = max_rate_beamformer(pair, PowerBudget(2.5))
     assert_allclose(sol.rate, math.log2(1.0 + 2.5 * b), rtol=1e-12)
     assert_allclose(sol.rate, mrt_rate(b, 2.5, x), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# what is time-invariant: the design at t = 0 rotated per instant, not held
+
+def _max_rate_designs(count):
+    """(scenario, plan, t = 0 max-rate design at 1 W) of the seed-0
+    reference draws 0 .. count - 1 at N = 4."""
+    config = ExperimentConfig()
+    designs = []
+    for index in range(count):
+        scenario, plan, _ = draw_realization(config, 4, index)
+        pair = channel_pair(scenario, plan, 0.0)
+        designs.append((scenario, plan, max_rate_beamformer(pair, PowerBudget(1.0))))
+    return designs
+
+
+def _rotated(scenario, plan, w, t):
+    """diag(exp(j 2 pi f_n t)) w, with f_n t reduced modulo one cycle in
+    exact rational arithmetic."""
+    freqs = (scenario.rf.carrier_frequency + plan.offsets).tolist()
+    turns = [float(Fraction(f) * Fraction(t) % 1) for f in freqs]
+    return np.array([cmath.exp(2j * math.pi * u) for u in turns]) * w
+
+
+def test_rotated_design_keeps_its_rate():
+    """Every entry of h(t) is h(0)'s times exp(j 2 pi f_n t), so the
+    per-instant weights w(t) = diag(exp(j 2 pi f_n t)) w(0) see the t = 0
+    channels at every t and give the designed rate (4.1e-15 relative at
+    worst over the first 100 draws)."""
+    for scenario, plan, design in _max_rate_designs(5):
+        assert design.rate > 1.0
+        for t in (5e-9, 1e-6, 20e-6):  # within the reference 20 us window
+            w_t = _rotated(scenario, plan, design.beamformer, t)
+            rate = secrecy_rate(w_t, channel_pair(scenario, plan, t))
+            assert abs(rate - design.rate) <= 1e-13 * design.rate, (t, rate, design.rate)
+
+
+def test_held_design_loses_its_rate():
+    """A w held fixed does not keep its rate: 5 ns after t = 0 the t = 0
+    design falls below half of it (at most 0.492 of it over the first 100
+    draws), because the per-element rotation breaks its null on Eve."""
+    for scenario, plan, design in _max_rate_designs(5):
+        rate = secrecy_rate(design.beamformer, channel_pair(scenario, plan, 5e-9))
+        assert rate < 0.5 * design.rate, (rate, design.rate)
 
 
 # ---------------------------------------------------------------------------

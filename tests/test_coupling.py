@@ -437,7 +437,7 @@ def test_descent_bitwise_on_descent_large_layouts(layout):
     _assert_same_descent(optimize_offsets(scenario), reference_descent(scenario))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_descent_bitwise_on_random_inputs(n):
     """Random layouts, random starting plans and non-default stopping rules
     give the same arithmetic as the full-recompute descent."""
@@ -477,7 +477,7 @@ def test_descent_bitwise_on_degenerate_coordinates():
     # Bob and Eve on a circle around element k (which sits at x = 0), so
     # omega_k = 0 while every other coordinate still moves; at N = 2 the sum
     # over the other element is then real, with an imaginary part of exactly 0
-    for n, k in ((8, 3), (2, 1)):
+    for n, k in ((8, 3), (5, 2), (2, 1)):
         base = half_wave_scenario(n, 100.0, math.pi / 2, 100.0, 0.0)
         d = base.array.spacing
         scenario = dataclasses.replace(base, array=ArrayGeometry(n, -k * d, d))
@@ -592,6 +592,35 @@ def test_cmath_trial_term_equals_numpy_scalar_term():
     assert np.array(cmath_terms).tobytes() == np.array(numpy_terms).tobytes()
 
 
+@pytest.mark.parametrize("width", range(8))
+def test_numpy_row_sum_is_left_to_right_below_eight_values(width):
+    """Below N = 9 the descent sums each rest, at most 7 values, as Python
+    floats added in index order onto 0.0, for the bits of numpy's row sum.
+    That holds only while ``np.add.reduce`` over the last axis of a (2, w)
+    array runs left to right from +0.0 below 8 values; this pins it on rows
+    that mix magnitudes from 1e-8 to 1e8 with signed zeros, subnormals and
+    infinities (an all -0.0 row sums to +0.0; inf - inf gives NaN both ways)."""
+    rng = np.random.default_rng(4100 + width)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-315,
+                        math.inf, -math.inf])
+    for _ in range(2000):
+        sign = np.where(rng.random((2, width)) < 0.5, -1.0, 1.0)
+        rows = sign * 10.0 ** rng.uniform(-8.0, 8.0, (2, width))
+        mask = rng.random((2, width)) < 0.2
+        rows[mask] = rng.choice(special, np.count_nonzero(mask))
+        want = []
+        for row in rows.tolist():
+            total = 0.0
+            for value in row:
+                total += value
+            want.append(total)
+        with np.errstate(invalid="ignore"):
+            got = np.add.reduce(rows, axis=1)
+        assert got.tobytes() == np.array(want).tobytes(), rows
+    zeros = np.full((2, width), -0.0)
+    assert np.add.reduce(zeros, axis=1).tobytes() == np.zeros(2).tobytes()
+
+
 def _counting_kernel(monkeypatch):
     """Replace ``kernels.coupling_power`` after import with a wrapper that
     counts its calls, as perfbench's tracer does."""
@@ -606,19 +635,31 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("layout", DESCENT_LARGE_LAYOUTS[3:])
-def test_descent_calls_the_kernel_it_finds_at_call_time(monkeypatch, layout):
+# The README's INI geometry (Bob at 100 m and 60 deg, Eve at 120 m and
+# 100 deg) at N = 4 and 8 takes 21 and 11 sweeps with no rejection, so its
+# trials run on the Python-float rest sums of N <= 8.
+KERNEL_LOOKUP_SCENARIOS = [
+    *(pytest.param(_descent_large_scenario(*layout), id=f"N=128-layout{k}")
+      for k, layout in enumerate(DESCENT_LARGE_LAYOUTS[3:], start=3)),
+    *(pytest.param(half_wave_scenario(n, 100.0, math.radians(60.0),
+                                      120.0, math.radians(100.0)), id=f"N={n}-readme")
+      for n in (4, 8)),
+]
+
+
+@pytest.mark.parametrize("scenario", KERNEL_LOOKUP_SCENARIOS)
+def test_descent_calls_the_kernel_it_finds_at_call_time(monkeypatch, scenario):
     """A wrapper installed on the kernels module after import sees the
-    start's evaluation and one per trial.  On these layouts no update is
-    rejected and every accepted one lowers g, so the trials are the strict
-    decreases of the history."""
-    scenario = _descent_large_scenario(*layout)
+    start's evaluation and one per trial, on both sides of N = 9 where the
+    rest sums switch from Python floats to a numpy reduce.  On these layouts
+    no update is rejected and every accepted one lowers g, so the trials are
+    the strict decreases of the history."""
     calls = _counting_kernel(monkeypatch)
     _, trace = optimize_offsets(scenario)
     hist = np.array(trace.objective_history)
     assert trace.rejected_updates == 0
     assert len(calls) == 1 + np.count_nonzero(hist[1:] < hist[:-1])
-    assert set(calls) == {128}
+    assert set(calls) == {scenario.array.element_count}
 
 
 def test_replayed_rejection_counts_like_the_full_recompute(monkeypatch):
