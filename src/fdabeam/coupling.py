@@ -34,10 +34,18 @@ of the phase times ``exp(0) = 1``, and both multiply by ``alpha_n`` as a
 complex product, so the terms have the same bits (``tests/test_coupling.py``
 checks 10^5 draws).  A coordinate's evaluation reads only the cached terms,
 its own frequency and the current coupling, and all of them change only when
-an update is accepted.  So a coordinate visited again with no update
-accepted since its last evaluation replays that outcome instead of
-recomputing it: nothing for an accepted or unchanged frequency, one more
-counted rejection for a rejected one.
+an update is accepted.  So an evaluation repeats the coordinate's last
+outcome exactly when the N - 1 visits since then accepted nothing, which
+makes every later visit of that sweep repeat too: a full cycle accepts
+nothing, the sweep changes nothing, and the convergence test ends the
+descent with it.  The descent counts the visits since the last accepted
+update (``quiet``), the rejections since it (``refusals``) and ``refusals``
+at the sweep's start (``carried``).  The first visit after the first sweep
+that finds ``quiet >= N - 1`` is that of the coordinate of the last
+accepted update, one sweep on.  There the descent appends g once per
+remaining coordinate, adds ``carried`` to the rejection count (the
+rejections those coordinates made after that update, which they would
+repeat) and leaves the loop.
 
 A descent without an initial plan starts every frequency at the Python float
 f_c, whose product with omega has the bits of omega times an array of f_c.
@@ -162,13 +170,10 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     g = pref * coupling_power(terms)
     history = [g]
     append = history.append
-    # Replay bookkeeping: the number of accepted updates so far and, per
-    # element, that number as it stood after the element's last evaluation
-    # (-1 before the first) and whether that evaluation was rejected.
-    accepted = 0
-    seen = [-1] * n_elem
-    refused = [False] * n_elem
-    rejected = 0
+    # Replay bookkeeping (the module docstring has the rule): the visits and
+    # the rejections since the last accepted update.
+    last = n_elem - 1
+    quiet = refusals = rejected = 0
     converged = False
     outer = 0
     if n_elem <= _SERIAL_REST_MAX_N:
@@ -183,20 +188,22 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     while outer < max_outer and not converged:
         outer += 1
         g_before = g
+        carried = refusals
         if rest is not None:
             rest_re[:] = re[1:]
             rest_im[:] = im[1:]
         for i, step in enumerate(steps):
+            if quiet >= last and outer > 1:
+                # A full cycle accepted nothing: this and every later
+                # coordinate would repeat its evaluation of the previous sweep.
+                history += [g] * (n_elem - i)
+                rejected += carried
+                break
+            quiet += 1
             if i and rest is not None:
                 rest_re[i - 1] = re[i - 1]
                 rest_im[i - 1] = im[i - 1]
-            if seen[i] == accepted:
-                # No update was accepted since this coordinate's last
-                # evaluation, so its rest, frequency and g hold the same
-                # bits and the evaluation would repeat its outcome.
-                if refused[i]:
-                    rejected += 1
-            elif step is not None:
+            if step is not None:
                 # a + jb is the coupling sum over every other element, so the
                 # part that depends on f is hypot(a, b) cos(|omega_i| f - phase).
                 if rest is None:
@@ -206,7 +213,6 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                         b += im[j]
                 else:
                     a, b = reduce(rest, axis=1).tolist()
-                refusal = False
                 if a != 0.0 or b != 0.0:
                     w, sign, x_lo, x_hi = step
                     phase = sign * atan2(b, a)
@@ -228,15 +234,13 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                             # keep the previous frequency.
                             terms[i] = complex(re[i], im[i])
                             rejected += 1
-                            refusal = True
+                            refusals += 1
                         else:
                             fr[i] = f_new
                             re[i] = term.real
                             im[i] = term.imag
                             g = g_trial
-                            accepted += 1
-                seen[i] = accepted
-                refused[i] = refusal
+                            quiet = refusals = 0
             append(g)
         if g_before - g <= tol * g_before:
             converged = True

@@ -193,25 +193,22 @@ class ConvergenceResult:
     outer_counts: dict
 
 
-def _nanstat(fn, block: np.ndarray) -> np.ndarray:
-    """``fn`` of each row's non-NaN entries, NaN for an all-NaN row.  The
-    entries are packed to the front in their order, so one ``fn(..., axis=1)``
-    call per distinct count gives each row's per-row value.  A statistic
-    with leading axes, such as ``np.percentile`` at a tuple of q, keeps them:
-    the result has shape ``(*lead, rows)``, and each row is partitioned once
-    for all its quantiles."""
+def _row_stats(block: np.ndarray) -> np.ndarray:
+    """Mean, p05, p95 and NaN fraction of each row, as a (4, rows) array;
+    the first three are those of the row's non-NaN entries, NaN for an
+    all-NaN row.  The entries are packed to the front in their order, so one
+    mean and one percentile call per distinct count give each row's per-row
+    values, and each row is partitioned once for both quantiles."""
     nan = np.isnan(block)
     packed = np.take_along_axis(block, np.argsort(nan, axis=1, kind="stable"), axis=1)
     counts = block.shape[1] - nan.sum(axis=1)
-    out = None
+    out = np.full((4, len(block)), math.nan)
     for k in np.unique(counts[counts > 0]):
         rows = np.flatnonzero(counts == k)
-        value = fn(packed[rows, :k], axis=1)
-        if out is None:
-            out = np.full((*value.shape[:-1], len(block)), math.nan)
-        out[..., rows] = value
-    if out is None:  # every row is all-NaN: the leading axes of an empty call
-        out = np.full((*np.shape(fn(np.ones((0, 1)), axis=1))[:-1], len(block)), math.nan)
+        good = packed[rows, :k]
+        out[0, rows] = np.mean(good, axis=1)
+        out[1:3, rows] = np.percentile(good, (5.0, 95.0), axis=1)
+    out[3] = np.mean(nan, axis=1)
     return out
 
 
@@ -769,18 +766,14 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per (axis value, scheme) with mean, 5/95 percentiles and the
     infeasible fraction; floats carry 17 significant digits.
 
-    The schemes' values are stacked in row order, so each statistic is one
-    call over all rows, and p05 and p95 one percentile call at both q; a
-    row's value is the statistic of that scheme's non-NaN realizations at
-    that axis value alone, bit for bit."""
+    The schemes' values are stacked in row order, so the statistics are one
+    pass over all rows; a row's value is the statistic of that scheme's
+    non-NaN realizations at that axis value alone, bit for bit."""
     block = np.stack([result.values[s] for s in result.schemes], axis=1)
     block = block.reshape(-1, block.shape[-1])  # row (axis i, scheme s) = i * S + s
-    stats = (_nanstat(np.mean, block),
-             *_nanstat(partial(np.percentile, q=(5.0, 95.0)), block),
-             np.mean(np.isnan(block), axis=1))
     keys = ((_fmt(x), s) for x in result.axis for s in result.schemes)
     _write_csv(path, ["axis", "scheme", "mean_metric", "p05", "p95", "infeasible_fraction"],
-               ([*key, *map(_fmt, row)] for key, row in zip(keys, zip(*stats))))
+               ([*key, *map(_fmt, row)] for key, row in zip(keys, _row_stats(block).T)))
 
 
 def write_convergence_csv(result: ConvergenceResult, path) -> None:

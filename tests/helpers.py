@@ -150,8 +150,8 @@ def pool_on_every_task_list(monkeypatch, tmp_path):
 
 
 def rowwise_nanstat(fn, block):
-    """Per-row form of ``experiments._nanstat``: ``fn`` of each row's non-NaN
-    entries, NaN for an all-NaN row."""
+    """Per-row form of ``experiments._row_stats``: ``fn`` of each row's
+    non-NaN entries, NaN for an all-NaN row."""
     rows = (row[~np.isnan(row)] for row in block)
     return np.array([fn(good) if good.size else math.nan for good in rows], dtype=float)
 

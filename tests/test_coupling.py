@@ -691,6 +691,69 @@ def test_replay_keys_on_the_other_elements():
         _assert_same_descent(got, reference_descent(scenario, initial=initial))
 
 
+# Layouts (N, Bob's range and angle, Eve's range and angle), started at f_c,
+# whose last sweep evaluates `fresh` rejections before coordinate `start`,
+# then skips from there on and counts `carried` rejections for the skipped
+# coordinates.
+BULK_FINISH_LAYOUTS = [
+    pytest.param((7, 129.9, 0.74, 102.0, 2.51), 0, 0, 3, id="from-0-after-rejections"),
+    pytest.param((5, 58.6, 2.65, 106.8, 2.99), 4, 0, 0, id="from-N-1"),
+    pytest.param((6, 143.6, 1.75, 94.0, 2.33), 3, 0, 1, id="after-a-rejection"),
+    pytest.param((7, 121.3, 1.92, 164.1, 3.12), 1, 1, 1, id="rejections-on-both-sides"),
+]
+
+
+@pytest.mark.parametrize("layout, start, fresh, carried", BULK_FINISH_LAYOUTS)
+def test_descent_bitwise_at_the_edges_of_the_bulk_finish(layout, start, fresh, carried):
+    """The last sweep repeats the one before it from the coordinate that
+    made the last accepted update (here the last strict decrease of g), and
+    the rejections it repeats are those the later coordinates made after
+    that update: the full-recompute descent's last sweep counts them beside
+    any it evaluates before that coordinate."""
+    n = layout[0]
+    scenario = half_wave_scenario(*layout)
+    want = reference_descent(scenario)
+    _assert_same_descent(optimize_offsets(scenario), want)
+    sweeps, hist = want[1].outer_iterations, np.array(want[1].objective_history)
+    assert want[1].converged and sweeps >= 2
+    before = hist[(sweeps - 2) * n:(sweeps - 1) * n + 1]
+    assert np.flatnonzero(before[1:] < before[:-1])[-1] == start
+    assert (hist[(sweeps - 1) * n:] == hist[-1]).all()
+    earlier = reference_descent(scenario, max_outer=sweeps - 1)[1].rejected_updates
+    assert want[1].rejected_updates - earlier == fresh + carried
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_first_sweep_evaluates_its_last_coordinate_after_quiet_visits(n):
+    """The first sweep has no earlier evaluation to repeat: from the
+    descent's own end plan with the last offset moved into the box, its
+    first N - 1 visits lower nothing, yet its last coordinate is evaluated
+    and moves back."""
+    scenario = half_wave_scenario(n, 100.0, 1.0, 120.0, 1.0)
+    offsets = optimize_offsets(scenario)[0].offsets.copy()
+    offsets[-1] = 0.25 * MAX_OFFSET
+    initial = FrequencyPlan(offsets)
+    want = reference_descent(scenario, initial=initial)
+    hist = np.array(want[1].objective_history)
+    assert list(np.flatnonzero(hist[1:n + 1] < hist[:n])) == [n - 1]
+    _assert_same_descent(optimize_offsets(scenario, initial=initial), want)
+
+
+@pytest.mark.parametrize("max_outer", [1, 2, 3])
+def test_single_element_descent_bitwise_at_small_sweep_caps(max_outer):
+    """At N = 1 every visit finds a full cycle quiet, yet the first sweep
+    still evaluates its coordinate; with nothing to move, it converges."""
+    rng = np.random.default_rng(40 + max_outer)
+    for k in range(4):
+        scenario = random_scenario(rng, n=1, shared_bearing=bool(k % 2))
+        initial = random_plan(rng, 1) if k >= 2 else None
+        got = optimize_offsets(scenario, initial=initial, max_outer=max_outer)
+        assert got[1].outer_iterations == 1 and got[1].converged
+        assert len(got[1].objective_history) == 2
+        _assert_same_descent(got, reference_descent(scenario, initial=initial,
+                                                    max_outer=max_outer))
+
+
 def _grid_resolution(scenario, points):
     omega, alpha = scenario.omega, scenario.alpha
     pref = scenario.rf.coupling_prefactor
@@ -743,27 +806,47 @@ def test_two_level_oracle_is_the_two_point_grid():
         assert two_level_optimum(scenario) == grid_oracle(scenario, 2)[1]
 
 
-def test_descent_matches_the_two_level_optimum_on_sweep_draws():
-    """On the sweep's layouts (shared bearing, 20 m range gap) the descent's
-    final coupling is at most the best of the 2^N plans with every offset at
-    0 or f_m, times 1 + 1e-6: seeds 0, 1 and 7, N = 2..12, realizations
-    0-19.  All but two of the 660 cases are within 1e-9.  The two are seed 0,
-    realization 9, at N = 10 (1.25e-7 above) and N = 12 (2.71e-7 above):
-    both converge in 2 sweeps with f_m on the first half of the elements,
-    while the optimum puts f_m on as many elements shifted by one, so the
-    descent stops at a coordinate-wise minimum that is not the global
-    two-level one."""
-    above = []
+def _two_level_cases(gap):
+    """The sweep's layouts (shared bearing) at range gap ``gap``, seeds 0, 1
+    and 7, N = 2..12, realizations 0-19: each case's key, end plan, final
+    coupling and best two-level coupling."""
     for seed in (0, 1, 7):
-        config = ExperimentConfig(rng_seed=seed)
+        config = ExperimentConfig(rng_seed=seed, range_gap=gap)
         for n in range(2, 13):
             for index in range(20):
                 scenario, plan, _ = draw_realization(config, n, index)
-                final, best = g_value(scenario, plan), two_level_optimum(scenario)
-                assert final <= best * (1.0 + 1e-6)
-                if final > best * (1.0 + 1e-9):
-                    above.append((seed, n, index))
-    assert set(above) <= {(0, 10, 9), (0, 12, 9)}
+                final = g_value(scenario, plan)
+                yield (seed, n, index), plan, final, two_level_optimum(scenario)
+
+
+@pytest.mark.parametrize("gap", [0.5, 2.0, 5.0, 20.0])
+def test_descent_matches_the_two_level_optimum_on_sweep_draws(gap):
+    """At range gaps whose phase spread theta = 2 pi gap f_m / c stays below
+    pi (0.031, 0.13, 0.31 and 1.26 rad), the descent's final coupling is at
+    most the best of the 2^N plans with every offset at 0 or f_m, times
+    1 + 1e-6, on all 660 cases per gap.  All but two of the 2 640 cases are
+    within 1e-9.  The two are seed 0, realization 9 at the 20 m gap, at N = 10
+    (1.25e-7 above) and N = 12 (2.71e-7 above): both converge in 2 sweeps
+    with f_m on the first half of the elements, while the optimum puts f_m
+    on as many elements shifted by one, so the descent stops at a
+    coordinate-wise minimum that is not the global two-level one."""
+    above = []
+    for key, _, final, best in _two_level_cases(gap):
+        assert final <= best * (1.0 + 1e-6)
+        if final > best * (1.0 + 1e-9):
+            above.append(key)
+    assert set(above) <= ({(0, 10, 9), (0, 12, 9)} if gap == 20.0 else set())
+
+
+def test_descent_leaves_the_two_levels_past_the_arc_condition():
+    """At a 60 m gap theta is 3.77 rad > pi, so the element arcs no longer
+    fit in one arc narrower than pi: every one of the 660 descents ends with
+    an offset at least f_m / 10 from both ends of the box, at a coupling of
+    at most 0.084 times the best two-level one."""
+    for _, plan, final, best in _two_level_cases(60.0):
+        u = plan.offsets / MAX_OFFSET
+        assert np.max(np.minimum(u, 1.0 - u)) >= 0.1
+        assert final <= 0.084 * best
 
 
 def test_grid_oracle_refinement():

@@ -985,8 +985,9 @@ def test_rate_recheck_at_the_largest_power():
 
 
 def test_nanstat_equals_per_row_form_bitwise():
-    """One call per distinct non-NaN count gives each row the statistic of
-    its own non-NaN entries, bit for bit; all-NaN rows stay NaN."""
+    """One pass over the distinct non-NaN counts gives each row the mean,
+    p05 and p95 of its own non-NaN entries and its NaN fraction, bit for
+    bit; all-NaN rows stay NaN."""
     rng = np.random.default_rng(21)
     width = 40
     counts = [width, 0, 1, width - 1, 20, 20, 20, 5, 0, width, 2, 33, 1]
@@ -994,17 +995,12 @@ def test_nanstat_equals_per_row_form_bitwise():
         block = rng.lognormal(0.0, 3.0, size=(len(counts), width))
         for row, k in zip(block, counts):
             row[rng.permutation(width)[k:]] = math.nan
-        for fn in (np.mean, partial(np.percentile, q=5.0),
-                   partial(np.percentile, q=50.0), partial(np.percentile, q=95.0)):
-            got = experiments._nanstat(fn, block)
-            assert got.tobytes() == rowwise_nanstat(fn, block).tobytes()
-            assert np.isnan(got[[1, 8]]).all() and not np.isnan(np.delete(got, [1, 8])).any()
-        # both quantiles from one call: row q of the result is the per-row form at q
-        got = experiments._nanstat(partial(np.percentile, q=(5.0, 95.0)), block)
-        assert got.shape == (2, len(counts))
-        for row, fn in zip(got, (P05, P95)):
+        got = experiments._row_stats(block)
+        assert got.shape == (4, len(counts))
+        for row, fn in zip(got, (np.mean, P05, P95)):
             assert row.tobytes() == rowwise_nanstat(fn, block).tobytes()
-        assert np.isnan(got[:, [1, 8]]).all() and not np.isnan(np.delete(got, [1, 8], 1)).any()
-    # every row all-NaN: the quantile axis stays, all NaN
-    got = experiments._nanstat(partial(np.percentile, q=(5.0, 95.0)), np.full((3, 4), math.nan))
-    assert got.shape == (2, 3) and np.isnan(got).all()
+        assert got[3].tobytes() == np.array([np.mean(np.isnan(r)) for r in block]).tobytes()
+        assert np.isnan(got[:3, [1, 8]]).all() and not np.isnan(np.delete(got, [1, 8], 1)).any()
+    # every row all-NaN: every statistic but the fraction is NaN
+    got = experiments._row_stats(np.full((3, 4), math.nan))
+    assert got.shape == (4, 3) and np.isnan(got[:3]).all() and (got[3] == 1.0).all()
