@@ -49,9 +49,19 @@ repeat) and leaves the loop.
 
 A descent without an initial plan starts every frequency at the Python float
 f_c, whose product with omega has the bits of omega times an array of f_c.
-It ends with one numpy clamp of the offsets into [0, f_m] and returns them
-as a read-only plan without copying or checking them again
-(``FrequencyPlan._bounded`` says why they need no check).
+At N <= 8 numpy builds only the array of terms and the returned offsets.
+The start terms take the trial-term form, one ``cmath.exp`` per element on
+the Python floats of omega, alpha and the start frequencies, which has the
+bits of numpy's array expression too (``tests/test_coupling.py`` checks
+10^5 draws as one array and as arrays of every width up to 8), and the end
+frequencies are clamped into [0, f_m] as Python floats by
+``min(f_m, max(0.0, f - f_c))``, which is numpy's
+``np.minimum(np.maximum(f - f_c, 0.0), f_m)`` bit for bit, signed zeros
+included.  From N = 9 on the start and the clamp stay numpy array
+expressions: per-element Python there made ``descent_large`` (N = 32 and
+128) slower.  Either way the descent returns the offsets as a read-only
+plan without copying or checking them again (``FrequencyPlan._bounded``
+says why they need no check).
 """
 
 from __future__ import annotations
@@ -67,6 +77,10 @@ from .scenario import FrequencyPlan, Scenario, _is_int, _plan_offsets
 
 # Largest N whose rests (N - 1 values) numpy sums left to right from +0.0.
 _SERIAL_REST_MAX_N = 8
+# Per N <= _SERIAL_REST_MAX_N and element i, every other element's index in
+# index order.
+_OTHERS = [[[j for j in range(n) if j != i] for i in range(n)]
+           for n in range(_SERIAL_REST_MAX_N + 1)]
 
 
 @dataclass
@@ -145,6 +159,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     n_elem = scenario.array.element_count
     f_lo = rf.carrier_frequency
     f_hi = rf.carrier_frequency + rf.max_offset
+    serial = n_elem <= _SERIAL_REST_MAX_N
     if initial is None:
         freqs, fr = f_lo, [f_lo] * n_elem
     else:
@@ -153,6 +168,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
 
     omega, pref = scenario.omega, rf.coupling_prefactor
     om, al = omega.tolist(), scenario.alpha.tolist()
+    reduce, atan2, argmin, exp = np.add.reduce, math.atan2, cosine_argmin, cmath.exp
     # (|omega_n|, sign of omega_n, |omega_n| f_lo, |omega_n| f_hi) per
     # element, or None where every f in the box is optimal.
     steps = [None if w == 0.0 or rf.max_offset == 0.0
@@ -161,12 +177,22 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     # Per-element terms of the coupling sum at the current frequencies, and
     # their real and imaginary parts; entry n changes only when an update of
     # f_n is accepted.
-    terms = scenario.alpha * np.exp(1j * (omega * freqs))
-    re, im = terms.real.tolist(), terms.imag.tolist()
+    if serial:
+        start = [a * exp(1j * (w * f)) for a, w, f in zip(al, om, fr)]
+        terms = np.array(start)
+        re, im = [t.real for t in start], [t.imag for t in start]
+        others = _OTHERS[n_elem]
+        rest = None
+    else:
+        terms = scenario.alpha * np.exp(1j * (omega * freqs))
+        re, im = terms.real.tolist(), terms.imag.tolist()
+        # Rows 0 and 1 hold re and im without entry i, in index order: moving
+        # on to i + 1 writes entry i into the slot that held entry i + 1.
+        rest = np.empty((2, n_elem - 1))
+        rest_re, rest_im = rest[0], rest[1]
     # Looked up per call, so that a wrapper installed on the kernels module
     # sees every evaluation.
     coupling_power = kernels.coupling_power
-    reduce, atan2, argmin, exp = np.add.reduce, math.atan2, cosine_argmin, cmath.exp
     g = pref * coupling_power(terms)
     history = [g]
     append = history.append
@@ -176,15 +202,6 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     quiet = refusals = rejected = 0
     converged = False
     outer = 0
-    if n_elem <= _SERIAL_REST_MAX_N:
-        # Per element, the indices of every other element in index order.
-        others = [[j for j in range(n_elem) if j != i] for i in range(n_elem)]
-        rest = None
-    else:
-        # Rows 0 and 1 hold re and im without entry i, in index order: moving
-        # on to i + 1 writes entry i into the slot that held entry i + 1.
-        rest = np.empty((2, n_elem - 1))
-        rest_re, rest_im = rest[0], rest[1]
     while outer < max_outer and not converged:
         outer += 1
         g_before = g
@@ -245,9 +262,15 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         if g_before - g <= tol * g_before:
             converged = True
 
-    # Every frequency is >= f_c, so no -0.0 offset can arise; the clamp
-    # bounds every offset, so the plan skips FrequencyPlan's checks.
-    offsets = np.minimum(np.maximum(np.array(fr) - f_lo, 0.0), rf.max_offset)
+    # Every frequency is >= f_c, so f - f_c is never -0.0; the clamp bounds
+    # every offset, so the plan skips FrequencyPlan's checks.  min(f_m, x)
+    # and max(0.0, x) are np.minimum(x, f_m) and np.maximum(x, 0.0) bit for
+    # bit, signed zeros included: at f_m = -0.0 both give -0.0 offsets.
+    if serial:
+        f_m = rf.max_offset
+        offsets = np.array([min(f_m, max(0.0, f - f_lo)) for f in fr])
+    else:
+        offsets = np.minimum(np.maximum(np.array(fr) - f_lo, 0.0), rf.max_offset)
     trace = OptimizerTrace(objective_history=history, outer_iterations=outer,
                            converged=converged, rejected_updates=rejected)
     return FrequencyPlan._bounded(offsets), trace

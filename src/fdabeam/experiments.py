@@ -116,6 +116,8 @@ count)::
 
 _DEFAULT_POWER_GRID = tuple(10.0 ** (0.1 * d) for d in range(-10, 11))
 _DEFAULT_TIME_SAMPLES = tuple(float(t) for t in np.linspace(0.0, TIME_HORIZON, 21))
+_SEQUENCE_FIELDS = ("antenna_counts", "power_grid", "range_interval", "angle_interval",
+                    "time_samples", "baselines")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,15 @@ class ExperimentConfig:
     baselines: tuple = SCHEMES
 
     def __post_init__(self):
+        # a scalar or a string would be iterated as something else by the
+        # checks below and the sweeps, and an array's truth value is ambiguous
+        for name in _SEQUENCE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list, not {type(value).__name__}")
+        for name in ("range_interval", "angle_interval"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must hold two values (lower, upper)")
         # a realization index is one SeedSequence entropy word (_substream_units)
         if not _is_int(self.realizations) or not 1 <= self.realizations <= 1 << 32:
             raise ValueError("realizations must be an integer from 1 to 2**32")

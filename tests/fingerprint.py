@@ -47,12 +47,15 @@ bearing; each exits 1 with the scenario's error and writes no CSV.
 The next run, ``optimize-offsets`` on the README block with
 ``solver.initialization=linear`` and ``solver.max_outer=0``, writes the
 clamped linear start as its plan: the descent's start from a plan and its
-exit, with no sweep in between.  The last two runs, ``optimize-offsets`` on
+exit, with no sweep in between.  The next two runs, ``optimize-offsets`` on
 the README block at ``array.element_count=8`` and ``=9``, put a descent on
-each side of N = 9, where its rest sums switch from Python floats to a numpy
-reduce; Bob and Eve sit on separated bearings there, so the descents take
-11 and 9 sweeps, and their ``trace.csv`` (90 and 83 lines) carries every
-coupling value to 17 digits.
+each side of N = 9, where its start, rest sums and end clamp switch from
+Python floats to numpy; Bob and Eve sit on separated bearings there, so the
+descents take 11 and 9 sweeps, and their ``trace.csv`` (90 and 83 lines)
+carries every coupling value to 17 digits.  The last run,
+``optimize-offsets`` on the README block at ``array.element_count=8`` with
+``solver.initialization=linear``, starts the descent from a plan at the top
+of the Python-float range (11 sweeps, 4 rejected updates).
 Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
@@ -190,6 +193,9 @@ def main() -> int:
     runs += [(f"optimize-offsets at N = {n}",
               ["optimize-offsets", "--set", f"array.element_count={n}"], _readme_ini(), ())
              for n in (8, 9)]
+    runs.append(("optimize-offsets at N = 8 from the linear start",
+                 ["optimize-offsets", "--set", "array.element_count=8",
+                  "--set", "solver.initialization=linear"], _readme_ini(), ()))
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

@@ -14,7 +14,7 @@ from fdabeam.coupling import (
     g_value,
     optimize_offsets,
 )
-from fdabeam.experiments import ExperimentConfig
+from fdabeam.experiments import ExperimentConfig, linear_fda_plan
 from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
 from helpers import (
@@ -563,17 +563,42 @@ def test_returned_plan_from_an_initial_plan_is_clamped(scale, max_outer):
                 assert (got[0].offsets == MAX_OFFSET).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+def test_start_clamp_equals_numpy_clamp_bitwise(n):
+    """Below N = 9 the descent clamps its end frequencies into [0, f_m] on
+    Python floats, from N = 9 on with numpy.  At ``max_outer=0`` the plan is
+    the clamped start, with the bits of ``np.minimum(np.maximum(np.array(fr)
+    - f_c, 0.0), f_m)`` from offsets at 0, at f_m, inside, and past f_m
+    within the plan check's 1e-12 slack, and at f_m = +0.0 and -0.0, where
+    that clamp gives -0.0 offsets."""
+    rng = np.random.default_rng(4200 + n)
+    base = random_scenario(rng, n=n)
+    past = 0
+    for f_m in (MAX_OFFSET, 1.0, 0.0, -0.0):
+        scenario = dataclasses.replace(base, rf=dataclasses.replace(base.rf, max_offset=f_m))
+        top = f_m * (1.0 + 1e-12)
+        for _ in range(40):
+            u, v = rng.random(2)
+            offsets = rng.choice([0.0, f_m, top, u * f_m, f_m + v * (top - f_m)], n)
+            fr = np.array((CARRIER + offsets).tolist())
+            want = np.minimum(np.maximum(fr - CARRIER, 0.0), f_m)
+            plan, _ = optimize_offsets(scenario, initial=FrequencyPlan(offsets), max_outer=0)
+            assert plan.offsets.tobytes() == want.tobytes()
+            past += np.count_nonzero(fr - CARRIER > f_m)
+        if f_m == 0.0:
+            assert plan.offsets.tobytes() == np.full(n, f_m).tobytes()
+    assert past > 0
+
+
 # ---------------------------------------------------------------------------
 # the coordinate step's scalar term, replay and kernel lookup
 
 
-def test_cmath_trial_term_equals_numpy_scalar_term():
-    """A trial term ``alpha_i * cmath.exp(1j * (omega_i * f))`` on Python
-    floats has the bits of the numpy-scalar form ``alpha[i] * np.exp(...)``,
-    for both signs of omega, f at both box ends and inside, and phases up
-    to 1e4 rad in magnitude."""
-    rng = np.random.default_rng(1811)
-    count = 100_000
+def _term_draws(seed, count=100_000):
+    """alpha, omega and f arrays of ``count`` coupling terms: both signs of
+    omega, f at both box ends and inside, and phases up to 1e4 rad in
+    magnitude."""
+    rng = np.random.default_rng(seed)
     f_lo, f_hi = CARRIER, CARRIER + MAX_OFFSET
     alpha = 10.0 ** rng.uniform(-12.0, 2.0, count)
     magnitude = np.where(rng.random(count) < 0.5,
@@ -584,12 +609,41 @@ def test_cmath_trial_term_equals_numpy_scalar_term():
     freq = np.where(which == 0, f_lo,
                     np.where(which == 1, f_hi, rng.uniform(f_lo, f_hi, count)))
     omega = phase / freq
+    assert omega.min() < 0.0 < omega.max()
+    assert np.abs(omega * freq).max() > 0.99e4
+    assert (freq == f_lo).any() and (freq == f_hi).any()
+    return alpha, omega, freq
+
+
+def test_cmath_trial_term_equals_numpy_scalar_term():
+    """A trial term ``alpha_i * cmath.exp(1j * (omega_i * f))`` on Python
+    floats has the bits of the numpy-scalar form ``alpha[i] * np.exp(...)``."""
+    alpha, omega, freq = _term_draws(1811)
     al, om, fr = alpha.tolist(), omega.tolist(), freq.tolist()
-    assert min(om) < 0.0 < max(om)
-    assert max(abs(w * f) for w, f in zip(om, fr)) > 0.99e4
-    numpy_terms = [complex(alpha[k] * np.exp(1j * (om[k] * fr[k]))) for k in range(count)]
-    cmath_terms = [al[k] * cmath.exp(1j * (om[k] * fr[k])) for k in range(count)]
+    numpy_terms = [complex(alpha[k] * np.exp(1j * (om[k] * fr[k]))) for k in range(len(al))]
+    cmath_terms = [al[k] * cmath.exp(1j * (om[k] * fr[k])) for k in range(len(al))]
     assert np.array(cmath_terms).tobytes() == np.array(numpy_terms).tobytes()
+
+
+def test_cmath_start_terms_equal_numpy_array_terms():
+    """Below N = 9 the descent builds its start terms as a list of
+    ``alpha_n * cmath.exp(1j * (omega_n * f_n))`` on Python floats.  They
+    have the bits of ``alpha * np.exp(1j * (omega * freqs))`` on arrays,
+    whose loops may take SIMD paths that the scalar form never does: on all
+    10^5 draws as one array, and on arrays of each width 1-8 (the main loop
+    and the remainder lanes that a descent's short arrays take)."""
+    alpha, omega, freq = _term_draws(1813)
+    al, om, fr = alpha.tolist(), omega.tolist(), freq.tolist()
+    cmath_terms = np.array([a * cmath.exp(1j * (w * f)) for a, w, f in zip(al, om, fr)])
+    assert cmath_terms.tobytes() == (alpha * np.exp(1j * (omega * freq))).tobytes()
+    for width in range(1, 9):
+        for k in range(0, 4000, width):
+            part = slice(k, k + width)
+            numpy_terms = alpha[part] * np.exp(1j * (omega[part] * freq[part]))
+            assert cmath_terms[part].tobytes() == numpy_terms.tobytes()
+    # The start without a plan multiplies omega by the scalar f_c.
+    cmath_terms = np.array([a * cmath.exp(1j * (w * CARRIER)) for a, w in zip(al, om)])
+    assert cmath_terms.tobytes() == (alpha * np.exp(1j * (omega * CARRIER))).tobytes()
 
 
 @pytest.mark.parametrize("width", range(8))
@@ -635,27 +689,33 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
+def _readme_geometry(n, bob_angle_deg=60.0):
+    return half_wave_scenario(n, 100.0, math.radians(bob_angle_deg), 120.0, math.radians(100.0))
+
+
 # The README's INI geometry (Bob at 100 m and 60 deg, Eve at 120 m and
-# 100 deg) at N = 4 and 8 takes 21 and 11 sweeps with no rejection, so its
-# trials run on the Python-float rest sums of N <= 8.
+# 100 deg) at N = 1, 2, 4 and 8 takes 1, 2, 21 and 11 sweeps with no
+# rejection, so its trials run on the Python-float start, rest sums and
+# clamp of N <= 8.  From the linear plan, with Bob at 40 deg, N = 8 runs
+# 50 sweeps without a rejection.
 KERNEL_LOOKUP_SCENARIOS = [
-    *(pytest.param(_descent_large_scenario(*layout), id=f"N=128-layout{k}")
+    *(pytest.param(_descent_large_scenario(*layout), None, id=f"N=128-layout{k}")
       for k, layout in enumerate(DESCENT_LARGE_LAYOUTS[3:], start=3)),
-    *(pytest.param(half_wave_scenario(n, 100.0, math.radians(60.0),
-                                      120.0, math.radians(100.0)), id=f"N={n}-readme")
-      for n in (4, 8)),
+    *(pytest.param(_readme_geometry(n), None, id=f"N={n}-readme") for n in (1, 2, 4, 8)),
+    pytest.param(_readme_geometry(8, 40.0), linear_fda_plan(8, MAX_OFFSET),
+                 id="N=8-linear-start"),
 ]
 
 
-@pytest.mark.parametrize("scenario", KERNEL_LOOKUP_SCENARIOS)
-def test_descent_calls_the_kernel_it_finds_at_call_time(monkeypatch, scenario):
+@pytest.mark.parametrize("scenario, initial", KERNEL_LOOKUP_SCENARIOS)
+def test_descent_calls_the_kernel_it_finds_at_call_time(monkeypatch, scenario, initial):
     """A wrapper installed on the kernels module after import sees the
     start's evaluation and one per trial, on both sides of N = 9 where the
     rest sums switch from Python floats to a numpy reduce.  On these layouts
     no update is rejected and every accepted one lowers g, so the trials are
     the strict decreases of the history."""
     calls = _counting_kernel(monkeypatch)
-    _, trace = optimize_offsets(scenario)
+    _, trace = optimize_offsets(scenario, initial)
     hist = np.array(trace.objective_history)
     assert trace.rejected_updates == 0
     assert len(calls) == 1 + np.count_nonzero(hist[1:] < hist[:-1])

@@ -111,6 +111,34 @@ def test_config_rejects_non_integer_counts_and_seeds(field, value, message):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("antenna_counts", 4, "antenna_counts must be a tuple or list, not int"),
+    ("power_grid", 1.0, "power_grid must be a tuple or list, not float"),
+    ("power_grid", np.ones(2), "power_grid must be a tuple or list, not ndarray"),
+    ("range_interval", 5.0, "range_interval must be a tuple or list, not float"),
+    ("range_interval", (50.0, 100.0, 150.0), r"range_interval must hold two values"),
+    ("angle_interval", 1.0, "angle_interval must be a tuple or list, not float"),
+    ("angle_interval", (1.0,), r"angle_interval must hold two values"),
+    ("time_samples", 2, "time_samples must be a tuple or list, not int"),
+    ("time_samples", np.float64(0.0), "time_samples must be a tuple or list, not float64"),
+    ("baselines", "proposed", "baselines must be a tuple or list, not str"),
+])
+def test_config_rejects_a_sequence_field_given_as_a_scalar(field, value, message):
+    """A scalar, a string or an array in a sequence field is a named
+    ValueError, not a TypeError, an ambiguous truth value or a
+    per-character baseline list; a scalar ``time_samples`` used to pass
+    and fail inside the sweep."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_takes_lists_as_sequences():
+    config = ExperimentConfig(realizations=2, antenna_counts=[2], power_grid=[1.0, 2.0],
+                              range_interval=[50.0, 150.0], time_samples=[0.0, 1e-5],
+                              baselines=["proposed", "mrt"])
+    assert run_rate_sweep(config).values["proposed"].shape == (2, 2)
+
+
 def test_config_takes_up_to_2_to_the_32_realizations():
     """A realization index is one 32-bit entropy word of the substream
     hash; past 2**32 realizations the config refuses, before any sweep
