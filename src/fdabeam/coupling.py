@@ -28,6 +28,25 @@ form (``tests/helpers.py`` keeps it as the oracle).  A running sum would
 make the update O(1), but its ulp drift decides the outcome at the
 cancellation floor, where the reachable couplings are roundoff noise.
 
+At N = 128 a visit's fixed work is the rest's reduce, which costs about
+0.9 us, while the kernel call (about 1.4 us) runs only on the visits that
+make a trial, about half of them (2 vCPUs, numpy 2.4.6).  So the buffered
+visit allocates nothing: it writes its two slots through a flat
+``memoryview`` of the buffer (row 1 starts at slot N - 1), reduces the
+buffer into a (2,) array made once per descent,
+``np.add.reduce(rest, 1, None, sums)``, and reads both sums through a
+``memoryview`` of that array.  A reduce that returns a new array, read
+with ``.tolist()``, costs about 0.1 us more per visit, and two numpy
+scalar writes 0.03 us more.  A memoryview of a float64 buffer reads and
+writes the exact doubles, as ``.tolist()`` and numpy's scalar setitem do,
+and the reduce into ``sums`` adds each row as the plain row reduce does
+(``tests/test_coupling.py`` pins both).  On both sides of N = 9 the visit
+runs ``cosine_argmin``'s steps inline, which saves a call per visit; it
+needs none of the function's checks, because its bounds are finite and in
+order.  ``cosine_argmin`` stays as the checked form that the
+full-recompute oracle calls, so the oracle does not share that step with
+the descent it checks.
+
 A trial term is ``alpha_n * cmath.exp(1j * (omega_n f))`` on Python floats.
 Like numpy's scalar ``np.exp``, ``cmath.exp`` takes the libm cosine and sine
 of the phase times ``exp(0) = 1``, and both multiply by ``alpha_n`` as a
@@ -120,6 +139,10 @@ def cosine_argmin(lower: float, upper: float) -> float:
     multiple lies within an ulp of it and ``lower`` is returned.  An empty
     interval, a NaN bound or an infinite lower bound is a ValueError; an
     infinite upper bound is allowed.
+
+    :func:`optimize_offsets` runs these steps inline on its finite bounds;
+    this checked form is the one that the full-recompute oracle of the
+    tests calls, so that the oracle does not share the descent's code.
     """
     if not lower <= upper:
         raise ValueError("empty interval or NaN bound")
@@ -168,7 +191,8 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
 
     omega, pref = scenario.omega, rf.coupling_prefactor
     om, al = omega.tolist(), scenario.alpha.tolist()
-    reduce, atan2, argmin, exp = np.add.reduce, math.atan2, cosine_argmin, cmath.exp
+    reduce, atan2, exp = np.add.reduce, math.atan2, cmath.exp
+    ceil, cos, pi = math.ceil, math.cos, math.pi
     # (|omega_n|, sign of omega_n, |omega_n| f_lo, |omega_n| f_hi) per
     # element, or None where every f in the box is optimal.
     steps = [None if w == 0.0 or rf.max_offset == 0.0
@@ -190,6 +214,11 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         # on to i + 1 writes entry i into the slot that held entry i + 1.
         rest = np.empty((2, n_elem - 1))
         rest_re, rest_im = rest[0], rest[1]
+        # The rest's doubles row after row (entry i of row 1 is slot
+        # N - 1 + i) and its two row sums, written and read as Python floats.
+        slots = memoryview(rest).cast("B").cast("d")
+        sums = np.empty(2)
+        rest_sums = memoryview(sums)
     # Looked up per call, so that a wrapper installed on the kernels module
     # sees every evaluation.
     coupling_power = kernels.coupling_power
@@ -218,8 +247,8 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                 break
             quiet += 1
             if i and rest is not None:
-                rest_re[i - 1] = re[i - 1]
-                rest_im[i - 1] = im[i - 1]
+                slots[i - 1] = re[i - 1]
+                slots[last + i - 1] = im[i - 1]
             if step is not None:
                 # a + jb is the coupling sum over every other element, so the
                 # part that depends on f is hypot(a, b) cos(|omega_i| f - phase).
@@ -229,11 +258,26 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                         a += re[j]
                         b += im[j]
                 else:
-                    a, b = reduce(rest, axis=1).tolist()
+                    reduce(rest, 1, None, sums)
+                    a, b = rest_sums
                 if a != 0.0 or b != 0.0:
                     w, sign, x_lo, x_hi = step
                     phase = sign * atan2(b, a)
-                    x = argmin(x_lo - phase, x_hi - phase)
+                    # cosine_argmin(lower, upper) inline, without its
+                    # checks (both bounds are finite): the smallest odd
+                    # multiple of pi from lower on (k | 1 rounds k up to
+                    # odd), lower where that multiple rounds to just below
+                    # it, else the endpoint with the smaller cosine.
+                    lower = x_lo - phase
+                    upper = x_hi - phase
+                    x = (ceil(lower / pi) | 1) * pi
+                    if x <= upper:
+                        if x < lower:
+                            x = lower
+                    elif cos(lower) <= cos(upper):
+                        x = lower
+                    else:
+                        x = upper
                     f_new = (x + phase) / w
                     if f_new < f_lo:
                         f_new = f_lo
@@ -262,10 +306,11 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
         if g_before - g <= tol * g_before:
             converged = True
 
-    # Every frequency is >= f_c, so f - f_c is never -0.0; the clamp bounds
-    # every offset, so the plan skips FrequencyPlan's checks.  min(f_m, x)
-    # and max(0.0, x) are np.minimum(x, f_m) and np.maximum(x, 0.0) bit for
-    # bit, signed zeros included: at f_m = -0.0 both give -0.0 offsets.
+    # Every frequency is >= f_c, so f - f_c is never -0.0, and RfParams
+    # stores f_m = +0.0 for -0.0; the clamp bounds every offset, so the plan
+    # skips FrequencyPlan's checks.  min(f_m, x) and max(0.0, x) are
+    # np.minimum(x, f_m) and np.maximum(x, 0.0) bit for bit, signed zeros
+    # included.
     if serial:
         f_m = rf.max_offset
         offsets = np.array([min(f_m, max(0.0, f - f_lo)) for f in fr])

@@ -44,7 +44,7 @@ class RfParams:
         Common carrier f_c in Hz.
     max_offset : float
         Upper bound f_m of the per-element frequency offsets, Hz.  Offsets
-        live in [0, max_offset].
+        live in [0, max_offset].  A -0.0 bound is stored as +0.0.
     noise_power_bob, noise_power_eve : float
         Receiver noise variances sigma^2 in W (linear scale).
     wave_speed : float
@@ -72,6 +72,10 @@ class RfParams:
             raise ValueError("carrier_frequency must be positive")
         if self.max_offset < 0:
             raise ValueError("max_offset must be non-negative")
+        # -0.0 passes that check, and every clamp into [0, -0.0] would give
+        # -0.0 offsets; an empty budget is stored as +0.0.
+        if self.max_offset == 0.0:
+            object.__setattr__(self, "max_offset", 0.0)
         if not self.noise_power_bob > 0 or not self.noise_power_eve > 0:
             raise ValueError("noise powers must be positive")
         if not self.wave_speed > 0:

@@ -52,10 +52,15 @@ the README block at ``array.element_count=8`` and ``=9``, put a descent on
 each side of N = 9, where its start, rest sums and end clamp switch from
 Python floats to numpy; Bob and Eve sit on separated bearings there, so the
 descents take 11 and 9 sweeps, and their ``trace.csv`` (90 and 83 lines)
-carries every coupling value to 17 digits.  The last run,
+carries every coupling value to 17 digits.  The next run,
 ``optimize-offsets`` on the README block at ``array.element_count=8`` with
 ``solver.initialization=linear``, starts the descent from a plan at the top
-of the Python-float range (11 sweeps, 4 rejected updates).
+of the Python-float range (11 sweeps, 4 rejected updates).  The last run,
+``optimize-offsets`` on the README block at ``array.element_count=128``
+with Bob at 60 m and Eve at 80 m, both at 120 deg, takes 35 sweeps with 13
+rejected updates on the buffered rest sums of N >= 9; its ``trace.csv``
+(4 482 lines) carries the coupling after every coordinate visit to 17
+digits.
 Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
@@ -120,6 +125,10 @@ range_max = 3e-150 m
 """
 GAIN_PRODUCT_SETS = ("array.element_count=1", "bob.range=3e-150 m", "eve.range=20 m",
                      "eve.angle=60 deg")
+
+# Bob and Eve on one bearing, 20 m apart: 35 sweeps and 13 rejections at N = 128.
+LONG_DESCENT_SETS = ("array.element_count=128", "bob.range=60 m", "bob.angle=120 deg",
+                     "eve.range=80 m", "eve.angle=120 deg")
 
 
 def _readme_ini() -> str:
@@ -196,6 +205,9 @@ def main() -> int:
     runs.append(("optimize-offsets at N = 8 from the linear start",
                  ["optimize-offsets", "--set", "array.element_count=8",
                   "--set", "solver.initialization=linear"], _readme_ini(), ()))
+    sets = [arg for override in LONG_DESCENT_SETS for arg in ("--set", override)]
+    runs.append(("optimize-offsets at N = 128 over 35 sweeps",
+                 ["optimize-offsets", *sets], _readme_ini(), ()))
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

@@ -324,8 +324,9 @@ def _coordinate_minimizer(a, b, omega_n, rf):
     (up to a positive factor), i.e. ``hypot(a, b) cos(|omega_n| f - phase)``.
     Returns None when every f in the box is optimal (omega_n = 0, a vanishing
     amplitude or an empty offset budget).  The package's descent inlines this
-    expression sequence with per-element constants hoisted; its results must
-    equal this form bit for bit.
+    expression sequence, ``cosine_argmin``'s steps included, with
+    per-element constants hoisted; its results must equal this form bit for
+    bit.
     """
     amplitude = math.hypot(a, b)
     w = abs(omega_n)

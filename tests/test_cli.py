@@ -395,6 +395,19 @@ def test_optimize_offsets_command(scenario_ini, tmp_path, capsys):
     assert all(b <= a * (1 + 1e-12) for a, b in zip(gs, gs[1:]))
 
 
+@pytest.mark.parametrize("budget", ["-0 Hz", "0 Hz"])
+def test_empty_offset_budget_prints_and_writes_plus_zero(scenario_ini, tmp_path, capsys,
+                                                         budget):
+    """An offset budget of -0 Hz is stored as +0.0: the offsets print as
+    "0 MHz" and their cells read "0", as for a budget of 0 Hz."""
+    out = tmp_path / "run"
+    assert main(["optimize-offsets", "-c", str(scenario_ini), "-o", str(out),
+                 "--set", f"rf.max_offset={budget}"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "offsets: " + " ".join(["0 MHz"] * 4)
+    rows = (out / "offsets.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0"] * 4
+
+
 def test_sweep_power_deterministic_across_workers(experiment_ini, tmp_path):
     out1 = tmp_path / "w1"
     out2 = tmp_path / "w2"

@@ -17,6 +17,7 @@ from fdabeam.coupling import (
 from fdabeam.experiments import ExperimentConfig, linear_fda_plan
 from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
+import helpers
 from helpers import (
     CARRIER,
     MAX_OFFSET,
@@ -509,6 +510,82 @@ def test_rejected_updates_counts_the_guard():
     assert trace.rejected_updates == reference_descent(scenario)[1].rejected_updates
 
 
+def _argmin_branch(lower, upper):
+    """Which outcome ``cosine_argmin(lower, upper)`` takes: "interior" (the
+    smallest odd multiple of pi from lower on, inside), "clamp" (that
+    multiple rounded to just below lower, which is returned), "lower" or
+    "upper" (the endpoint with the smaller cosine)."""
+    k = math.ceil(lower / math.pi)
+    x = (k + 1 if k % 2 == 0 else k) * math.pi
+    if x <= upper:
+        return "interior" if x >= lower else "clamp"
+    return "lower" if math.cos(lower) <= math.cos(upper) else "upper"
+
+
+def _reference_branches(monkeypatch, scenario, initial):
+    """The full-recompute descent from ``initial`` and the set of argmin
+    outcomes its coordinate visits took."""
+    seen = set()
+
+    def recording(lower, upper):
+        seen.add(_argmin_branch(lower, upper))
+        return cosine_argmin(lower, upper)
+
+    monkeypatch.setattr(helpers, "cosine_argmin", recording)
+    return reference_descent(scenario, initial=initial), seen
+
+
+def _endpoint_geometry(n):
+    return half_wave_scenario(n, 100.0, math.radians(60.0), 120.0, math.radians(140.0))
+
+
+def _clamp_geometry(n, r_eve):
+    """Eve about 81.44 m farther than Bob from element 0, so |omega_0| f_c is
+    just above 4096: coordinate 0's lower bound can reach 4093.4952276275008,
+    the double just above 1303 pi whose quotient by pi rounds to 1303."""
+    return half_wave_scenario(n, 100.0, 1.0, r_eve, 1.3)
+
+
+# Descents that take each outcome of the argmin on both sides of N = 9.
+# Bob at 60 deg and Eve at 140 deg (6 sweeps at N = 4 and 12) reach both
+# endpoints and interior multiples.  The two clamp layouts start from plans
+# found by scanning element 1's frequency ulp by ulp: coordinate 0's first
+# visit lands on the clamp, where returning lower gives f_c plus one ulp
+# and the multiple just below it would give f_c, and that ulp survives to
+# the end plan (9 and 6 sweeps).  Elsewhere the clamp of f into
+# [f_c, f_c + f_m] hides the argmin's clamp: the INI block's geometry at
+# N = 8 and 9 reaches it, with the same outputs either way.
+ARGMIN_BRANCH_CASES = [
+    pytest.param(_endpoint_geometry(4), None, {"interior", "lower", "upper"},
+                 id="N=4-interior-and-endpoints"),
+    pytest.param(_endpoint_geometry(12), None, {"interior", "lower", "upper"},
+                 id="N=12-interior-and-endpoints"),
+    pytest.param(_clamp_geometry(4, 181.43945669684626),
+                 FrequencyPlan(np.array([1500000.0, 1311798.22955513, 98972.39319528233,
+                                         1302665.9859932936])),
+                 {"clamp"}, id="N=4-clamp"),
+    pytest.param(_clamp_geometry(12, 181.4378421858703),
+                 FrequencyPlan(np.array([1500000.0, 998036.7432928085, 628095.7970760805,
+                                         88002.80179987228, 260514.82461414256,
+                                         634356.1695695193, 394090.3386073857,
+                                         456389.5382606388, 822215.291040196,
+                                         842087.3054821491, 558768.2835144091,
+                                         809815.4477555125])),
+                 {"clamp"}, id="N=12-clamp"),
+]
+
+
+@pytest.mark.parametrize("scenario, initial, branches", ARGMIN_BRANCH_CASES)
+def test_descent_bitwise_through_each_argmin_branch(monkeypatch, scenario, initial,
+                                                    branches):
+    """The descent inlines ``cosine_argmin``, which the full-recompute
+    descent calls: on layouts whose visits take each of its outcomes, the
+    two descents agree bit for bit."""
+    want, seen = _reference_branches(monkeypatch, scenario, initial)
+    assert branches <= seen
+    _assert_same_descent(optimize_offsets(scenario, initial=initial), want)
+
+
 # ---------------------------------------------------------------------------
 # the returned plan: built without FrequencyPlan's copy and checks
 
@@ -569,25 +646,41 @@ def test_start_clamp_equals_numpy_clamp_bitwise(n):
     Python floats, from N = 9 on with numpy.  At ``max_outer=0`` the plan is
     the clamped start, with the bits of ``np.minimum(np.maximum(np.array(fr)
     - f_c, 0.0), f_m)`` from offsets at 0, at f_m, inside, and past f_m
-    within the plan check's 1e-12 slack, and at f_m = +0.0 and -0.0, where
-    that clamp gives -0.0 offsets."""
+    within the plan check's 1e-12 slack, and at f_m = +0.0 and -0.0.  The
+    descent sees the f_m that ``RfParams`` stores, +0.0 for both, so the
+    offsets there are +0.0 (the clamp with -0.0 would give -0.0)."""
     rng = np.random.default_rng(4200 + n)
     base = random_scenario(rng, n=n)
     past = 0
     for f_m in (MAX_OFFSET, 1.0, 0.0, -0.0):
         scenario = dataclasses.replace(base, rf=dataclasses.replace(base.rf, max_offset=f_m))
+        stored = scenario.rf.max_offset
         top = f_m * (1.0 + 1e-12)
         for _ in range(40):
             u, v = rng.random(2)
             offsets = rng.choice([0.0, f_m, top, u * f_m, f_m + v * (top - f_m)], n)
             fr = np.array((CARRIER + offsets).tolist())
-            want = np.minimum(np.maximum(fr - CARRIER, 0.0), f_m)
+            want = np.minimum(np.maximum(fr - CARRIER, 0.0), stored)
             plan, _ = optimize_offsets(scenario, initial=FrequencyPlan(offsets), max_outer=0)
             assert plan.offsets.tobytes() == want.tobytes()
             past += np.count_nonzero(fr - CARRIER > f_m)
         if f_m == 0.0:
-            assert plan.offsets.tobytes() == np.full(n, f_m).tobytes()
+            assert plan.offsets.tobytes() == np.zeros(n).tobytes()
     assert past > 0
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_descent_bitwise_at_a_negative_zero_offset_budget(n):
+    """An offset budget given as -0.0 is stored as +0.0, so the descent on
+    either side of N = 9 is the full-recompute one bit for bit, whose
+    ``np.clip(f - f_c, 0.0, f_m)`` gives +0.0 offsets, from f_c and from a
+    plan of -0.0 offsets."""
+    base = _readme_geometry(n)
+    scenario = dataclasses.replace(base, rf=dataclasses.replace(base.rf, max_offset=-0.0))
+    for initial in (None, FrequencyPlan(np.full(n, -0.0))):
+        got = optimize_offsets(scenario, initial=initial)
+        _assert_same_descent(got, reference_descent(scenario, initial=initial))
+        assert got[0].offsets.tobytes() == np.zeros(n).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +766,59 @@ def test_numpy_row_sum_is_left_to_right_below_eight_values(width):
         assert got.tobytes() == np.array(want).tobytes(), rows
     zeros = np.full((2, width), -0.0)
     assert np.add.reduce(zeros, axis=1).tobytes() == np.zeros(2).tobytes()
+
+
+def _assert_out_reduce_is_plain_reduce(rng, width, count):
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.5e-315,
+                        math.inf, -math.inf, math.nan])
+    out = np.empty(2)
+    view = memoryview(out)
+    for k in range(count):
+        sign = np.where(rng.random((2, width)) < 0.5, -1.0, 1.0)
+        rows = sign * 10.0 ** rng.uniform(-8.0, 8.0, (2, width))
+        if k % 2:
+            mask = rng.random((2, width)) < 0.2
+            rows[mask] = rng.choice(special, np.count_nonzero(mask))
+        with np.errstate(invalid="ignore"):
+            assert np.add.reduce(rows, 1, None, out) is out
+            want = np.add.reduce(rows, axis=1)
+            per_row = np.array([np.add.reduce(row) for row in rows])
+        assert out.tobytes() == want.tobytes() == per_row.tobytes(), rows
+        assert np.array(list(view)).tobytes() == np.array(out.tolist()).tobytes()
+        if k < 2:
+            buffer = np.empty((2, width))
+            slots = memoryview(buffer).cast("B").cast("d")
+            for j, value in enumerate(rows.ravel().tolist()):
+                slots[j] = value
+            assert buffer.tobytes() == rows.tobytes()
+    for value in (-0.0, math.nan, -math.nan, math.inf, 5e-324):
+        rows = np.full((2, width), value)
+        np.add.reduce(rows, 1, None, out)
+        assert out.tobytes() == np.add.reduce(rows, axis=1).tobytes()
+        assert np.array(list(view)).tobytes() == np.array(out.tolist()).tobytes()
+
+
+@pytest.mark.parametrize("width", [8, 9, 16, 17, 127, 128, 129, 130, 1099])
+def test_numpy_row_sum_into_an_out_array_is_the_plain_row_sum(width):
+    """From N = 9 on the descent writes its rest's slots through a flat
+    memoryview of the (2, N - 1) buffer, reduces the buffer into a (2,)
+    array made once per descent, ``np.add.reduce(rest, 1, None, sums)``, and
+    reads both sums through ``memoryview(sums)``.  Its sums stay those of
+    ``np.add.reduce(rest, axis=1).tolist()`` only while the reduce into
+    ``out`` sums each row as that reduce and as the row's own 1-D reduce
+    do, bit for bit (widths from 8, where the pairwise sum starts its
+    partial sums, past 128, where it splits blocks, to 1 099), and while the
+    memoryviews carry the doubles that ``.tolist()`` and numpy's setitem do.
+    The rows mix magnitudes from 1e-8 to 1e8 with signed zeros, subnormals,
+    infinities and NaN."""
+    _assert_out_reduce_is_plain_reduce(np.random.default_rng(4300 + width), width, 200)
+
+
+def test_numpy_row_sum_into_an_out_array_at_every_width_to_1099():
+    """The same check on 4 draws at each width from 8 to 1 099."""
+    rng = np.random.default_rng(4299)
+    for width in range(8, 1100):
+        _assert_out_reduce_is_plain_reduce(rng, width, 4)
 
 
 def _counting_kernel(monkeypatch):

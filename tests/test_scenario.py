@@ -337,6 +337,16 @@ def test_rf_params_reject_out_of_range(field, value, message):
         RfParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [-0.0, 0.0, 0, np.float64(-0.0)])
+def test_rf_params_store_an_empty_offset_budget_as_plus_zero(value):
+    """-0.0 passes the non-negative check; it is stored as +0.0, so that no
+    clamp into [0, f_m] hands out -0.0 offsets."""
+    rf = RfParams(carrier_frequency=2.4e9, max_offset=value, noise_power_bob=1e-13,
+                  noise_power_eve=1e-13)
+    assert type(rf.max_offset) is float
+    assert math.copysign(1.0, rf.max_offset) == 1.0 and rf.max_offset == 0.0
+
+
 def _rf(carrier_frequency=2.4e9, max_offset=3e6, noise=1e-13, wave_speed=SPEED_OF_LIGHT):
     return RfParams(carrier_frequency=carrier_frequency, max_offset=max_offset,
                     noise_power_bob=noise, noise_power_eve=noise, wave_speed=wave_speed)
