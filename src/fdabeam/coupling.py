@@ -41,11 +41,11 @@ scalar writes 0.03 us more.  A memoryview of a float64 buffer reads and
 writes the exact doubles, as ``.tolist()`` and numpy's scalar setitem do,
 and the reduce into ``sums`` adds each row as the plain row reduce does
 (``tests/test_coupling.py`` pins both).  On both sides of N = 9 the visit
-runs ``cosine_argmin``'s steps inline, which saves a call per visit; it
-needs none of the function's checks, because its bounds are finite and in
-order.  ``cosine_argmin`` stays as the checked form that the
-full-recompute oracle calls, so the oracle does not share that step with
-the descent it checks.
+takes the argmin of the cosine on its window inline: the smallest odd
+multiple of pi from the lower bound on, else the endpoint with the smaller
+cosine.  Its bounds are finite and in order, so it checks nothing; the
+checked form lives with the full-recompute oracle in ``tests/helpers.py``,
+so the oracle does not share that step with the descent it checks.
 
 A trial term is ``alpha_n * cmath.exp(1j * (omega_n f))`` on Python floats.
 Like numpy's scalar ``np.exp``, ``cmath.exp`` takes the libm cosine and sine
@@ -128,34 +128,6 @@ def g_value(scenario: Scenario, plan: FrequencyPlan) -> float:
     freqs = scenario.rf.carrier_frequency + _plan_offsets(scenario, [plan])[0]
     terms = scenario.alpha * np.exp(1j * (scenario.omega * freqs))
     return scenario.rf.coupling_prefactor * kernels.coupling_power(terms)
-
-
-def cosine_argmin(lower: float, upper: float) -> float:
-    """Argmin of cos on [lower, upper].
-
-    Returns the smallest odd multiple of pi inside the interval if one
-    exists, otherwise the endpoint with the smaller cosine (ties go to the
-    lower endpoint).  Where ``k pi`` rounds to just below ``lower``, the
-    multiple lies within an ulp of it and ``lower`` is returned.  An empty
-    interval, a NaN bound or an infinite lower bound is a ValueError; an
-    infinite upper bound is allowed.
-
-    :func:`optimize_offsets` runs these steps inline on its finite bounds;
-    this checked form is the one that the full-recompute oracle of the
-    tests calls, so that the oracle does not share the descent's code.
-    """
-    if not lower <= upper:
-        raise ValueError("empty interval or NaN bound")
-    try:
-        k = math.ceil(lower / math.pi)
-    except OverflowError:
-        raise ValueError("lower bound must be finite") from None
-    if k % 2 == 0:
-        k += 1
-    x = k * math.pi
-    if x <= upper:
-        return x if x >= lower else lower
-    return lower if math.cos(lower) <= math.cos(upper) else upper
 
 
 def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
@@ -263,11 +235,11 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
                 if a != 0.0 or b != 0.0:
                     w, sign, x_lo, x_hi = step
                     phase = sign * atan2(b, a)
-                    # cosine_argmin(lower, upper) inline, without its
-                    # checks (both bounds are finite): the smallest odd
-                    # multiple of pi from lower on (k | 1 rounds k up to
-                    # odd), lower where that multiple rounds to just below
-                    # it, else the endpoint with the smaller cosine.
+                    # The argmin of cos on [lower, upper], both finite:
+                    # the smallest odd multiple of pi from lower on (k | 1
+                    # rounds k up to odd), lower where that multiple rounds
+                    # to just below it, else the endpoint with the smaller
+                    # cosine.
                     lower = x_lo - phase
                     upper = x_hi - phase
                     x = (ceil(lower / pi) | 1) * pi

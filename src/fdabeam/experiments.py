@@ -31,11 +31,11 @@ bounded size (:func:`_blocks`) that may span several antenna counts or
 hold part of one: the distances come from the stacks and the offsets from
 the tasks.  Each count in a block gets one channel synthesis over
 (R, K, N) and one (B, E, x) reduction; one call of the closed forms and
-time re-checks on the block's (R, K) rows then gives all five schemes.
-Every entry is computed as the per-realization pipeline computes it, so
-the results do not depend on the block size or on how the tasks are
-spread over workers.
-:func:`_sweep` places the results and keeps the ``baselines`` schemes.
+time re-checks on the block's (R, K) rows then gives every scheme's values,
+keyed by scheme name, whether or not ``baselines`` selects it.  Every entry
+is computed as the per-realization pipeline computes it, so the results do
+not depend on the block size or on how the tasks are spread over workers.
+:func:`_sweep` joins each ``baselines`` scheme's values over the blocks.
 
 The tasks run in a fork pool only when it pays: a worker count is an
 upper bound, and :func:`_map_tasks` starts a pool only when every worker
@@ -57,6 +57,7 @@ from functools import cache, partial
 import numpy as np
 
 from .beamforming import (
+    _is_real,
     lambda1_closed_form,
     lambda_delta_closed_form,
     mrt_rate,
@@ -143,6 +144,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a tuple or list, not {type(value).__name__}")
+        # the checks below would raise an unnamed TypeError on a string, or pass it or a bool
+        for name in ("target_rate", "range_gap", "power_grid", "range_interval",
+                     "angle_interval", "time_samples"):
+            value = getattr(self, name)
+            if not all(map(_is_real, value if name in _SEQUENCE_FIELDS else [value])):
+                raise ValueError(f"{name} takes real numbers only")
         for name in ("range_interval", "angle_interval"):
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} must hold two values (lower, upper)")
@@ -154,18 +161,17 @@ class ExperimentConfig:
         if not self.antenna_counts or not all(_is_int(n) and n >= 1
                                               for n in self.antenna_counts):
             raise ValueError("antenna_counts must be positive integers")
-        if not (self.power_grid and _all_finite(self.power_grid)
+        if not (self.power_grid and all(map(math.isfinite, self.power_grid))
                 and all(p > 0 for p in self.power_grid)):
             raise ValueError("power_grid entries must be finite and positive")
         if not (math.isfinite(self.target_rate) and self.target_rate > 0):
             raise ValueError("target_rate must be finite and positive")
-        unknown = set(self.baselines) - set(SCHEMES)
-        if unknown:
+        if unknown := set(self.baselines) - set(SCHEMES):
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         if not self.baselines or len(set(self.baselines)) != len(self.baselines):
             raise ValueError("baselines must name at least one scheme, each once")
         lo, hi = self.range_interval
-        if not (_all_finite(self.range_interval) and 0 < lo <= hi):
+        if not (all(map(math.isfinite, self.range_interval)) and 0 < lo <= hi):
             raise ValueError("range_interval must be finite, positive and ordered")
         if not (math.isfinite(self.range_gap) and self.range_gap >= 0):
             raise ValueError("range_gap must be finite and non-negative")
@@ -173,10 +179,6 @@ class ExperimentConfig:
         if not 0.0 <= lo <= hi <= math.pi:
             raise ValueError("angle_interval must be finite, ordered and within [0, pi]")
         _check_times(_RF, np.asarray(self.time_samples, dtype=float), "time_samples")
-
-
-def _all_finite(values) -> bool:
-    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
 
 
 @dataclass
@@ -539,8 +541,8 @@ def _block_stats(bob: np.ndarray, eve: np.ndarray, offsets: np.ndarray,
 
 
 def _power_metrics(config: ExperimentConfig, b, e, x) -> tuple:
-    """Required power (R, 5) of every scheme in :data:`SCHEMES` order (NaN
-    where infeasible) from (R, K) stats, and the proposed and MRT re-checks:
+    """Required power of every scheme, scheme -> (R,) array (NaN where
+    infeasible), from (R, K) stats, and the proposed and MRT re-checks:
     scheme -> ((R,) first-sample powers, (R, K - 3) later powers)."""
     rate = config.target_rate
     lam1 = lambda1_closed_form(b, e, x, rate)
@@ -551,22 +553,23 @@ def _power_metrics(config: ExperimentConfig, b, e, x) -> tuple:
     # of mrt_required_power (perfbench's tracer) count solves per call.
     p_mrt = [mrt_required_power(b_r, rate, x_r)
              for b_r, x_r in zip(b[:, 0].tolist(), x[:, 0].tolist())]
-    table = np.column_stack([excess / b[:, 2], power[:, :3], p_mrt])
-    table[~np.isfinite(table)] = math.nan  # infeasible
+    values = {s: np.where(np.isfinite(v), v, math.nan) for s, v in [  # NaN: infeasible
+        ("bound", excess / b[:, 2]), *zip(("proposed", "linear", "phased"), power[:, :3].T),
+        ("mrt", p_mrt)]}
     # The optimized designs depend on geometry only; confirm across time,
     # re-solving MRT only where it is feasible.
     mrt_later = np.full(b[:, 3:].shape, math.nan)
-    for r in np.flatnonzero(~np.isnan(table[:, 4])):
+    for r in np.flatnonzero(~np.isnan(values["mrt"])):
         mrt_later[r] = [mrt_required_power(b_t, rate, x_t)
                         for b_t, x_t in zip(b[r, 3:].tolist(), x[r, 3:].tolist())]
-    return table, {"proposed": (table[:, 1], power[:, 3:]),
-                   "mrt": (table[:, 4], mrt_later)}
+    return values, {"proposed": (values["proposed"], power[:, 3:]),
+                    "mrt": (values["mrt"], mrt_later)}
 
 
 def _rate_metrics(config: ExperimentConfig, b, e, x) -> tuple:
-    """Secrecy rate (R, 5, G) of every scheme in :data:`SCHEMES` order over
-    the power grid from (R, K) stats, and the proposed and MRT re-checks at
-    the largest grid power: scheme -> ((R,) first-sample rates, (R, K - 3)
+    """Secrecy rate of every scheme over the power grid, scheme -> (R, G)
+    array, from (R, K) stats, and the proposed and MRT re-checks at the
+    largest grid power: scheme -> ((R,) first-sample rates, (R, K - 3)
     later rates)."""
     grid = np.array(config.power_grid, dtype=float)
     # (R, G, 4): the bound (the proposed row at zero coupling, where
@@ -574,15 +577,15 @@ def _rate_metrics(config: ExperimentConfig, b, e, x) -> tuple:
     # rows; C order names the first failing realization's first failing power.
     stats = np.stack([b, e, x])[:, :, None, [0, 0, 1, 2]]
     stats[2, :, :, 0] = 0.0
-    lam = lambda_delta_closed_form(*stats, grid[:, None])
-    rates = np.concatenate([np.maximum(np.log2(lam), 0.0).swapaxes(1, 2),
-                            mrt_rate(b[:, :1], grid, x[:, :1])[:, None]], axis=1)
+    rates = np.maximum(np.log2(lambda_delta_closed_form(*stats, grid[:, None])), 0.0)
+    values = dict(zip(("bound", "proposed", "linear", "phased"), np.moveaxis(rates, 2, 0)),
+                  mrt=mrt_rate(b[:, :1], grid, x[:, :1]))
     top = int(np.argmax(grid))
     p_top = grid[top]
-    return rates, {
-        "proposed": (rates[:, 1, top], np.log2(
+    return values, {
+        "proposed": (values["proposed"][:, top], np.log2(
             lambda_delta_closed_form(b[:, 3:], e[:, 3:], x[:, 3:], p_top))),
-        "mrt": (rates[:, 4, top], mrt_rate(b[:, 3:], p_top, x[:, 3:])),
+        "mrt": (values["mrt"][:, top], mrt_rate(b[:, 3:], p_top, x[:, 3:])),
     }
 
 
@@ -664,29 +667,27 @@ def _sweep(config: ExperimentConfig, realization, metrics, counts: list, tasks: 
     """Run ``realization`` (a descent) on every task; then, for each block of
     :func:`_blocks`, :func:`_block_stats` once per antenna count in it and
     ``metrics`` and :func:`_fold_spreads` once on their rows in task order.
-    Place the metrics of all :data:`SCHEMES` (a value, or one per power) and
-    keep the ``config.baselines`` ones, the only reader of that field.
-    Power task k fills row ``k // realizations``; rate columns are the
-    transpose.
+    Each ``config.baselines`` scheme, the field's only reader, joins its
+    values (a value, or one per power) over the blocks by name: power task
+    k fills row ``k // realizations``; rate columns are the transpose.
     """
     stacks = _stacks(config, counts)
     offsets = _map_tasks(partial(realization, config, stacks=stacks), tasks, workers)
     reps = config.realizations
     times = config.time_samples or (0.0,)
-    tables, spread = [], {}
+    results, spread = [], {}
     for block in _blocks(stacks, counts, offsets, len(times) + 2):
         stats = [_block_stats(bob, eve, plans, times) for bob, eve, plans in block]
-        table, checks = metrics(config, *map(np.concatenate, zip(*stats)))
-        tables.append(table)
+        values, checks = metrics(config, *map(np.concatenate, zip(*stats)))
+        results.append(values)
         if len(times) > 1:
             _fold_spreads(spread, checks)
-    table = np.concatenate(tables).reshape(len(tasks) // reps, reps, len(SCHEMES), -1)
     schemes = tuple(config.baselines)
+    # (row, realization, point) -> (row * point, realization)
     return SweepResult(
         axis=axis, schemes=schemes,
-        # (row, realization, point) -> (row * point, realization)
-        values={s: table[:, :, SCHEMES.index(s)].swapaxes(1, 2).reshape(-1, reps)
-                for s in schemes},
+        values={s: np.concatenate([v[s] for v in results]).reshape(len(tasks) // reps, reps, -1)
+                .swapaxes(1, 2).reshape(-1, reps) for s in schemes},
         time_spread={s: v for s, v in spread.items() if s in schemes})
 
 
@@ -726,8 +727,7 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
     stacks = _stacks(config, counts)
     results = _map_tasks(partial(_convergence_realization, config, stacks=stacks), tasks,
                          workers)
-    mean_history = {}
-    outer_counts = {}
+    mean_history, outer_counts = {}, {}
     for i, n in enumerate(counts):
         block = results[i * reps:(i + 1) * reps]
         histories = [r[0] for r in block]
@@ -736,9 +736,7 @@ def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> Converg
         padded = np.array([h + [h[-1]] * (depth - len(h)) for h in histories])
         mean_history[n] = padded.mean(axis=0)
         outer_counts[n] = outers
-    return ConvergenceResult(antenna_counts=counts,
-                             mean_history=mean_history,
-                             outer_counts=outer_counts)
+    return ConvergenceResult(counts, mean_history, outer_counts)
 
 
 def _fmt(x: float) -> str:

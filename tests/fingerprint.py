@@ -55,12 +55,15 @@ descents take 11 and 9 sweeps, and their ``trace.csv`` (90 and 83 lines)
 carries every coupling value to 17 digits.  The next run,
 ``optimize-offsets`` on the README block at ``array.element_count=8`` with
 ``solver.initialization=linear``, starts the descent from a plan at the top
-of the Python-float range (11 sweeps, 4 rejected updates).  The last run,
+of the Python-float range (11 sweeps, 4 rejected updates).  The next run,
 ``optimize-offsets`` on the README block at ``array.element_count=128``
 with Bob at 60 m and Eve at 80 m, both at 120 deg, takes 35 sweeps with 13
 rejected updates on the buffered rest sums of N >= 9; its ``trace.csv``
 (4 482 lines) carries the coupling after every coordinate visit to 17
-digits.
+digits.  The last two runs, ``sweep-power -j 1`` and ``sweep-rate -j 1`` at 6
+realizations and N = 2, 3 with ``experiment.baselines=mrt, phased,
+bound``, select a reversed, partial list of schemes, which the sweeps
+place by name.
 Each command runs in a fresh
 directory (the rewrites after their first command), on the package of the
 tree this file sits in, and the script prints one hash per CSV, per stdout
@@ -125,6 +128,10 @@ range_max = 3e-150 m
 """
 GAIN_PRODUCT_SETS = ("array.element_count=1", "bob.range=3e-150 m", "eve.range=20 m",
                      "eve.angle=60 deg")
+
+# A reversed, partial scheme selection, which the sweeps place by name.
+SELECTED_EXPERIMENT = "[experiment]\nrealizations = 6\nantenna_counts = 2, 3\n"
+SELECTED_SET = "experiment.baselines=mrt, phased, bound"
 
 # Bob and Eve on one bearing, 20 m apart: 35 sweeps and 13 rejections at N = 128.
 LONG_DESCENT_SETS = ("array.element_count=128", "bob.range=60 m", "bob.angle=120 deg",
@@ -208,6 +215,9 @@ def main() -> int:
     sets = [arg for override in LONG_DESCENT_SETS for arg in ("--set", override)]
     runs.append(("optimize-offsets at N = 128 over 35 sweeps",
                  ["optimize-offsets", *sets], _readme_ini(), ()))
+    runs += [(f"{name} -j 1 with baselines mrt, phased, bound",
+              [name, "-j", "1", "--set", SELECTED_SET], SELECTED_EXPERIMENT, ())
+             for name in ("sweep-power", "sweep-rate")]
     for label, command, ini, before in runs:
         code, outputs = _run(command, ini, before)
         print(f"{label}: exit {code}")

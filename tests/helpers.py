@@ -22,11 +22,7 @@ from fdabeam.beamforming import (
     mrt_rate,
     mrt_required_power,
 )
-from fdabeam.coupling import (
-    OptimizerTrace,
-    cosine_argmin,
-    optimize_offsets,
-)
+from fdabeam.coupling import OptimizerTrace, optimize_offsets
 from fdabeam.experiments import (
     SCHEMES,
     linear_fda_plan,
@@ -316,6 +312,34 @@ def _cosine_term(n, freqs, coeffs):
     return CosineTerm(amplitude=math.hypot(a, b), phase=sign * math.atan2(b, a))
 
 
+def cosine_argmin(lower, upper):
+    """Argmin of cos on [lower, upper].
+
+    Returns the smallest odd multiple of pi inside the interval if one
+    exists, otherwise the endpoint with the smaller cosine (ties go to the
+    lower endpoint).  Where ``k pi`` rounds to just below ``lower``, the
+    multiple lies within an ulp of it and ``lower`` is returned.  An empty
+    interval, a NaN bound or an infinite lower bound is a ValueError; an
+    infinite upper bound is allowed.
+
+    ``coupling.optimize_offsets`` runs these steps inline on its finite
+    bounds; :func:`_coordinate_minimizer` calls this checked form, so the
+    full-recompute oracle does not share the descent's code.
+    """
+    if not lower <= upper:
+        raise ValueError("empty interval or NaN bound")
+    try:
+        k = math.ceil(lower / math.pi)
+    except OverflowError:
+        raise ValueError("lower bound must be finite") from None
+    if k % 2 == 0:
+        k += 1
+    x = k * math.pi
+    if x <= upper:
+        return x if x >= lower else lower
+    return lower if math.cos(lower) <= math.cos(upper) else upper
+
+
 def _coordinate_minimizer(a, b, omega_n, rf):
     """Best frequency f in the box [f_c, f_c + f_m] for one coordinate.
 
@@ -324,7 +348,7 @@ def _coordinate_minimizer(a, b, omega_n, rf):
     (up to a positive factor), i.e. ``hypot(a, b) cos(|omega_n| f - phase)``.
     Returns None when every f in the box is optimal (omega_n = 0, a vanishing
     amplitude or an empty offset budget).  The package's descent inlines this
-    expression sequence, ``cosine_argmin``'s steps included, with
+    expression sequence, :func:`cosine_argmin`'s steps included, with
     per-element constants hoisted; its results must equal this form bit for
     bit.
     """

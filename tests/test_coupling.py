@@ -9,11 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fdabeam import kernels
-from fdabeam.coupling import (
-    cosine_argmin,
-    g_value,
-    optimize_offsets,
-)
+from fdabeam.coupling import g_value, optimize_offsets
 from fdabeam.experiments import ExperimentConfig, linear_fda_plan
 from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
@@ -24,6 +20,7 @@ from helpers import (
     _best_frequency,
     _cosine_term,
     coordinate_scan,
+    cosine_argmin,
     coupling_power_row,
     draw_realization,
     grid_oracle,

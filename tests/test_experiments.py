@@ -132,6 +132,24 @@ def test_config_rejects_a_sequence_field_given_as_a_scalar(field, value, message
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("target_rate", "10"),
+    ("target_rate", True),
+    ("range_gap", "5"),
+    ("range_gap", True),
+    ("power_grid", ("1",)),
+    ("range_interval", ("50", "150")),
+    ("angle_interval", (True, 2)),
+    ("time_samples", ("0", "1e-6")),
+])
+def test_config_rejects_non_numbers_by_name(field, value):
+    """A string or a bool where a real number belongs is a ValueError that
+    names the field: strings used to fail as an unnamed TypeError (or, as
+    times, pass), and bools passed as 1 and 0."""
+    with pytest.raises(ValueError, match=f"^{field} takes real numbers only$"):
+        ExperimentConfig(**{field: value})
+
+
 def test_config_takes_lists_as_sequences():
     config = ExperimentConfig(realizations=2, antenna_counts=[2], power_grid=[1.0, 2.0],
                               range_interval=[50.0, 150.0], time_samples=[0.0, 1e-5],
@@ -659,8 +677,8 @@ def test_mrt_recheck_only_where_mrt_is_feasible(monkeypatch):
             stats = experiments._block_stats(bob[None], eve[None], offsets[None],
                                              config.time_samples)
             calls.clear()
-            table, _ = experiments._power_metrics(config, *stats)
-            ok = not math.isnan(table[0, SCHEMES.index("mrt")])
+            values, _ = experiments._power_metrics(config, *stats)
+            ok = not math.isnan(values["mrt"][0])
             assert len(calls) == 1 + extra * ok
             feasible += ok
     assert 0 < feasible < len(config.antenna_counts) * config.realizations
@@ -963,11 +981,17 @@ def test_fingerprint_packed_sweep_spans_and_splits(tmp_path):
     ("power", {"target_rate": 500.0}, "lambda1 is inf at a 500-bit target"),
     ("rate", {"power_grid": (1.0, 1e150, 1e160)}, "at a 1e+150 W budget"),
     ("rate", {"power_grid": (1e305,)}, "at a 1e+305 W budget"),
+    # the failing schemes are not selected, yet they stop the sweep
+    ("power", {"target_rate": 500.0, "baselines": ("mrt",)},
+     "lambda1 is inf at a 500-bit target"),
+    ("rate", {"power_grid": (1.0, 1e150, 1e160), "baselines": ("mrt",)},
+     "lambda_delta is not finite at a 1e+150 W budget"),
 ])
 def test_sweep_overflow_names_the_first_failing_realization(monkeypatch, which, override,
                                                             message):
     """Overflow raises the per-realization pipeline's error, whatever the
-    block size."""
+    block size and whichever schemes ``baselines`` selects: every scheme is
+    computed."""
     config = ExperimentConfig(realizations=3, rng_seed=2, antenna_counts=(2, 3), **override)
     run = run_power_sweep if which == "power" else run_rate_sweep
     with pytest.raises(OverflowError) as expected:
