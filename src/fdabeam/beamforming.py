@@ -23,17 +23,11 @@ in, an array out.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ChannelPair
-
-
-def _is_real(value) -> bool:
-    """True for a real scalar: a Python or numpy int or float (not a bool)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+from .scenario import ChannelPair, _is_finite
 
 
 @dataclass(frozen=True)
@@ -43,9 +37,7 @@ class SecrecyTarget:
     rate: float
 
     def __post_init__(self):
-        if not _is_real(self.rate):
-            raise ValueError("target rate must be a real scalar")
-        if not (math.isfinite(self.rate) and self.rate > 0):
+        if not (_is_finite(self.rate) and self.rate > 0):
             raise ValueError("target rate must be finite and positive")
 
 
@@ -56,9 +48,7 @@ class PowerBudget:
     power: float
 
     def __post_init__(self):
-        if not _is_real(self.power):
-            raise ValueError("power budget must be a real scalar")
-        if not (math.isfinite(self.power) and self.power >= 0):
+        if not (_is_finite(self.power) and self.power >= 0):
             raise ValueError("power budget must be finite and non-negative")
 
 

@@ -235,7 +235,7 @@ def load_scenario_config(path, overrides: tuple = ()) -> tuple[Scenario, SolverO
         scenario = Scenario(rf=rf, array=array, bob=NodePlacement(**kwargs["bob"]),
                             eve=NodePlacement(**kwargs["eve"]))
         options = SolverOptions(**kwargs["solver"])
-        _check_times(rf, np.asarray(options.time))
+        _check_times(rf, (options.time,))
         return scenario, options
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .scenario import FrequencyPlan, Scenario, _is_int, _plan_offsets
+from .scenario import FrequencyPlan, Scenario, _is_finite, _is_int, _plan_offsets
 
 # Largest N whose rests (N - 1 values) numpy sums left to right from +0.0.
 _SERIAL_REST_MAX_N = 8
@@ -146,7 +146,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     f_c clamped into [0, f_m] (at ``max_outer=0``, the clamped start),
     together with an :class:`OptimizerTrace`.
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (_is_finite(tol) and tol >= 0):
         raise ValueError("tol must be finite and non-negative")
     if not _is_int(max_outer) or max_outer < 0:
         raise ValueError("max_outer must be a non-negative integer")

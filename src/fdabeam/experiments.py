@@ -57,7 +57,6 @@ from functools import cache, partial
 import numpy as np
 
 from .beamforming import (
-    _is_real,
     lambda1_closed_form,
     lambda_delta_closed_form,
     mrt_rate,
@@ -73,6 +72,7 @@ from .scenario import (
     Scenario,
     _channels,
     _check_times,
+    _is_finite,
     _is_int,
     _layouts,
     _position,
@@ -144,12 +144,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a tuple or list, not {type(value).__name__}")
-        # the checks below would raise an unnamed TypeError on a string, or pass it or a bool
-        for name in ("target_rate", "range_gap", "power_grid", "range_interval",
-                     "angle_interval", "time_samples"):
-            value = getattr(self, name)
-            if not all(map(_is_real, value if name in _SEQUENCE_FIELDS else [value])):
-                raise ValueError(f"{name} takes real numbers only")
         for name in ("range_interval", "angle_interval"):
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} must hold two values (lower, upper)")
@@ -161,24 +155,25 @@ class ExperimentConfig:
         if not self.antenna_counts or not all(_is_int(n) and n >= 1
                                               for n in self.antenna_counts):
             raise ValueError("antenna_counts must be positive integers")
-        if not (self.power_grid and all(map(math.isfinite, self.power_grid))
-                and all(p > 0 for p in self.power_grid)):
+        if not (self.power_grid and all(_is_finite(p) and p > 0 for p in self.power_grid)):
             raise ValueError("power_grid entries must be finite and positive")
-        if not (math.isfinite(self.target_rate) and self.target_rate > 0):
+        if not (_is_finite(self.target_rate) and self.target_rate > 0):
             raise ValueError("target_rate must be finite and positive")
         if unknown := set(self.baselines) - set(SCHEMES):
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         if not self.baselines or len(set(self.baselines)) != len(self.baselines):
             raise ValueError("baselines must name at least one scheme, each once")
         lo, hi = self.range_interval
-        if not (all(map(math.isfinite, self.range_interval)) and 0 < lo <= hi):
+        if not (all(map(_is_finite, self.range_interval)) and 0 < lo <= hi):
             raise ValueError("range_interval must be finite, positive and ordered")
-        if not (math.isfinite(self.range_gap) and self.range_gap >= 0):
+        if not (_is_finite(self.range_gap) and self.range_gap >= 0):
             raise ValueError("range_gap must be finite and non-negative")
         lo, hi = self.angle_interval
-        if not 0.0 <= lo <= hi <= math.pi:
+        if not (all(map(_is_finite, self.angle_interval)) and 0.0 <= lo <= hi <= math.pi):
             raise ValueError("angle_interval must be finite, ordered and within [0, pi]")
-        _check_times(_RF, np.asarray(self.time_samples, dtype=float), "time_samples")
+        if not self.time_samples:
+            raise ValueError("time_samples must hold at least one instant")
+        _check_times(_RF, self.time_samples, "time_samples")
 
 
 @dataclass
@@ -227,6 +222,8 @@ def _row_stats(block: np.ndarray) -> np.ndarray:
 
 def linear_fda_plan(element_count: int, max_offset: float) -> FrequencyPlan:
     """Linearly increasing offsets ``(n / N) f_m`` for n = 1..N."""
+    if not _is_finite(max_offset):
+        raise ValueError("max_offset must be finite")
     n = np.arange(1, element_count + 1)
     return FrequencyPlan(n / element_count * max_offset)
 
@@ -674,7 +671,7 @@ def _sweep(config: ExperimentConfig, realization, metrics, counts: list, tasks: 
     stacks = _stacks(config, counts)
     offsets = _map_tasks(partial(realization, config, stacks=stacks), tasks, workers)
     reps = config.realizations
-    times = config.time_samples or (0.0,)
+    times = config.time_samples
     results, spread = [], {}
     for block in _blocks(stacks, counts, offsets, len(times) + 2):
         stats = [_block_stats(bob, eve, plans, times) for bob, eve, plans in block]

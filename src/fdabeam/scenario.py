@@ -34,6 +34,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """True for a Python or numpy int or float (not a bool) whose float value
+    is finite; false, never raising, for anything else."""
+    if type(value) is float:  # the common case, at about the cost of isfinite
+        return math.isfinite(value)
+    try:
+        return (isinstance(value, (float, int, np.floating, np.integer))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
+
+
 @dataclass(frozen=True)
 class RfParams:
     """RF constants shared by every solver.
@@ -66,7 +78,7 @@ class RfParams:
     def __post_init__(self):
         for name in ("carrier_frequency", "max_offset", "noise_power_bob",
                      "noise_power_eve", "wave_speed"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.carrier_frequency > 0:
             raise ValueError("carrier_frequency must be positive")
@@ -111,7 +123,7 @@ class ArrayGeometry:
         if not _is_int(self.element_count) or self.element_count < 1:
             raise ValueError("element_count must be a positive integer")
         for name in ("first_element_x", "spacing"):
-            if not math.isfinite(getattr(self, name)):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
@@ -126,11 +138,11 @@ class NodePlacement:
     angle_rad: float
 
     def __post_init__(self):
-        if not math.isfinite(self.range_m):
+        if not _is_finite(self.range_m):
             raise ValueError("range_m must be finite")
         if not self.range_m > 0:
             raise ValueError("range_m must be positive")
-        if not 0.0 <= self.angle_rad <= np.pi:
+        if not (_is_finite(self.angle_rad) and 0.0 <= self.angle_rad <= math.pi):
             raise ValueError("angle_rad must lie in [0, pi]")
 
 
@@ -246,9 +258,14 @@ class FrequencyPlan:
     offsets: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.offsets, dtype=float, copy=True)
+        arr = np.array(self.offsets, copy=True)
         if arr.ndim != 1:
             raise ValueError("offsets must be a 1-D array")
+        # an int or float array as a whole, anything else entry by entry
+        if not (arr.dtype.kind in "iuf" and isinstance(self.offsets, np.ndarray)
+                or all(map(_is_finite, self.offsets))):
+            raise ValueError("offsets must be finite and non-negative")
+        arr = arr.astype(float, copy=False)
         # two reductions without temporaries; a NaN fails both comparisons
         if not (np.minimum.reduce(arr, initial=0.0) >= 0.0
                 and np.maximum.reduce(arr, initial=0.0) < math.inf):
@@ -318,10 +335,10 @@ def _channels(rf: RfParams, bob_distances: np.ndarray, eve_distances: np.ndarray
 def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> np.ndarray:
     """(..., K, N) channels of a receiver at element distances ``dist``
     (..., N): row k under ``offsets[..., k, :]`` at ``times[k]``."""
+    _check_times(rf, times)
     times = np.asarray(times, dtype=np.longdouble)
     if times.shape != offsets.shape[-2:-1]:
         raise ValueError("plans and times must pair up one to one")
-    _check_times(rf, times)
     dist = dist[..., None, :]
     amp = rf.wavelength / (4.0 * np.pi * dist)
     # Phases reach ~1e5 rad at t = 20 us; reduce modulo one cycle in extended
@@ -338,12 +355,13 @@ def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> n
     return amp * np.exp(1j * _TWO_PI * frac)
 
 
-def _check_times(rf: RfParams, times: np.ndarray, name: str = "times") -> None:
-    """Reject instants past ``|t| = 1e-6 / ((f_c + f_m) eps)``, where the
+def _check_times(rf: RfParams, times, name: str = "times") -> None:
+    """Reject a sequence of instants unless each is a finite real number
+    within ``|t| = 1e-6 / ((f_c + f_m) eps)``, past which the
     extended-precision phase ``f (t - r / c)`` at the top frequency would
-    round off more than 1e-6 of a cycle, and non-finite ones."""
+    round off more than 1e-6 of a cycle."""
     limit = 1e-6 / ((rf.carrier_frequency + rf.max_offset) * _LONGDOUBLE_EPS)
-    if not (np.abs(times) <= limit).all():
+    if not all(_is_finite(t) and abs(t) <= limit for t in times):
         raise ValueError(f"{name} must be finite and within ±{limit:.4g} s")
 
 

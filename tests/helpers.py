@@ -512,7 +512,7 @@ def draw_realization(config, n, index):
 def _power_realization(config, n, index):
     scenario, plan_star, _ = draw_realization(config, n, index)
     rate = config.target_rate
-    times = config.time_samples or (0.0,)
+    times = config.time_samples
     b, e, x = plan_stats(scenario, plan_star, times)
     lam1 = lambda1_closed_form(b, e, x, rate)  # raises on overflow
     excess = 2.0**rate - 1.0
@@ -530,7 +530,7 @@ def _power_realization(config, n, index):
 
 def _rate_realization(config, index):
     scenario, plan_star, _ = draw_realization(config, config.antenna_counts[0], index)
-    times = config.time_samples or (0.0,)
+    times = config.time_samples
     b, e, x = plan_stats(scenario, plan_star, times)
     grid = np.array(config.power_grid, dtype=float)
     # Overflow raises at the first failing grid power, the bound (lambda_delta

@@ -259,9 +259,9 @@ def test_budget_and_target_take_only_real_scalars():
     truth value later on; numpy and Python numbers are accepted."""
     for value in (np.array([1.0, math.nan]), np.array([1.0, 2.0]), np.array(1.0),
                   "1", True, 1.0 + 0j, None):
-        with pytest.raises(ValueError, match="power budget must be a real scalar"):
+        with pytest.raises(ValueError, match="^power budget must be finite and non-negative$"):
             PowerBudget(value)
-        with pytest.raises(ValueError, match="target rate must be a real scalar"):
+        with pytest.raises(ValueError, match="^target rate must be finite and positive$"):
             SecrecyTarget(value)
     for value in (2, np.float64(2.0), np.int64(2), np.float32(2.0)):
         assert PowerBudget(value).power == 2.0
