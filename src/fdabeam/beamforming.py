@@ -17,7 +17,8 @@ Both beamformer directions are the principal eigenvector of
 from a 2x2 problem in the span of the two channels, never from a dense
 decomposition.  The closed forms, and the MRT baseline, take plain numbers
 or arrays that broadcast together: a float in, a Python float out; arrays
-in, an array out.
+in, an array out.  Any other input, a bool or a list say, is a ValueError
+that names it.
 """
 
 from __future__ import annotations
@@ -122,12 +123,21 @@ def stacked_channel_stats(h_bob: np.ndarray,
 
 
 def _check_inputs(nonnegative: tuple = (), positive: tuple = (), **inputs) -> None:
-    """ValueError naming the first of ``inputs`` (floats or arrays) that
-    holds a NaN, then the first one named in ``nonnegative`` that holds a
-    negative value, then the first one named in ``positive`` that holds a
-    value <= 0.  A Python float is checked without a numpy call."""
+    """ValueError naming the first of ``inputs`` that is neither a real
+    number nor an array (a str, bytes, None, a bool, an int past the float
+    range or a list, say) or holds a NaN, then the first one named in
+    ``nonnegative`` that holds a negative value, then the first one named in
+    ``positive`` that holds a value <= 0.  A Python float is checked without
+    a numpy call."""
     for name, value in inputs.items():
-        if value != value if isinstance(value, float) else np.isnan(value).any():
+        # a Python float first: the sweeps' scalar MRT loop passes them
+        if isinstance(value, float) or isinstance(value, np.floating) or _is_finite(value):
+            nan = value != value  # of the real numbers only a float is non-finite
+        elif isinstance(value, np.ndarray):
+            nan = np.isnan(value).any()
+        else:
+            raise ValueError(f"{name} must be a real number")
+        if nan:
             raise ValueError(f"{name} is NaN")
     for name in nonnegative:
         value = inputs[name]

@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .scenario import FrequencyPlan, Scenario, _is_finite, _is_int, _plan_offsets
+from .scenario import FrequencyPlan, Scenario, _count, _is_finite, _plan_offsets
 
 # Largest N whose rests (N - 1 values) numpy sums left to right from +0.0.
 _SERIAL_REST_MAX_N = 8
@@ -148,8 +148,7 @@ def optimize_offsets(scenario: Scenario, initial: FrequencyPlan | None = None,
     """
     if not (_is_finite(tol) and tol >= 0):
         raise ValueError("tol must be finite and non-negative")
-    if not _is_int(max_outer) or max_outer < 0:
-        raise ValueError("max_outer must be a non-negative integer")
+    max_outer = _count(max_outer, "max_outer must be a non-negative integer", low=0)
     rf = scenario.rf
     n_elem = scenario.array.element_count
     f_lo = rf.carrier_frequency

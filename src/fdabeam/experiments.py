@@ -72,8 +72,8 @@ from .scenario import (
     Scenario,
     _channels,
     _check_times,
+    _count,
     _is_finite,
-    _is_int,
     _layouts,
     _position,
 )
@@ -139,22 +139,25 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a scalar or a string would be iterated as something else by the
-        # checks below and the sweeps, and an array's truth value is ambiguous
+        # checks below and the sweeps, and an array's truth value is ambiguous;
+        # a list is stored as a tuple, so the sweeps read the values checked here
         for name in _SEQUENCE_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, (tuple, list)):
                 raise ValueError(f"{name} must be a tuple or list, not {type(value).__name__}")
+            object.__setattr__(self, name, tuple(value))
         for name in ("range_interval", "angle_interval"):
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} must hold two values (lower, upper)")
         # a realization index is one SeedSequence entropy word (_substream_units)
-        if not _is_int(self.realizations) or not 1 <= self.realizations <= 1 << 32:
-            raise ValueError("realizations must be an integer from 1 to 2**32")
-        if not _is_int(self.rng_seed) or self.rng_seed < 0:
-            raise ValueError("rng_seed must be a non-negative integer")
-        if not self.antenna_counts or not all(_is_int(n) and n >= 1
-                                              for n in self.antenna_counts):
+        object.__setattr__(self, "realizations", _count(
+            self.realizations, "realizations must be an integer from 1 to 2**32", high=1 << 32))
+        object.__setattr__(self, "rng_seed", _count(
+            self.rng_seed, "rng_seed must be a non-negative integer", low=0))
+        if not self.antenna_counts:
             raise ValueError("antenna_counts must be positive integers")
+        object.__setattr__(self, "antenna_counts", tuple(
+            _count(n, "antenna_counts must be positive integers") for n in self.antenna_counts))
         if not (self.power_grid and all(_is_finite(p) and p > 0 for p in self.power_grid)):
             raise ValueError("power_grid entries must be finite and positive")
         if not (_is_finite(self.target_rate) and self.target_rate > 0):
@@ -222,6 +225,7 @@ def _row_stats(block: np.ndarray) -> np.ndarray:
 
 def linear_fda_plan(element_count: int, max_offset: float) -> FrequencyPlan:
     """Linearly increasing offsets ``(n / N) f_m`` for n = 1..N."""
+    element_count = _count(element_count, "element_count must be a positive integer")
     if not _is_finite(max_offset):
         raise ValueError("max_offset must be finite")
     n = np.arange(1, element_count + 1)
@@ -230,6 +234,7 @@ def linear_fda_plan(element_count: int, max_offset: float) -> FrequencyPlan:
 
 def phased_array_plan(element_count: int) -> FrequencyPlan:
     """All offsets zero: every element on the carrier."""
+    element_count = _count(element_count, "element_count must be a positive integer")
     return FrequencyPlan(np.zeros(element_count))
 
 
@@ -668,6 +673,7 @@ def _sweep(config: ExperimentConfig, realization, metrics, counts: list, tasks: 
     values (a value, or one per power) over the blocks by name: power task
     k fills row ``k // realizations``; rate columns are the transpose.
     """
+    workers = _count(workers, "workers must be a positive integer")
     stacks = _stacks(config, counts)
     offsets = _map_tasks(partial(realization, config, stacks=stacks), tasks, workers)
     reps = config.realizations
@@ -718,7 +724,8 @@ def run_rate_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
 
 def run_convergence_study(config: ExperimentConfig, workers: int = 1) -> ConvergenceResult:
     """Mean coupling after each optimizer sweep, per antenna count."""
-    counts = tuple(config.antenna_counts)
+    workers = _count(workers, "workers must be a positive integer")
+    counts = config.antenna_counts
     reps = config.realizations
     tasks = [(n, idx) for n in counts for idx in range(reps)]
     stacks = _stacks(config, counts)

@@ -29,9 +29,13 @@ _LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer (not a bool)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _count(value, message: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as a Python int where it is a Python or numpy integer, not a
+    bool, from ``low`` to ``high``; else ``ValueError(message)``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+            and low <= value <= high:
+        return int(value)
+    raise ValueError(message)
 
 
 def _is_finite(value) -> bool:
@@ -120,8 +124,8 @@ class ArrayGeometry:
     spacing: float = 0.0625
 
     def __post_init__(self):
-        if not _is_int(self.element_count) or self.element_count < 1:
-            raise ValueError("element_count must be a positive integer")
+        object.__setattr__(self, "element_count", _count(
+            self.element_count, "element_count must be a positive integer"))
         for name in ("first_element_x", "spacing"):
             if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -315,8 +319,10 @@ def channel_pair(scenario: Scenario, plan: FrequencyPlan,
     entry n of ``h`` is ``wavelength / (4 pi r_n) exp(j 2 pi f_n (t - r_n / c))``
     with ``f_n = f_c + offsets[n]`` and r_n the stored element distance.  The
     one-row call of :func:`_channels`, which the sweeps run on stacks."""
+    offsets = _plan_offsets(scenario, [plan])
+    _check_times(scenario.rf, (t,))
     hb, he = _channels(scenario.rf, scenario.bob_distances, scenario.eve_distances,
-                       _plan_offsets(scenario, [plan]), (t,))
+                       offsets, (t,))
     return ChannelPair(h_bob=hb[0], h_eve=he[0])
 
 
@@ -334,8 +340,8 @@ def _channels(rf: RfParams, bob_distances: np.ndarray, eve_distances: np.ndarray
 
 def _synthesize(rf: RfParams, dist: np.ndarray, offsets: np.ndarray, times) -> np.ndarray:
     """(..., K, N) channels of a receiver at element distances ``dist``
-    (..., N): row k under ``offsets[..., k, :]`` at ``times[k]``."""
-    _check_times(rf, times)
+    (..., N): row k under ``offsets[..., k, :]`` at ``times[k]``, instants
+    that :func:`_check_times` passed already."""
     times = np.asarray(times, dtype=np.longdouble)
     if times.shape != offsets.shape[-2:-1]:
         raise ValueError("plans and times must pair up one to one")

@@ -1,5 +1,6 @@
 """Shared builders and brute-force oracles for randomized tests."""
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ MAX_OFFSET = 3e6
 NOISE = 1e-13
 
 _CHUNK = 1 << 18
-_SCAN_CHUNK = 1 << 14
 _TWO_PI = 2.0 * math.pi
 
 
@@ -233,22 +233,21 @@ def coordinate_scan(weights, phases, slope, f_lo, f_hi, count):
     """Brute-force minimum of ``sum_k w_k cos(slope*f - phases[k])`` on a grid.
 
     Scans ``count`` equispaced points on [f_lo, f_hi] (both endpoints
-    included) and returns ``(f_best, value_best)``.
+    included) and returns ``(f_best, value_best)``.  The sum is evaluated as
+    one sinusoid, ``Re(c exp(j slope f)) = |c| cos(slope f + arg c)`` with
+    ``c = sum_k w_k exp(-j phases[k])``: one cosine per point whatever the
+    number of terms.  The closed-form coordinate update rests on the same
+    sum-to-one-sinusoid identity, so the scan checks its argmin step, not
+    that identity.
     """
-    step = (f_hi - f_lo) / (count - 1)
-    best_val = np.inf
-    best_f = f_lo
-    buf = np.empty((min(_SCAN_CHUNK, count), phases.shape[0]))
-    for start in range(0, count, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, count))
-        f = f_lo + step * idx
-        arg = np.subtract(slope * f[:, None], phases[None, :], out=buf[:idx.size])
-        vals = np.cos(arg, out=arg) @ weights
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_f = float(f[k])
-    return best_f, best_val
+    c = complex(np.sum(weights * np.exp(-1j * phases)))
+    f = f_lo + (f_hi - f_lo) / (count - 1) * np.arange(count)
+    vals = np.multiply(f, slope)
+    vals += cmath.phase(c)
+    np.cos(vals, out=vals)
+    vals *= abs(c)
+    k = int(np.argmin(vals))
+    return float(f[k]), float(vals[k])
 
 
 def grid_oracle(scenario, points_per_axis):
@@ -283,6 +282,28 @@ def two_level_optimum(scenario):
     vals = coupling_power_batch(scenario.alpha, scenario.omega,
                                 scenario.rf.carrier_frequency + bits * scenario.rf.max_offset)
     return scenario.rf.coupling_prefactor * float(vals.min())
+
+
+def arc_condition(scenario):
+    """True when the N phase arcs ``omega_n [f_c, f_c + f_m]``, which element
+    n's term ``alpha_n exp(j omega_n f)`` sweeps over the offset box, leave an
+    uncovered gap longer than pi on the circle.  All arcs then lie in one arc
+    narrower than pi, so every exact coordinate update returns an end of the
+    box, and every fixed point of the descent is a two-level plan.
+
+    A gap ends where some arc starts; the gap before start ``s_j`` reaches
+    back to the nearest end of an arc, none where an arc covers the points
+    just before ``s_j``."""
+    rf = scenario.rf
+    length = np.abs(scenario.omega) * rf.max_offset
+    if length.max() > math.pi:  # one arc alone leaves no longer gap
+        return False
+    start = np.mod(np.minimum(scenario.omega * rf.carrier_frequency,
+                              scenario.omega * (rf.carrier_frequency + rf.max_offset)), _TWO_PI)
+    # ahead[j, i]: from the start of arc i forward to the start of arc j
+    ahead = np.mod(start[:, None] - start[None, :], _TWO_PI)
+    gaps = np.where((ahead > 0.0) & (ahead <= length), 0.0, np.mod(ahead - length, _TWO_PI))
+    return bool(gaps.min(axis=1).max() > math.pi)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from fdabeam import kernels
 from fdabeam.coupling import g_value, optimize_offsets
-from fdabeam.experiments import ExperimentConfig, linear_fda_plan
+from fdabeam.experiments import ExperimentConfig, linear_fda_plan, sample_scenario
 from fdabeam.scenario import ArrayGeometry, FrequencyPlan, channel_pair
 
 import helpers
@@ -19,6 +19,7 @@ from helpers import (
     MAX_OFFSET,
     _best_frequency,
     _cosine_term,
+    arc_condition,
     coordinate_scan,
     cosine_argmin,
     coupling_power_row,
@@ -386,18 +387,9 @@ def test_optimize_rejects_bad_initial():
         optimize_offsets(scenario, initial=FrequencyPlan(np.zeros(3)))
 
 
-@pytest.mark.parametrize("kwargs, match", [
-    ({"tol": math.nan}, "tol"),
-    ({"tol": math.inf}, "tol"),
-    ({"tol": -1.0}, "tol"),
-    ({"max_outer": -3}, "max_outer"),
-    ({"max_outer": math.nan}, "max_outer must be a non-negative integer"),
-    ({"max_outer": 2.5}, "max_outer must be a non-negative integer"),
-    ({"max_outer": True}, "max_outer must be a non-negative integer"),
-])
-def test_optimize_rejects_bad_stopping_rule(kwargs, match):
-    with pytest.raises(ValueError, match=match):
-        optimize_offsets(_reference_scenario(), **kwargs)
+def test_optimize_rejects_bad_stopping_rule():
+    with pytest.raises(ValueError, match="^tol must be finite and non-negative$"):
+        optimize_offsets(_reference_scenario(), tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,6 +1042,30 @@ def test_descent_leaves_the_two_levels_past_the_arc_condition():
         u = plan.offsets / MAX_OFFSET
         assert np.max(np.minimum(u, 1.0 - u)) >= 0.1
         assert final <= 0.084 * best
+
+
+def _arc_draws(gap):
+    """100 shared-bearing ``sample_scenario`` draws at ``gap`` for each of
+    N = 2, 4 and 8, from one seed-11 generator."""
+    rng = np.random.default_rng(11)
+    config = ExperimentConfig(range_gap=gap)
+    return [sample_scenario(rng, config, n) for n in (2, 4, 8) for _ in range(100)]
+
+
+@pytest.mark.parametrize("gap", [0.5, 2.0, 5.0, 20.0])
+def test_arc_condition_holds_and_descents_end_at_two_levels(gap):
+    """Below theta = pi every draw meets the arc condition, and every offset
+    the descent ends at lies within 1e-9 f_m of 0 or f_m, as the arc theorem
+    says of every fixed point."""
+    for scenario in _arc_draws(gap):
+        assert arc_condition(scenario)
+        offsets = optimize_offsets(scenario)[0].offsets
+        assert np.all(np.minimum(offsets, MAX_OFFSET - offsets) <= 1e-9 * MAX_OFFSET)
+
+
+def test_arc_condition_fails_at_a_60_m_gap():
+    """At a 60 m gap one element arc alone spans theta = 3.77 rad > pi."""
+    assert not any(map(arc_condition, _arc_draws(60.0)))
 
 
 def test_grid_oracle_refinement():

@@ -175,22 +175,16 @@ def test_placement_validation():
         NodePlacement(-5.0, 0.5)
     with pytest.raises(ValueError):
         NodePlacement(10.0, 3.5)
-    for count in (0, 2.0, math.nan, "2", True):
-        with pytest.raises(ValueError, match="element_count must be a positive integer"):
-            ArrayGeometry(count, 0.0, 0.1)
-    assert ArrayGeometry(np.int64(2), 0.0, 0.1).element_count == 2
     with pytest.raises(ValueError):
         ArrayGeometry(4, 0.0, -0.1)
-    with pytest.raises(ValueError, match="spacing must be finite"):
-        ArrayGeometry(4, 0.0, math.inf)
-    with pytest.raises(ValueError, match="first_element_x must be finite"):
-        ArrayGeometry(4, math.nan, 0.1)
     with pytest.raises(ValueError):
         RfParams(2.4e9, 3e6, -1e-13, 1e-13)
 
 
 _PLAN_CASES = {
-    # offsets -> the ValueError they raise, or None where they are a plan
+    # offsets -> the ValueError they raise, or None where they are a plan; a
+    # float array takes the whole-array reductions, which the entry-by-entry
+    # list row of tests/test_scalar_inputs.py does not reach
     "nan": ([0.0, math.nan], "finite and non-negative"),
     "+inf": ([math.inf, 0.0], "finite and non-negative"),
     "-inf": ([1e6, -math.inf], "finite and non-negative"),
@@ -304,17 +298,6 @@ def test_channel_pair_type_checks():
         ChannelPair(h_bob=np.zeros(3, complex), h_eve=np.zeros(4, complex))
 
 
-@pytest.mark.parametrize("field", ["carrier_frequency", "max_offset", "noise_power_bob",
-                                   "noise_power_eve", "wave_speed"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_rf_params_reject_non_finite(field, value):
-    kwargs = dict(carrier_frequency=2.4e9, max_offset=3e6, noise_power_bob=1e-13,
-                  noise_power_eve=1e-13)
-    kwargs[field] = value
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        RfParams(**kwargs)
-
-
 @pytest.mark.parametrize("field, value, message", [
     ("carrier_frequency", 0.0, "carrier_frequency must be positive"),
     ("max_offset", -1.0, "max_offset must be non-negative"),
@@ -389,12 +372,6 @@ def test_scenario_rejects_layouts_past_the_float_range(rf, array, bob, eve, mess
         Scenario(rf=rf, array=array, bob=NodePlacement(*bob), eve=NodePlacement(*eve))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_node_placement_rejects_non_finite_range(value):
-    with pytest.raises(ValueError, match="range_m must be finite"):
-        NodePlacement(range_m=value, angle_rad=1.0)
-
-
 def _rows(scn, plans, times):
     """(K, N) channels of one scenario, row k under ``plans[k]`` at
     ``times[k]``."""
@@ -446,14 +423,6 @@ def test_channel_pairs_need_one_time_per_plan():
         _rows(scn, [plan, plan], [0.0])
     with pytest.raises(ValueError, match="max_offset"):
         _rows(scn, [plan, FrequencyPlan(np.array([0.0, 4e6]))], [0.0, 0.0])
-
-
-@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
-def test_channel_pairs_reject_non_finite_times(t):
-    scn = half_wave_scenario(2, 100.0, 1.0, 120.0, 1.0)
-    plan = FrequencyPlan(np.zeros(2))
-    with pytest.raises(ValueError, match="times must be finite"):
-        channel_pair(scn, plan, t)
 
 
 def _assert_same_bits(got, want):
